@@ -503,6 +503,38 @@ def save_bundle(bundle, path, split=None):
             fh.write(blob)
 
 
+def _check_rows(path, domain, flat, lengths, m, n_items):
+    """Reject packed rows that break the DomainMatrix invariants.
+
+    Every row must hold item indices in [0, n_items), strictly increasing.
+    The checks run on the whole packed blob at once, not row by row.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if lengths.shape != (m,) or (lengths < 0).any() or lengths.sum() != flat.size:
+        raise DataError(
+            f"{path}: {domain} row lengths do not split {flat.size} entries over {m} users"
+        )
+    if flat.size and (flat.min() < 0 or flat.max() >= n_items):
+        raise DataError(f"{path}: {domain} item index outside [0, {n_items})")
+    rising = np.diff(flat) > 0
+    starts = np.cumsum(lengths)[:-1]
+    # a row may start below where the previous one ended
+    rising[starts[(starts > 0) & (starts < flat.size)] - 1] = True
+    if not rising.all():
+        raise DataError(f"{path}: {domain} row not strictly increasing")
+
+
+def _check_split(path, held_out, negatives, m, n_items):
+    """Reject a leave-one-out split whose shape or indices do not fit the bundle."""
+    if held_out.shape != (m,) or negatives.ndim != 2 or negatives.shape[0] != m:
+        raise DataError(
+            f"{path}: split shapes {held_out.shape} and {negatives.shape} do not fit {m} users"
+        )
+    for name, a in (("held_out", held_out), ("negatives", negatives)):
+        if a.size and (a.min() < 0 or a.max() >= n_items):
+            raise DataError(f"{path}: split {name} index outside [0, {n_items})")
+
+
 def _unpack_rows(flat, lengths):
     rows, at = [], 0
     for n in lengths:
@@ -517,6 +549,8 @@ def load_bundle(path):
         raw = fh.read()
     if raw[:4] != BUNDLE_MAGIC:
         raise DataError(f"{path}: not a bundle file (bad magic)")
+    if len(raw) < 8:
+        raise DataError(f"{path}: truncated header")
     (head_len,) = struct.unpack("<I", raw[4:8])
     try:
         header = json.loads(raw[8:8 + head_len].decode("utf-8"))
@@ -542,9 +576,13 @@ def load_bundle(path):
 
     def mat(domain):
         dom = header["domains"][domain]
-        rows = _unpack_rows(arrays[f"{domain}.rows"], dom["row_lengths"])
+        flat = arrays[f"{domain}.rows"]
+        _check_rows(path, domain, flat, dom["row_lengths"], len(users), len(dom["item_index"]))
+        rows = _unpack_rows(flat, dom["row_lengths"])
         row_ts = None
         if dom["has_ts"]:
+            if arrays[f"{domain}.ts"].shape != flat.shape:
+                raise DataError(f"{path}: {domain} timestamps do not align with rows")
             row_ts = _unpack_rows(arrays[f"{domain}.ts"], dom["row_lengths"])
         return DomainMatrix(domain, users, dom["item_index"], rows, row_ts)
 
@@ -557,6 +595,10 @@ def load_bundle(path):
         bundle.aux_vectors = arrays["aux"].astype(np.float64)
     split = None
     if header["split"] is not None:
+        _check_split(
+            path, arrays["split.held_out"], arrays["split.negatives"],
+            bundle.m, bundle.target.n_items,
+        )
         split = LeaveOneOutSplit(
             held_out=arrays["split.held_out"].astype(np.int64),
             negatives=arrays["split.negatives"].astype(np.int64),

@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .nn import blocks
+
 CLAMP = 1e-7
 
 VARIANTS = ("generic", "single", "merged", "no-mmd", "cold-start", "aux")
@@ -90,15 +92,21 @@ def kl_divergence(mu, logvar) -> float:
 
 
 def l2_reg(params, lambda_reg) -> float:
-    """lambda_reg * sum of squared Frobenius/2-norms over every tensor in scope."""
+    """lambda_reg * sum of squares over every entry of a ParamStore."""
     if lambda_reg < 0:
         raise ValueError(f"lambda_reg must be >= 0, got {lambda_reg}")
     if lambda_reg == 0.0:
         return 0.0
-    total = 0.0
-    for p in params.values():
-        total += float((p * p).sum())
-    return lambda_reg * total
+    # einsum reduces in place and never calls BLAS, whose threaded dot would
+    # tie the value's last bits to the thread count.
+    return lambda_reg * float(np.einsum("i,i->", params.flat, params.flat))
+
+
+def add_l2_grad(params, grads, lambda_reg):
+    """Add the gradient of l2_reg, 2 * lambda_reg * params, into grads."""
+    if lambda_reg:
+        for s in blocks(params.flat.size):
+            grads.flat[s] += (2.0 * lambda_reg) * params.flat[s]
 
 
 def mmd_linear(z_source, z_target) -> float:

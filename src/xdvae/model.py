@@ -18,10 +18,11 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import losses
-from .nn import DenseLayer, DenseStack
+from .nn import DenseLayer, DenseStack, bind_layers
 
 VARIANTS = losses.VARIANTS
 LINKED_VARIANTS = ("generic", "no-mmd", "cold-start", "aux")
+ABLATION_VARIANTS = ("generic", "single", "merged", "no-mmd")
 
 
 @dataclass
@@ -108,24 +109,19 @@ def _kl_grads(state, batch):
 class _Encoder:
     """Tanh hidden stack with parallel identity mu / logvar heads."""
 
-    def __init__(self, hidden, mu_head, logvar_head, prefix):
+    def __init__(self, hidden, mu_head, logvar_head):
         self.hidden = hidden
         self.mu_head = mu_head
         self.logvar_head = logvar_head
-        self.prefix = prefix
 
     @classmethod
-    def create(cls, input_dim, hidden_dims, latent_dim, rng, prefix, extra_head_input=0):
+    def create(cls, input_dim, hidden_dims, latent_dim, rng, extra_head_input=0):
         dims = [input_dim] + list(hidden_dims)
         hidden = DenseStack.create(dims, ["tanh"] * (len(dims) - 1), rng)
         head_in = dims[-1] + extra_head_input
         mu_head = DenseLayer.create(head_in, latent_dim, "identity", rng)
         logvar_head = DenseLayer.create(head_in, latent_dim, "identity", rng)
-        return cls(hidden, mu_head, logvar_head, prefix)
-
-    @property
-    def latent_dim(self):
-        return self.mu_head.out_dim
+        return cls(hidden, mu_head, logvar_head)
 
     def forward(self, r, eps, sub_out=None):
         h, h_caches = self.hidden.forward(r)
@@ -145,31 +141,23 @@ class _Encoder:
         }
         return state, cache
 
-    def backward(self, g_z, g_mu_extra, g_lv_extra, state, cache, grads):
+    def backward(self, g_z, g_mu_extra, g_lv_extra, state, cache):
         """Backprop to the encoder input; returns the sub-encoder slice grad (or None)."""
         g_mu = g_z + g_mu_extra
         g_lv = g_z * (0.5 * cache["sigma"] * state.eps) + g_lv_extra
-        g_hc_mu, gw, gb = self.mu_head.backward(g_mu, cache["mu_cache"])
-        grads[f"{self.prefix}.mu.W"] += gw
-        grads[f"{self.prefix}.mu.b"] += gb
-        g_hc_lv, gw, gb = self.logvar_head.backward(g_lv, cache["lv_cache"])
-        grads[f"{self.prefix}.logvar.W"] += gw
-        grads[f"{self.prefix}.logvar.b"] += gb
-        g_hc = g_hc_mu + g_hc_lv
+        g_hc = (self.mu_head.backward(g_mu, cache["mu_cache"])
+                + self.logvar_head.backward(g_lv, cache["lv_cache"]))
         g_sub = None
         if cache["has_sub"]:
             w = cache["main_width"]
             g_sub = g_hc[:, w:]
             g_hc = g_hc[:, :w]
-        self.hidden.backward(g_hc, cache["h_caches"], grads, f"{self.prefix}.h")
+        self.hidden.backward(g_hc, cache["h_caches"])
         return g_sub
 
-    def named_params(self):
-        yield from self.hidden.named_params(f"{self.prefix}.h")
-        yield f"{self.prefix}.mu.W", self.mu_head.w
-        yield f"{self.prefix}.mu.b", self.mu_head.b
-        yield f"{self.prefix}.logvar.W", self.logvar_head.w
-        yield f"{self.prefix}.logvar.b", self.logvar_head.b
+    def named_layers(self, prefix):
+        return self.hidden.named_layers(f"{prefix}.h") + [
+            (f"{prefix}.mu", self.mu_head), (f"{prefix}.logvar", self.logvar_head)]
 
 
 def _make_decoder(input_dim, hidden_dims, output_dim, rng):
@@ -179,30 +167,27 @@ def _make_decoder(input_dim, hidden_dims, output_dim, rng):
 
 
 class _ModelBase:
-    """Shared surface: ordered parameter map, config echo, prediction entry."""
+    """Shared surface: parameter store, training step, config echo, eps draws."""
 
-    config: ModelConfig
-    n_source: int
-    n_target: int
+    def __init__(self, config, n_source, n_target, hosted_variants):
+        config.validate()
+        if config.variant not in hosted_variants:
+            raise ValueError(f"{type(self).__name__} cannot host variant {config.variant!r}")
+        self.config = config
+        self.n_source = n_source
+        self.n_target = n_target
 
     def params(self):
+        """ParamStore of every tensor; the layers hold views into it."""
         return self._params
 
-    def _collect_params(self, named_iters):
-        out = {}
-        for it in named_iters:
-            for name, arr in it:
-                out[name] = arr
-        self._params = out
+    def loss_and_grads(self, r_s, r_t, eps, aux=None):
+        """(LossBreakdown, grads) for one batch; eps is (n_latents, batch, L) noise.
 
-    def zero_grads(self):
-        return {name: np.zeros_like(p) for name, p in self._params.items()}
-
-    def _add_reg_grads(self, grads):
-        lam = self.config.lambda_reg
-        if lam:
-            for name, p in self._params.items():
-                grads[name] += (2.0 * lam) * p
+        grads is the model's own ParamStore, overwritten by the next call.
+        """
+        fwd = self.forward(r_s, r_t, eps, aux)
+        return self.loss_breakdown(fwd), self.backward(fwd)
 
     def _eps_for(self, shape, mode, rng):
         if mode == "mean":
@@ -223,13 +208,10 @@ class LinkedVAE(_ModelBase):
                            into the encoder heads.
     """
 
+    n_latents = 2   # noise blocks per training step: eps_S, eps_T
+
     def __init__(self, config, n_source, n_target, rng):
-        config.validate()
-        if config.variant not in LINKED_VARIANTS:
-            raise ValueError(f"LinkedVAE cannot host variant {config.variant!r}")
-        self.config = config
-        self.n_source = n_source
-        self.n_target = n_target
+        super().__init__(config, n_source, n_target, LINKED_VARIANTS)
         L = config.latent_dim
         self.use_mmd = config.variant in ("generic", "aux", "cold-start")
         self.use_map = config.variant == "cold-start"
@@ -241,11 +223,11 @@ class LinkedVAE(_ModelBase):
 
         sub_out = config.aux_encoder_dims[-1] if self.aux_attached else 0
         self.enc_s = _Encoder.create(
-            n_source, config.enc_dims_source, L, rng, "enc_S",
+            n_source, config.enc_dims_source, L, rng,
             extra_head_input=sub_out if "S" in self.aux_attached else 0,
         )
         self.enc_t = _Encoder.create(
-            n_target, config.enc_dims_target, L, rng, "enc_T",
+            n_target, config.enc_dims_target, L, rng,
             extra_head_input=sub_out if "T" in self.aux_attached else 0,
         )
         self.dec_s = _make_decoder(
@@ -264,16 +246,16 @@ class LinkedVAE(_ModelBase):
             self.sub_encoder = DenseStack.create(dims, ["tanh"] * (len(dims) - 1), rng)
 
         named = [
-            self.enc_s.named_params(),
-            self.enc_t.named_params(),
-            self.dec_s.named_params("dec_S"),
-            self.dec_t.named_params("dec_T"),
+            *self.enc_s.named_layers("enc_S"),
+            *self.enc_t.named_layers("enc_T"),
+            *self.dec_s.named_layers("dec_S"),
+            *self.dec_t.named_layers("dec_T"),
         ]
         if self.map_layer is not None:
-            named.append([("map.W", self.map_layer.w), ("map.b", self.map_layer.b)])
+            named.append(("map", self.map_layer))
         if self.sub_encoder is not None:
-            named.append(self.sub_encoder.named_params("sub"))
-        self._collect_params(named)
+            named += self.sub_encoder.named_layers("sub")
+        self._params, self._grads = bind_layers(named)
 
     # -- forward pieces ----------------------------------------------------
 
@@ -305,8 +287,9 @@ class LinkedVAE(_ModelBase):
         out, _ = self.map_layer.forward(np.atleast_2d(z_source))
         return out
 
-    def forward(self, r_s, r_t, eps_s, eps_t, aux=None):
+    def forward(self, r_s, r_t, eps, aux=None):
         """Full training forward pass; returns a state dict for backward()."""
+        eps_s, eps_t = eps
         sub_out = sub_caches = None
         if self.aux_attached:
             if aux is None:
@@ -332,7 +315,7 @@ class LinkedVAE(_ModelBase):
             "p_s": p_s, "p_t": p_t,
             "dec_s_caches": dec_s_caches, "dec_t_caches": dec_t_caches,
             "z_prime": z_prime, "map_cache": map_cache,
-            "sub_out": sub_out, "sub_caches": sub_caches,
+            "sub_caches": sub_caches,
         }
 
     def loss_breakdown(self, fwd):
@@ -358,16 +341,11 @@ class LinkedVAE(_ModelBase):
         st_s, st_t = fwd["state_s"], fwd["state_t"]
         batch = fwd["r_s"].shape[0]
         L = cfg.latent_dim
-        grads = self.zero_grads()
 
         g_out_s = _recon_preact_grad(fwd["p_s"], fwd["r_s"], cfg.beta, batch)
-        g_z_s = self.dec_s.backward(
-            g_out_s, fwd["dec_s_caches"], grads, "dec_S", final_preact=True
-        )
+        g_z_s = self.dec_s.backward(g_out_s, fwd["dec_s_caches"], final_preact=True)
         g_out_t = _recon_preact_grad(fwd["p_t"], fwd["r_t"], cfg.beta, batch)
-        g_dec_t_in = self.dec_t.backward(
-            g_out_t, fwd["dec_t_caches"], grads, "dec_T", final_preact=True
-        )
+        g_dec_t_in = self.dec_t.backward(g_out_t, fwd["dec_t_caches"], final_preact=True)
 
         if self.use_map:
             z_prime = fwd["z_prime"]
@@ -376,11 +354,7 @@ class LinkedVAE(_ModelBase):
             g_z_t = np.zeros_like(st_t.z)
             if not cfg.map_stop_gradient:
                 g_z_t -= g_map
-            # through the tanh mapping layer back to z_S
-            g_a = g_zp * (1.0 - z_prime * z_prime)
-            grads["map.W"] += g_a.T @ st_s.z
-            grads["map.b"] += g_a.sum(axis=0)
-            g_z_s += g_a @ self.map_layer.w
+            g_z_s += self.map_layer.backward(g_zp, fwd["map_cache"])
         else:
             g_z_s += g_dec_t_in[:, :L]
             g_z_t = g_dec_t_in[:, L:].copy()
@@ -391,24 +365,15 @@ class LinkedVAE(_ModelBase):
             g_z_t -= (2.0 / batch) * diff
 
         g_mu_s, g_lv_s = _kl_grads(st_s, batch)
-        g_sub_s = self.enc_s.backward(g_z_s, g_mu_s, g_lv_s, st_s, fwd["cache_s"], grads)
+        g_sub_s = self.enc_s.backward(g_z_s, g_mu_s, g_lv_s, st_s, fwd["cache_s"])
         g_mu_t, g_lv_t = _kl_grads(st_t, batch)
-        g_sub_t = self.enc_t.backward(g_z_t, g_mu_t, g_lv_t, st_t, fwd["cache_t"], grads)
+        g_sub_t = self.enc_t.backward(g_z_t, g_mu_t, g_lv_t, st_t, fwd["cache_t"])
 
         if self.sub_encoder is not None:
-            g_sub = np.zeros_like(fwd["sub_out"])
-            if g_sub_s is not None:
-                g_sub += g_sub_s
-            if g_sub_t is not None:
-                g_sub += g_sub_t
-            self.sub_encoder.backward(g_sub, fwd["sub_caches"], grads, "sub")
-
-        self._add_reg_grads(grads)
-        return grads
-
-    def loss_and_grads(self, r_s, r_t, eps_s, eps_t, aux=None):
-        fwd = self.forward(r_s, r_t, eps_s, eps_t, aux)
-        return self.loss_breakdown(fwd), self.backward(fwd)
+            g_sub = sum(g for g in (g_sub_s, g_sub_t) if g is not None)
+            self.sub_encoder.backward(g_sub, fwd["sub_caches"])
+        losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
+        return self._grads
 
     # -- prediction ----------------------------------------------------------
 
@@ -446,22 +411,19 @@ class SingleVAE(_ModelBase):
     scores are read off the target slice of the reconstruction.
     """
 
+    n_latents = 1   # noise blocks per training step: the one encoder's eps
+
     def __init__(self, config, n_source, n_target, rng):
-        config.validate()
-        if config.variant not in ("single", "merged"):
-            raise ValueError(f"SingleVAE cannot host variant {config.variant!r}")
-        self.config = config
-        self.n_source = n_source
-        self.n_target = n_target
+        super().__init__(config, n_source, n_target, ("single", "merged"))
         self.input_dim = n_target if config.variant == "single" else n_source + n_target
         L = config.latent_dim
-        self.enc = _Encoder.create(
-            self.input_dim, config.enc_dims_target, L, rng, "enc"
-        )
+        self.enc = _Encoder.create(self.input_dim, config.enc_dims_target, L, rng)
         self.dec = _make_decoder(
             L, list(reversed(config.enc_dims_target)), self.input_dim, rng
         )
-        self._collect_params([self.enc.named_params(), self.dec.named_params("dec")])
+        self._params, self._grads = bind_layers(
+            [*self.enc.named_layers("enc"), *self.dec.named_layers("dec")]
+        )
 
     def _input(self, r_s, r_t):
         if self.config.variant == "single":
@@ -472,9 +434,10 @@ class SingleVAE(_ModelBase):
         state, _ = self.enc.forward(np.atleast_2d(x), np.atleast_2d(eps))
         return state
 
-    def forward(self, r_s, r_t, eps, **_):
+    def forward(self, r_s, r_t, eps, aux=None):
+        (eps_x,) = eps
         x = self._input(r_s, r_t)
-        state, cache = self.enc.forward(x, eps)
+        state, cache = self.enc.forward(x, eps_x)
         p, dec_caches = self.dec.forward(state.z)
         return {"x": x, "state": state, "cache": cache, "p": p, "dec_caches": dec_caches}
 
@@ -490,17 +453,12 @@ class SingleVAE(_ModelBase):
     def backward(self, fwd):
         cfg = self.config
         batch = fwd["x"].shape[0]
-        grads = self.zero_grads()
         g_out = _recon_preact_grad(fwd["p"], fwd["x"], cfg.beta, batch)
-        g_z = self.dec.backward(g_out, fwd["dec_caches"], grads, "dec", final_preact=True)
+        g_z = self.dec.backward(g_out, fwd["dec_caches"], final_preact=True)
         g_mu, g_lv = _kl_grads(fwd["state"], batch)
-        self.enc.backward(g_z, g_mu, g_lv, fwd["state"], fwd["cache"], grads)
-        self._add_reg_grads(grads)
-        return grads
-
-    def loss_and_grads(self, r_s, r_t, eps, **_):
-        fwd = self.forward(r_s, r_t, eps)
-        return self.loss_breakdown(fwd), self.backward(fwd)
+        self.enc.backward(g_z, g_mu, g_lv, fwd["state"], fwd["cache"])
+        losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
+        return self._grads
 
     def predict_scores(self, r_s, r_t=None, aux=None, mode=None, rng=None):
         mode = mode or self.config.inference_mode

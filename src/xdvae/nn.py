@@ -1,16 +1,21 @@
-"""Dense-network substrate: layers, Glorot init, Adam, finite-difference checks.
+"""Dense-network substrate: layers, parameter store, Glorot init, Adam, gradient checks.
 
 Everything operates on row batches (shape ``(batch, dim)``) in float64.
-Parameters live in plain numpy arrays; a model exposes them as an ordered
-``name -> array`` mapping so the optimizer and checkpointing stay generic.
+A model's parameters are named views of one buffer (ParamStore), so the
+optimizer, the L2 term, the finite check and checkpointing stay generic.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from collections.abc import Mapping
 
 import numpy as np
+
+# Elements per chunk of element-wise passes over a whole store, bounding their
+# temporaries; whole-buffer expressions raised peak RSS and slowed the epoch.
+BLOCK = 32768
 
 
 class NumericError(RuntimeError):
@@ -57,8 +62,52 @@ def _act_backward(name, grad_y, y):
     raise ValueError(f"unknown activation {name!r}")
 
 
+def blocks(n):
+    """Slices covering range(n) in chunks of BLOCK elements."""
+    return (slice(at, at + BLOCK) for at in range(0, n, BLOCK))
+
+
+class ParamStore(Mapping):
+    """Read-only ``name -> view`` mapping; the views tile one float64 buffer, ``flat``."""
+
+    def __init__(self, shapes, flat=None):
+        """shapes: ordered (name, shape) pairs; flat holds their values, default zeros."""
+        sizes = [math.prod(shape) for _, shape in shapes]
+        self.flat = np.zeros(sum(sizes)) if flat is None else flat
+        self._views, at = {}, 0
+        for (name, shape), size in zip(shapes, sizes):
+            self._views[name] = self.flat[at:at + size].reshape(shape)
+            at += size
+
+    def __getitem__(self, name):
+        return self._views[name]
+
+    def __iter__(self):
+        return iter(self._views)
+
+    def __len__(self):
+        return len(self._views)
+
+
+def bind_layers(named_layers):
+    """(params, grads) stores over a list of (prefix, DenseLayer) pairs.
+
+    Tensors are named "<prefix>.W" and "<prefix>.b"; each layer's w and b
+    become views of params, and its gw and gb views of grads.
+    """
+    arrays = [(f"{p}.{t}", a) for p, layer in named_layers
+              for t, a in (("W", layer.w), ("b", layer.b))]
+    shapes = [(name, a.shape) for name, a in arrays]
+    params = ParamStore(shapes, np.concatenate([a.ravel() for _, a in arrays]))
+    grads = ParamStore(shapes)
+    for p, layer in named_layers:
+        layer.w, layer.b = params[f"{p}.W"], params[f"{p}.b"]
+        layer.gw, layer.gb = grads[f"{p}.W"], grads[f"{p}.b"]
+    return params, grads
+
+
 class DenseLayer:
-    """Fully connected layer y = act(x @ W.T + b) with cached-forward backprop."""
+    """Fully connected layer y = act(x @ W.T + b); backward writes grads into gw, gb."""
 
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str):
         if b.shape[0] != w.shape[0]:
@@ -67,6 +116,9 @@ class DenseLayer:
             raise ValueError(f"unknown activation {activation!r}")
         self.w = w
         self.b = b
+        # np.zeros, unlike zeros_like, leaves pages unbacked until written;
+        # bind_layers replaces these with views before any are.
+        self.gw, self.gb = np.zeros(w.shape), np.zeros(b.shape)
         self.activation = activation
 
     @classmethod
@@ -76,10 +128,6 @@ class DenseLayer:
     @property
     def in_dim(self):
         return self.w.shape[1]
-
-    @property
-    def out_dim(self):
-        return self.w.shape[0]
 
     def forward(self, x):
         """Returns (y, cache); x has shape (batch, in_dim)."""
@@ -91,17 +139,16 @@ class DenseLayer:
         return y, (x, y)
 
     def backward(self, grad_y, cache):
-        """Gradient w.r.t. output -> (grad_x, grad_w, grad_b)."""
-        x, y = cache
+        """Gradient w.r.t. output -> grad_x; overwrites gw and gb."""
+        _, y = cache
         return self.backward_from_preact(_act_backward(self.activation, grad_y, y), cache)
 
     def backward_from_preact(self, grad_a, cache):
         """Same as backward() but grad is already w.r.t. the pre-activation."""
         x, _ = cache
-        grad_w = grad_a.T @ x
-        grad_b = grad_a.sum(axis=0)
-        grad_x = grad_a @ self.w
-        return grad_x, grad_w, grad_b
+        np.matmul(grad_a.T, x, out=self.gw)
+        grad_a.sum(axis=0, out=self.gb)
+        return grad_a @ self.w
 
 
 class DenseStack:
@@ -128,8 +175,8 @@ class DenseStack:
             caches.append(cache)
         return x, caches
 
-    def backward(self, grad_y, caches, grads_out, prefix, final_preact=False):
-        """Backprop through the stack, writing per-layer grads into grads_out.
+    def backward(self, grad_y, caches, final_preact=False):
+        """Backprop through the stack; returns the gradient w.r.t. its input.
 
         When final_preact is set, grad_y is taken w.r.t. the last layer's
         pre-activation (used to fuse sigmoid with cross-entropy).
@@ -138,21 +185,17 @@ class DenseStack:
         for k in range(len(self.layers) - 1, -1, -1):
             layer = self.layers[k]
             if final_preact and k == len(self.layers) - 1:
-                grad, gw, gb = layer.backward_from_preact(grad, caches[k])
+                grad = layer.backward_from_preact(grad, caches[k])
             else:
-                grad, gw, gb = layer.backward(grad, caches[k])
-            grads_out[f"{prefix}.{k}.W"] += gw
-            grads_out[f"{prefix}.{k}.b"] += gb
+                grad = layer.backward(grad, caches[k])
         return grad
 
-    def named_params(self, prefix):
-        for k, layer in enumerate(self.layers):
-            yield f"{prefix}.{k}.W", layer.w
-            yield f"{prefix}.{k}.b", layer.b
+    def named_layers(self, prefix):
+        return [(f"{prefix}.{k}", layer) for k, layer in enumerate(self.layers)]
 
 
 class Adam:
-    """Bias-corrected Adam over a name -> array parameter mapping."""
+    """Bias-corrected Adam over a ParamStore; the moments are two flat arrays."""
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -160,29 +203,35 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = {name: np.zeros_like(p) for name, p in params.items()}
-        self.v = {name: np.zeros_like(p) for name, p in params.items()}
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
 
     def step(self, params, grads):
-        """One in-place update; grads keys must mirror params."""
+        """One in-place update of params from grads, a store of the same layout."""
         self.t += 1
         c1 = 1.0 - self.beta1 ** self.t
         c2 = 1.0 - self.beta2 ** self.t
-        for name, p in params.items():
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
+        p, g = params.flat, grads.flat
+        for s in blocks(p.size):
+            m, v, gs = self.m[s], self.v[s], g[s]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += (1.0 - self.beta1) * gs
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            v += (1.0 - self.beta2) * (gs * gs)
+            p[s] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
 
 
-def assert_all_finite(arrays, context=""):
-    """Raise NumericError naming the first non-finite tensor."""
-    for name, a in arrays.items():
-        if not np.all(np.isfinite(a)):
+def assert_all_finite(store, context=""):
+    """Raise NumericError naming the first non-finite tensor of a ParamStore.
+
+    The sum of ``flat`` is finite only if every entry is; the per-tensor
+    search runs only when it is not, so an overflowing sum does not raise.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(store.flat.sum()):
+            return
+    for name, a in store.items():
+        if not np.isfinite(a).all():
             where = f" ({context})" if context else ""
             raise NumericError(f"non-finite values in {name!r}{where}")
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DataError
 from .losses import LossBreakdown
-from .model import ModelConfig, build_model
+from .model import ABLATION_VARIANTS, ModelConfig, build_model
 from .nn import Adam, NumericError, assert_all_finite, named_rng
 
 CHECKPOINT_MAGIC = b"XDV1"
@@ -87,9 +87,7 @@ def train(bundle, config: ModelConfig, early_stop=False):
     history = TrainHistory(seed=config.seed, config=config.to_dict())
     history.users_trained = list(bundle.source.user_index)
 
-    linked = config.variant in ("generic", "no-mmd", "cold-start", "aux")
     m = bundle.m
-    L = config.latent_dim
     best_total, best_epoch = np.inf, -1
 
     for epoch in range(config.epochs):
@@ -109,13 +107,8 @@ def train(bundle, config: ModelConfig, early_stop=False):
                 bundle.aux_vectors[positions]
                 if config.variant == "aux" else None
             )
-            if linked:
-                eps_s = rng_eps.standard_normal((b, L))
-                eps_t = rng_eps.standard_normal((b, L))
-                breakdown, grads = model.loss_and_grads(r_s, r_t, eps_s, eps_t, aux)
-            else:
-                eps = rng_eps.standard_normal((b, L))
-                breakdown, grads = model.loss_and_grads(r_s, r_t, eps)
+            eps = rng_eps.standard_normal((model.n_latents, b, config.latent_dim))
+            breakdown, grads = model.loss_and_grads(r_s, r_t, eps, aux)
             if not np.isfinite(breakdown.total):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch offset {at}"
@@ -145,26 +138,26 @@ def train(bundle, config: ModelConfig, early_stop=False):
 # ---------------------------------------------------------------------------
 # Checkpoints: XDV1 = magic, u32 header length, canonical-JSON header naming
 # every tensor and its shape, then the tensors as little-endian float32 in
-# declared order. Round trips are bit-exact at storage precision.
+# declared order, which is the order of the model's ParamStore buffer. Round
+# trips are bit-exact at storage precision.
 
 
 def save_checkpoint(model, path):
-    tensors = list(model.params().items())
+    params = model.params()
     header = {
         "format_version": CHECKPOINT_VERSION,
         "variant": model.config.variant,
         "dims": {"n_source": model.n_source, "n_target": model.n_target},
         "config": model.config.to_dict(),
         "seed": model.config.seed,
-        "tensors": [{"name": name, "shape": list(a.shape)} for name, a in tensors],
+        "tensors": [{"name": name, "shape": list(a.shape)} for name, a in params.items()],
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(head)))
         fh.write(head)
-        for _, a in tensors:
-            fh.write(np.ascontiguousarray(a, dtype="<f4").tobytes())
+        fh.write(params.flat.astype("<f4"))
 
 
 def load_checkpoint(path):
@@ -180,40 +173,43 @@ def load_checkpoint(path):
         header = json.loads(raw[8:8 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt header ({e})") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: corrupt header (not a JSON object)")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"
         )
-    config = ModelConfig.from_dict(header["config"])
-    if config.variant != header["variant"]:
-        raise DataError(f"{path}: variant mismatch between header fields")
-    model = build_model(
-        config,
-        header["dims"]["n_source"],
-        header["dims"]["n_target"],
-        named_rng(config.seed, "init"),
-    )
-    params = model.params()
-    declared = {t["name"]: tuple(t["shape"]) for t in header["tensors"]}
-    expected = {name: p.shape for name, p in params.items()}
-    if declared != expected:
-        missing = sorted(set(expected) - set(declared))
-        extra = sorted(set(declared) - set(expected))
+    # Header fields come from outside the program: a missing key, a wrong type
+    # or a bad value anywhere below is a malformed file, not a crash.
+    try:
+        config = ModelConfig.from_dict(header["config"])
+        variant = header["variant"]
+        dims = header["dims"]
+        model = build_model(
+            config, dims["n_source"], dims["n_target"], named_rng(config.seed, "init")
+        )
+        declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+    except (KeyError, TypeError, ValueError) as e:
         raise DataError(
-            f"{path}: tensor set mismatch for variant {config.variant!r} "
-            f"(missing {missing}, unexpected {extra}, or shape conflict)"
+            f"{path}: malformed checkpoint header ({type(e).__name__}: {e})"
+        ) from None
+    if config.variant != variant:
+        raise DataError(f"{path}: variant mismatch between header fields")
+    params = model.params()
+    expected = [(name, p.shape) for name, p in params.items()]
+    if declared != expected:
+        missing = sorted({n for n, _ in expected} - {n for n, _ in declared})
+        extra = sorted({n for n, _ in declared} - {n for n, _ in expected})
+        raise DataError(
+            f"{path}: tensor list mismatch for variant {config.variant!r} "
+            f"(missing {missing}, unexpected {extra}, or a shape or order conflict)"
         )
     at = 8 + head_len
-    for t in header["tensors"]:
-        shape = tuple(t["shape"])
-        nbytes = int(np.prod(shape)) * 4
-        if at + nbytes > len(raw):
-            raise DataError(f"{path}: truncated file at tensor {t['name']!r}")
-        arr = np.frombuffer(raw[at:at + nbytes], dtype="<f4").reshape(shape)
-        params[t["name"]][...] = arr.astype(np.float64)
-        at += nbytes
-    if at != len(raw):
-        raise DataError(f"{path}: trailing bytes after declared tensors")
+    have, want = len(raw) - at, 4 * params.flat.size
+    if have != want:
+        problem = "truncated tensor data" if have < want else "trailing bytes after tensors"
+        raise DataError(f"{path}: {problem} ({have} bytes, expected {want})")
+    params.flat[...] = np.frombuffer(raw, dtype="<f4", offset=at)
     return model, config
 
 
@@ -231,7 +227,7 @@ def ablation_config(base: ModelConfig, name: str) -> ModelConfig:
     name = name.lower()
     beta0 = name.endswith("0")
     stem = name[:-1] if beta0 else name
-    if stem not in ("generic", "single", "merged", "no-mmd"):
+    if stem not in ABLATION_VARIANTS:
         raise ValueError(f"unknown ablation variant {name!r}")
     cfg = ModelConfig.from_dict(base.to_dict())
     cfg.variant = stem

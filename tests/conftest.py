@@ -1,13 +1,17 @@
-"""Shared fixtures: toy bundles and a synthetic rating corpus with planted
-cross-domain structure (shared user tastes drive both domains)."""
+"""Shared fixtures: toy bundles, parameter stores and a synthetic rating corpus
+with planted cross-domain structure (shared user tastes drive both domains)."""
 
 from __future__ import annotations
+
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from xdvae.data import DatasetBundle, DomainMatrix
 from xdvae.model import ModelConfig
+from xdvae.nn import ParamStore
 
 
 def make_toy_bundle(m=8, n_source=6, n_target=8, seed=123, min_target=3, aux_dim=None):
@@ -32,6 +36,22 @@ def make_toy_bundle(m=8, n_source=6, n_target=8, seed=123, min_target=3, aux_dim
     if aux_dim:
         bundle.aux_vectors = rng.standard_normal((m, aux_dim))
     return bundle.validate()
+
+
+def make_store(**arrays):
+    """ParamStore holding copies of the given arrays, in argument order."""
+    shapes = [(name, np.shape(a)) for name, a in arrays.items()]
+    return ParamStore(shapes, np.concatenate([np.ravel(a) for a in arrays.values()], dtype=float))
+
+
+def rewrite_header(src, dst, edit):
+    """Copy an XDB1 bundle or XDV1 checkpoint after edit() changed its JSON header in place."""
+    raw = src.read_bytes()
+    (head_len,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + head_len])
+    edit(header)
+    head = json.dumps(header).encode()
+    dst.write_bytes(raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:])
 
 
 def make_toy_config(variant="generic", **overrides):

@@ -18,7 +18,7 @@ import pytest
 from xdvae import data, evaluate
 from xdvae.evaluate import hit_ratio, ndcg, rank_test_item
 from xdvae.cli import main as cli_main
-from xdvae.model import ModelConfig, SingleVAE, build_model
+from xdvae.model import ModelConfig, build_model
 from xdvae.nn import finite_diff_check, named_rng
 from xdvae.train import ablation_config, load_checkpoint, save_checkpoint, train
 
@@ -117,17 +117,10 @@ class TestCriterion02Gradients:
         model = build_model(config, 6, 8, named_rng(4, "init"))
         rng = np.random.default_rng(17)
         r_s, r_t = bundle.source.to_dense(), bundle.target.to_dense()
-        eps_a = rng.standard_normal((8, 3))
-        eps_b = rng.standard_normal((8, 3))
+        eps = rng.standard_normal((2, 8, 3))[:model.n_latents]
         aux = bundle.aux_vectors if variant == "aux" else None
-        if isinstance(model, SingleVAE):
-            loss = lambda: model.loss_breakdown(model.forward(r_s, r_t, eps_a)).total
-            _, grads = model.loss_and_grads(r_s, r_t, eps_a)
-        else:
-            loss = lambda: model.loss_breakdown(
-                model.forward(r_s, r_t, eps_a, eps_b, aux)
-            ).total
-            _, grads = model.loss_and_grads(r_s, r_t, eps_a, eps_b, aux)
+        loss = lambda: model.loss_breakdown(model.forward(r_s, r_t, eps, aux)).total
+        _, grads = model.loss_and_grads(r_s, r_t, eps, aux)
         return finite_diff_check(loss, model.params(), grads)
 
     def test_criterion_02_gradient_checks(self):

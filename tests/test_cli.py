@@ -7,6 +7,8 @@ import pytest
 
 from xdvae.cli import main
 
+from conftest import rewrite_header
+
 
 @pytest.fixture(scope="module")
 def prepared(tmp_path_factory, synthetic_corpus):
@@ -122,7 +124,30 @@ class TestTrain:
         assert code == 0
 
 
+HEADER_DEFECTS = {
+    "unknown-config-key": lambda h: h["config"].update(bogus=1),
+    "missing-dims": lambda h: h.pop("dims"),
+    "string-latent-dim": lambda h: h["config"].update(latent_dim="128"),
+    "missing-variant": lambda h: h.pop("variant"),
+    "missing-tensors": lambda h: h.pop("tensors"),
+    "tensor-without-shape": lambda h: h["tensors"][0].pop("shape"),
+    "negative-dims": lambda h: h["dims"].update(n_target=-3),
+}
+
+
 class TestEval:
+    @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
+    def test_malformed_checkpoint_header_exit_two(self, prepared, trained, tmp_path, capsys,
+                                                  defect):
+        bad = tmp_path / "bad.xdv"
+        rewrite_header(trained, bad, HEADER_DEFECTS[defect])
+        code = main([
+            "eval", "--model", str(bad), "--bundle", str(prepared),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "malformed checkpoint header" in capsys.readouterr().err
+
     def test_standard_protocol_writes_metrics(self, prepared, trained, tmp_path):
         prefix = tmp_path / "metrics"
         code = main([

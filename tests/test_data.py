@@ -9,7 +9,7 @@ from xdvae import data
 from xdvae.data import DataError, Interaction
 from xdvae.nn import named_rng
 
-from conftest import make_toy_bundle
+from conftest import make_toy_bundle, rewrite_header
 
 
 def write(tmp_path, name, text):
@@ -304,6 +304,75 @@ class TestBundleRoundTrip:
         path = tmp_path / "t.xdb"
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(DataError, match="magic"):
+            data.load_bundle(path)
+
+    @pytest.mark.parametrize("raw", [b"XDB1", b"XDB1\x01\x00", b"XDB1\x01\x00\x00"])
+    def test_file_shorter_than_header_length_rejected(self, tmp_path, raw):
+        path = tmp_path / "t.xdb"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match="truncated"):
+            data.load_bundle(path)
+
+
+def _negative_target_index(bundle, split):
+    bundle.target.rows[0] = np.array([-1, 2, 3])
+
+
+def _index_past_catalog(bundle, split):
+    bundle.source.rows[1] = np.array([0, bundle.source.n_items])
+
+
+def _unsorted_row(bundle, split):
+    bundle.target.rows[2] = np.array([3, 1, 4])
+
+
+def _repeated_item_in_row(bundle, split):
+    bundle.target.rows[2] = np.array([1, 1, 4])
+
+
+def _negative_past_catalog(bundle, split):
+    split.negatives[0, 0] = 10**6
+
+
+def _negative_held_out(bundle, split):
+    split.held_out[3] = -2
+
+
+def _held_out_one_short(bundle, split):
+    split.held_out = split.held_out[:-1]
+
+
+def _negatives_one_row_short(bundle, split):
+    split.negatives = split.negatives[:-1]
+
+
+def _negatives_three_dimensional(bundle, split):
+    split.negatives = split.negatives[:, None, :]
+
+
+class TestBundleInvariants:
+    @pytest.mark.parametrize("defect", [
+        _negative_target_index, _index_past_catalog, _unsorted_row, _repeated_item_in_row,
+        _negative_past_catalog, _negative_held_out, _held_out_one_short,
+        _negatives_one_row_short, _negatives_three_dimensional,
+    ], ids=lambda f: f.__name__.strip("_"))
+    def test_structural_defect_rejected(self, toy_bundle, tmp_path, defect):
+        split, _ = data.build_loo_split(toy_bundle, seed=1, n_negatives=2)
+        defect(toy_bundle, split)
+        path = tmp_path / "t.xdb"
+        data.save_bundle(toy_bundle, path, split=split)
+        with pytest.raises(DataError):
+            data.load_bundle(path)
+
+    def test_row_lengths_must_cover_the_blob(self, toy_bundle, tmp_path):
+        path = tmp_path / "t.xdb"
+        data.save_bundle(toy_bundle, path)
+
+        def shorten_first_row(header):
+            header["domains"]["target"]["row_lengths"][0] -= 1
+
+        rewrite_header(path, path, shorten_first_row)
+        with pytest.raises(DataError, match="row lengths"):
             data.load_bundle(path)
 
 

@@ -9,6 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xdvae import losses
+from xdvae.nn import BLOCK
+
+from conftest import make_store
 
 
 def vec(draw_len=8):
@@ -91,13 +94,28 @@ class TestKl:
 
 class TestL2Reg:
     def test_zero_params(self):
-        assert losses.l2_reg({"w": np.zeros((3, 3))}, 1.0) == 0.0
+        assert losses.l2_reg(make_store(w=np.zeros((3, 3))), 1.0) == 0.0
 
     def test_single_weight(self):
-        assert losses.l2_reg({"w": np.array([2.0])}, 1.0) == pytest.approx(4.0)
+        assert losses.l2_reg(make_store(w=[2.0]), 1.0) == pytest.approx(4.0)
 
     def test_zero_lambda(self):
-        assert losses.l2_reg({"w": np.full((5, 5), 9.0)}, 0.0) == 0.0
+        assert losses.l2_reg(make_store(w=np.full((5, 5), 9.0)), 0.0) == 0.0
+
+    def test_matches_per_tensor_sum(self):
+        # summation order differs from a per-tensor loop, so compare to rounding
+        rng = np.random.default_rng(0)
+        arrays = {"a": rng.standard_normal((40, BLOCK // 40 + 3)), "b": rng.standard_normal(9)}
+        expected = 0.3 * sum(float((a * a).sum()) for a in arrays.values())
+        assert losses.l2_reg(make_store(**arrays), 0.3) == pytest.approx(expected, rel=1e-12)
+
+    def test_gradient_is_two_lambda_params_added_in(self):
+        rng = np.random.default_rng(1)
+        params = make_store(a=rng.standard_normal(BLOCK + 11), b=rng.standard_normal((3, 2)))
+        grads = make_store(a=np.ones(BLOCK + 11), b=np.ones((3, 2)))
+        losses.add_l2_grad(params, grads, 0.25)
+        for name in params:
+            assert np.array_equal(grads[name], 1.0 + (2.0 * 0.25) * params[name])
 
 
 class TestMmd:

@@ -4,7 +4,7 @@ differences on toy instances with frozen reparametrization noise."""
 import numpy as np
 import pytest
 
-from xdvae.model import LinkedVAE, ModelConfig, SingleVAE, build_model, merge_latents
+from xdvae.model import LinkedVAE, ModelConfig, build_model, merge_latents
 from xdvae.nn import finite_diff_check, named_rng
 
 from conftest import make_toy_bundle, make_toy_config
@@ -13,14 +13,16 @@ TOY = dict(m=8, n_source=6, n_target=8)
 
 
 def toy_batch(variant, seed=3, aux_dim=4):
-    """Dense toy inputs plus frozen eps for gradient checking."""
+    """Dense toy inputs plus frozen eps, shaped (2, m, L), for gradient checking.
+
+    Linked variants read both noise blocks, single and merged the first.
+    """
     bundle = make_toy_bundle(**TOY, seed=seed, aux_dim=aux_dim)
     rng = np.random.default_rng(seed + 1)
     r_s = bundle.source.to_dense()
     r_t = bundle.target.to_dense()
-    eps_a = rng.standard_normal((TOY["m"], 3))
-    eps_b = rng.standard_normal((TOY["m"], 3))
-    return r_s, r_t, eps_a, eps_b, bundle.aux_vectors
+    eps = np.stack([rng.standard_normal((TOY["m"], 3)), rng.standard_normal((TOY["m"], 3))])
+    return r_s, r_t, eps, bundle.aux_vectors
 
 
 def build_toy_model(variant, seed=11, **overrides):
@@ -117,9 +119,9 @@ class TestColdStartPaths:
 class TestAsymmetry:
     def test_source_reconstruction_blind_to_target_row(self):
         model = build_toy_model("generic")
-        r_s, r_t, eps_s, eps_t, _ = toy_batch("generic")
-        fwd_a = model.forward(r_s, r_t, eps_s, eps_t)
-        fwd_b = model.forward(r_s, 1.0 - r_t, eps_s, eps_t)
+        r_s, r_t, eps, _ = toy_batch("generic")
+        fwd_a = model.forward(r_s, r_t, eps)
+        fwd_b = model.forward(r_s, 1.0 - r_t, eps)
         assert np.array_equal(fwd_a["p_s"], fwd_b["p_s"])
         assert np.array_equal(fwd_a["state_s"].z, fwd_b["state_s"].z)
 
@@ -139,11 +141,11 @@ class TestAuxVariant:
 
     def test_zeroed_aux_columns_make_aux_irrelevant(self):
         model = build_toy_model("aux")
-        r_s, _, eps_s, _, aux = toy_batch("aux")
+        r_s, _, eps, aux = toy_batch("aux")
         for head in (model.enc_s.mu_head, model.enc_s.logvar_head):
             head.w[:, 5:] = 0.0
-        a = model.encode("source", r_s, eps_s, aux)
-        b = model.encode("source", r_s, eps_s, np.zeros_like(aux))
+        a = model.encode("source", r_s, eps[0], aux)
+        b = model.encode("source", r_s, eps[0], np.zeros_like(aux))
         assert np.array_equal(a.z, b.z)
 
     def test_aux_required(self):
@@ -212,13 +214,10 @@ class TestVariantSharing:
     def test_breakdown_total_matches_field_sum(self):
         for variant in ("generic", "no-mmd", "single", "merged", "cold-start", "aux"):
             model = build_toy_model(variant)
-            r_s, r_t, eps_s, eps_t, aux = toy_batch(variant)
-            if isinstance(model, SingleVAE):
-                breakdown, _ = model.loss_and_grads(r_s, r_t, eps_s)
-            else:
-                breakdown, _ = model.loss_and_grads(
-                    r_s, r_t, eps_s, eps_t, aux if variant == "aux" else None
-                )
+            r_s, r_t, eps, aux = toy_batch(variant)
+            breakdown, _ = model.loss_and_grads(
+                r_s, r_t, eps[:model.n_latents], aux if variant == "aux" else None
+            )
             parts = breakdown.as_dict()
             total = parts.pop("total")
             assert total == pytest.approx(sum(parts.values()), rel=1e-10)
@@ -229,19 +228,14 @@ GRAD_TOLERANCE = 1e-4
 
 def run_gradient_check(variant, **overrides):
     model = build_toy_model(variant, **overrides)
-    r_s, r_t, eps_s, eps_t, aux = toy_batch(variant)
+    r_s, r_t, eps, aux = toy_batch(variant)
+    eps = eps[:model.n_latents]
     aux = aux if variant == "aux" else None
 
-    if isinstance(model, SingleVAE):
-        def loss():
-            return model.loss_breakdown(model.forward(r_s, r_t, eps_s)).total
+    def loss():
+        return model.loss_breakdown(model.forward(r_s, r_t, eps, aux)).total
 
-        _, grads = model.loss_and_grads(r_s, r_t, eps_s)
-    else:
-        def loss():
-            return model.loss_breakdown(model.forward(r_s, r_t, eps_s, eps_t, aux)).total
-
-        _, grads = model.loss_and_grads(r_s, r_t, eps_s, eps_t, aux)
+    _, grads = model.loss_and_grads(r_s, r_t, eps, aux)
     return finite_diff_check(loss, model.params(), grads)
 
 
@@ -257,18 +251,18 @@ class TestGradients:
         # into z_T, so enc_T grads intentionally deviate from the true
         # derivative; everything else must still match finite differences.
         model = build_toy_model("cold-start", map_stop_gradient=True)
-        r_s, r_t, eps_s, eps_t, _ = toy_batch("cold-start")
+        r_s, r_t, eps, _ = toy_batch("cold-start")
 
         def loss():
-            return model.loss_breakdown(model.forward(r_s, r_t, eps_s, eps_t)).total
+            return model.loss_breakdown(model.forward(r_s, r_t, eps)).total
 
-        _, grads = model.loss_and_grads(r_s, r_t, eps_s, eps_t)
+        _, grads = model.loss_and_grads(r_s, r_t, eps)
         kept = {n: p for n, p in model.params().items() if not n.startswith("enc_T")}
         kept_grads = {n: grads[n] for n in kept}
         assert finite_diff_check(loss, kept, kept_grads) < GRAD_TOLERANCE
 
         flow = build_toy_model("cold-start", map_stop_gradient=False)
-        _, flow_grads = flow.loss_and_grads(r_s, r_t, eps_s, eps_t)
+        _, flow_grads = flow.loss_and_grads(r_s, r_t, eps)
         assert np.allclose(grads["map.W"], flow_grads["map.W"])
         enc_t_keys = [n for n in grads if n.startswith("enc_T")]
         assert any(not np.allclose(grads[n], flow_grads[n]) for n in enc_t_keys)

@@ -4,15 +4,19 @@ import numpy as np
 import pytest
 
 from xdvae.nn import (
+    BLOCK,
     Adam,
     DenseLayer,
     DenseStack,
     NumericError,
     assert_all_finite,
+    bind_layers,
     finite_diff_check,
     glorot_init,
     named_rng,
 )
+
+from conftest import make_store
 
 
 class TestGlorotInit:
@@ -76,8 +80,11 @@ class TestDenseBackward:
         rng = np.random.default_rng(0)
         layer = DenseLayer.create(4, 3, "tanh", rng)
         y, cache = layer.forward(rng.standard_normal((5, 4)))
-        gx, gw, gb = layer.backward(np.zeros_like(y), cache)
-        assert not gx.any() and not gw.any() and not gb.any()
+        layer.gw[...] = 1.0
+        layer.gb[...] = 1.0
+        gx = layer.backward(np.zeros_like(y), cache)
+        # backward overwrites the gradient views rather than adding to them
+        assert not gx.any() and not layer.gw.any() and not layer.gb.any()
 
     def test_linear_squared_loss_closed_form(self):
         # f = sum((Wx - t)^2): dW = 2 (Wx - t) x^T
@@ -87,57 +94,112 @@ class TestDenseBackward:
         x = rng.standard_normal((1, 4))
         t = rng.standard_normal((1, 3))
         y, cache = layer.forward(x)
-        _, gw, _ = layer.backward(2.0 * (y - t), cache)
-        assert np.allclose(gw, 2.0 * (y - t).T @ x)
+        layer.backward(2.0 * (y - t), cache)
+        assert np.allclose(layer.gw, 2.0 * (y - t).T @ x)
 
     def test_stack_matches_finite_differences(self):
         rng = np.random.default_rng(2)
         stack = DenseStack.create([4, 5, 3], ["tanh", "sigmoid"], rng)
         x = rng.standard_normal((6, 4))
         t = rng.random((6, 3))
-        params = dict(stack.named_params("net"))
+        params, grads = bind_layers(stack.named_layers("net"))
 
         def loss():
             y, _ = stack.forward(x)
             return float(((y - t) ** 2).sum())
 
         y, caches = stack.forward(x)
-        grads = {name: np.zeros_like(p) for name, p in params.items()}
-        stack.backward(2.0 * (y - t), caches, grads, "net")
+        stack.backward(2.0 * (y - t), caches)
         assert finite_diff_check(loss, params, grads) < 1e-6
+
+
+class TestParamStore:
+    def test_views_tile_flat_in_declared_order(self):
+        store = make_store(a=np.zeros((2, 3)), b=np.zeros(4), c=np.float64(0.0))
+        assert list(store) == ["a", "b", "c"]
+        assert store.flat.shape == (11,)
+        store.flat[:] = np.arange(11.0)
+        assert np.array_equal(store["a"], [[0, 1, 2], [3, 4, 5]])
+        assert np.array_equal(store["b"], [6, 7, 8, 9])
+        assert store["c"] == 10.0
+
+    def test_copies_values_in_and_is_read_only(self):
+        source = np.array([1.5, -2.0])
+        store = make_store(a=source)
+        store["a"][0] = 9.0
+        assert source[0] == 1.5 and store.flat[0] == 9.0
+        with pytest.raises(TypeError):
+            store["a"] = np.zeros(2)
+
+    def test_bind_moves_weights_into_store(self):
+        stack = DenseStack.create([3, 4, 2], ["tanh", "sigmoid"], np.random.default_rng(0))
+        before = [layer.w.copy() for layer in stack.layers]
+        params, grads = bind_layers(stack.named_layers("net"))
+        assert list(params) == ["net.0.W", "net.0.b", "net.1.W", "net.1.b"]
+        for k, layer in enumerate(stack.layers):
+            assert np.array_equal(layer.w, before[k])
+            assert np.shares_memory(layer.w, params.flat)
+            assert np.shares_memory(layer.gw, grads.flat)
 
 
 class TestAdam:
     def test_first_step_is_minus_lr_for_unit_gradient(self):
-        params = {"p": np.array([0.0])}
+        params = make_store(p=[0.0])
         opt = Adam(params, lr=0.001)
-        opt.step(params, {"p": np.array([1.0])})
+        opt.step(params, make_store(p=[1.0]))
         assert abs(params["p"][0] + 0.001) < 1e-10
 
     def test_zero_gradient_keeps_parameter(self):
-        params = {"p": np.array([1.5])}
+        params = make_store(p=[1.5])
         opt = Adam(params, lr=0.1)
-        opt.step(params, {"p": np.array([0.0])})
+        opt.step(params, make_store(p=[0.0]))
         assert params["p"][0] == 1.5
 
     def test_first_step_magnitude_bounded_by_lr(self):
         for g in (1e-6, 0.5, 3.0, 1e4):
-            params = {"p": np.array([0.0])}
+            params = make_store(p=[0.0])
             opt = Adam(params, lr=0.01)
-            opt.step(params, {"p": np.array([g])})
+            opt.step(params, make_store(p=[g]))
             step = abs(params["p"][0])
             assert 0.0 < step <= 0.01 + 1e-12
 
     def test_identical_runs_identical_trajectories(self):
         def run():
             rng = np.random.default_rng(5)
-            params = {"p": rng.standard_normal(4)}
+            params = make_store(p=rng.standard_normal(4))
+            grads = make_store(p=np.zeros(4))
             opt = Adam(params, lr=0.05)
             for _ in range(20):
-                opt.step(params, {"p": params["p"] * 2.0 + 1.0})
+                grads["p"][...] = params["p"] * 2.0 + 1.0
+                opt.step(params, grads)
             return params["p"]
 
         assert np.array_equal(run(), run())
+
+    def test_blocked_update_matches_per_tensor_reference(self):
+        # Sizes straddle BLOCK boundaries; the element-wise arithmetic is the
+        # same as a per-tensor update, so the results must be bit-identical.
+        rng = np.random.default_rng(6)
+        sizes = {"a": BLOCK - 3, "b": 7, "c": BLOCK + 5}
+        params = make_store(**{n: rng.standard_normal(k) for n, k in sizes.items()})
+        grads = make_store(**{n: np.zeros(k) for n, k in sizes.items()})
+        ref = {n: params[n].copy() for n in sizes}
+        m = {n: np.zeros(k) for n, k in sizes.items()}
+        v = {n: np.zeros(k) for n, k in sizes.items()}
+        opt = Adam(params, lr=0.01)
+        for t in range(1, 4):
+            grads.flat[:] = rng.standard_normal(grads.flat.size)
+            opt.step(params, grads)
+            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+            for n in sizes:
+                g = grads[n]
+                m[n] *= 0.9
+                m[n] += (1.0 - 0.9) * g
+                v[n] *= 0.999
+                v[n] += (1.0 - 0.999) * (g * g)
+                ref[n] -= 0.01 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
+        for n in sizes:
+            assert np.array_equal(params[n], ref[n])
 
 
 class TestFiniteDiff:
@@ -151,7 +213,17 @@ class TestFiniteDiff:
 class TestFiniteGuard:
     def test_flags_nan_by_name(self):
         with pytest.raises(NumericError, match="bad"):
-            assert_all_finite({"ok": np.ones(3), "bad": np.array([np.nan])})
+            assert_all_finite(make_store(ok=np.ones(3), bad=[np.nan], later=np.ones(2)))
+
+    def test_flags_infinity_by_name(self):
+        with pytest.raises(NumericError, match="'b'.*grads"):
+            assert_all_finite(make_store(a=np.ones(2), b=[-np.inf]), context="grads")
+
+    def test_overflowing_sum_of_finite_values_passes(self):
+        store = make_store(x=[1e308], y=[1e308])
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(store.flat.sum())
+        assert_all_finite(store)
 
 
 class TestNamedRng:

@@ -7,6 +7,8 @@ import pytest
 
 from xdvae import data
 from xdvae.data import DataError
+from xdvae.model import VARIANTS
+from xdvae.nn import DenseLayer, DenseStack
 from xdvae.train import (
     ablation_config,
     load_checkpoint,
@@ -96,6 +98,50 @@ class TestTrainLoop:
         _, history = train(trainable_bundle, config, early_stop=True)
         assert history.early_stop_epoch is not None
         assert len(history.epochs) < 200
+
+
+def dense_layers(obj):
+    """Every DenseLayer reachable through a model's attributes."""
+    if isinstance(obj, DenseLayer):
+        return [obj]
+    if isinstance(obj, DenseStack):
+        return list(obj.layers)
+    if type(obj).__module__ == "xdvae.model":
+        return [layer for v in vars(obj).values() for layer in dense_layers(v)]
+    return []
+
+
+def offset(view, flat):
+    """Element offset of a view's first entry inside flat."""
+    return (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // 8
+
+
+class TestParamStoreLayout:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_every_tensor_is_a_view_of_flat_in_declared_order(self, trainable_bundle, variant):
+        model, _ = train(trainable_bundle, make_toy_config(variant, epochs=1))
+        b = trainable_bundle
+        eps = np.zeros((model.n_latents, b.m, model.config.latent_dim))
+        aux = b.aux_vectors if variant == "aux" else None
+        _, grads = model.loss_and_grads(b.source.to_dense(), b.target.to_dense(), eps, aux)
+        params = model.params()
+        assert list(grads) == list(params)
+        for store in (params, grads):
+            at = 0
+            for view in store.values():
+                assert np.shares_memory(view, store.flat)
+                assert offset(view, store.flat) == at
+                at += view.size
+            assert at == store.flat.size
+        at_of = {offset(v, params.flat): name for name, v in params.items()}
+        layers = dense_layers(model)
+        assert 2 * len(layers) == len(params)
+        for layer in layers:
+            w_at, b_at = offset(layer.w, params.flat), offset(layer.b, params.flat)
+            assert at_of[w_at].endswith(".W") and at_of[b_at].endswith(".b")
+            assert params[at_of[w_at]].shape == layer.w.shape
+            assert offset(layer.gw, grads.flat) == w_at
+            assert offset(layer.gb, grads.flat) == b_at
 
 
 class TestCheckpoints:
