@@ -263,17 +263,21 @@ def binarize_and_filter(source, target, threshold=4, min_target_positives=2):
     return bundle.validate()
 
 
-def sample_negatives(positives, n_items, k, rng):
-    """k distinct items drawn uniformly from those the user never interacted with."""
-    positives = np.asarray(positives, dtype=np.int64)
-    pool = np.setdiff1d(np.arange(n_items, dtype=np.int64), positives)
+def sample_negatives(positives, n_items, k, rng, size=None):
+    """k distinct items drawn uniformly from those the user never interacted with;
+    size=n gives an (n, k) stack of n draws from one pool, as n sequential calls."""
+    outside = np.ones(n_items, dtype=bool)
+    outside[np.asarray(positives, dtype=np.int64)] = False
+    pool = np.flatnonzero(outside)
     if len(pool) < k:
         raise DataError(
             f"cannot sample {k} negatives from {len(pool)} non-interacted items"
         )
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    return rng.choice(pool, size=k, replace=False)
+    out = np.empty((1 if size is None else size, k), dtype=np.int64)
+    if k:
+        for draw in out:
+            draw[:] = rng.choice(pool, size=k, replace=False)
+    return out[0] if size is None else out
 
 
 def build_loo_split(bundle, seed, policy="random", n_negatives=99):
@@ -524,8 +528,14 @@ def _check_rows(path, domain, flat, lengths, m, n_items):
         raise DataError(f"{path}: {domain} row not strictly increasing")
 
 
-def _check_split(path, held_out, negatives, m, n_items):
-    """Reject a leave-one-out split whose shape or indices do not fit the bundle."""
+def _check_split(path, held_out, negatives, target_flat, lengths, n_items):
+    """Reject a leave-one-out split that does not fit the bundle's target rows.
+
+    Each held-out item must be a positive of its user and no negative may be;
+    the packed keys u * n_items + item rise strictly (rows are checked sorted
+    first), so one searchsorted answers both for every user at once.
+    """
+    m = len(lengths)
     if held_out.shape != (m,) or negatives.ndim != 2 or negatives.shape[0] != m:
         raise DataError(
             f"{path}: split shapes {held_out.shape} and {negatives.shape} do not fit {m} users"
@@ -533,6 +543,14 @@ def _check_split(path, held_out, negatives, m, n_items):
     for name, a in (("held_out", held_out), ("negatives", negatives)):
         if a.size and (a.min() < 0 or a.max() >= n_items):
             raise DataError(f"{path}: split {name} index outside [0, {n_items})")
+    # the sentinel m * n_items sits above every key and equals no query
+    keys = np.append(np.repeat(np.arange(m), lengths) * n_items + target_flat, m * n_items)
+    base = np.arange(m) * n_items
+    if not (keys[np.searchsorted(keys, base + held_out)] == base + held_out).all():
+        raise DataError(f"{path}: split held_out item outside its user's target row")
+    queries = base[:, None] + negatives
+    if (keys[np.searchsorted(keys, queries)] == queries).any():
+        raise DataError(f"{path}: split negative among its user's target positives")
 
 
 def _unpack_rows(flat, lengths):
@@ -556,9 +574,22 @@ def load_bundle(path):
         header = json.loads(raw[8:8 + head_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise DataError(f"{path}: corrupt header ({e})") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: corrupt header (not a JSON object)")
     if header.get("version") != BUNDLE_VERSION:
         raise DataError(f"{path}: unsupported bundle version {header.get('version')}")
-    at = 8 + head_len
+    # Header fields come from outside the program: a missing key or a wrong
+    # type anywhere in the decoding is a malformed file, not a crash.
+    try:
+        return _decode_bundle(path, raw, 8 + head_len, header)
+    except (KeyError, TypeError) as e:
+        raise DataError(
+            f"{path}: malformed bundle header ({type(e).__name__}: {e})"
+        ) from None
+
+
+def _decode_bundle(path, raw, at, header):
+    """Blobs from offset `at` and header fields into (bundle, split-or-None)."""
     arrays = {}
     for entry in header["blobs"]:
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
@@ -586,6 +617,8 @@ def load_bundle(path):
             row_ts = _unpack_rows(arrays[f"{domain}.ts"], dom["row_lengths"])
         return DomainMatrix(domain, users, dom["item_index"], rows, row_ts)
 
+    if not isinstance(header["provenance"], dict):
+        raise TypeError("provenance is not an object")
     bundle = DatasetBundle(
         source=mat("source"),
         target=mat("target"),
@@ -597,7 +630,8 @@ def load_bundle(path):
     if header["split"] is not None:
         _check_split(
             path, arrays["split.held_out"], arrays["split.negatives"],
-            bundle.m, bundle.target.n_items,
+            arrays["target.rows"], header["domains"]["target"]["row_lengths"],
+            bundle.target.n_items,
         )
         split = LeaveOneOutSplit(
             held_out=arrays["split.held_out"].astype(np.int64),

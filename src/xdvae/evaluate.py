@@ -50,12 +50,12 @@ class MetricsReport:
         }
 
 
-def _rank_among(scores, test_position, candidate_ids):
-    s = scores[test_position]
-    ident = candidate_ids[test_position]
-    better = int(np.sum(scores > s))
-    tied_before = int(np.sum((scores == s) & (candidate_ids < ident)))
-    return 1 + better + tied_before
+def rank_first(scores, ids):
+    """1-based rank of column 0 in each row of (n, c) candidate scores and item ids:
+    1 + #(s > s0) + #(s == s0 and id < id0), so score ties go to the lower item id."""
+    s0 = scores[:, :1]
+    ahead = (scores > s0) | ((scores == s0) & (ids < ids[:, :1]))
+    return 1 + np.count_nonzero(ahead, axis=1)
 
 
 def rank_test_item(scores, test_position, candidate_ids):
@@ -68,7 +68,9 @@ def rank_test_item(scores, test_position, candidate_ids):
     candidate_ids = np.asarray(candidate_ids)
     if scores.shape[0] != 100 or candidate_ids.shape[0] != 100:
         raise DataError(f"expected 100 candidates, got {scores.shape[0]}")
-    return _rank_among(scores, test_position, candidate_ids)
+    # rolling the test candidate to the front leaves the candidate set unchanged
+    return int(rank_first(np.roll(scores, -test_position)[None],
+                          np.roll(candidate_ids, -test_position)[None])[0])
 
 
 def hit_ratio(ranks, k) -> float:
@@ -100,12 +102,8 @@ def _aggregate(ranks, ks, variant, protocol, seed, extra=None):
 
 def _candidate_ranks(scores, split):
     """Per-user rank of the held-out item among its 100 candidates."""
-    m = scores.shape[0]
-    ranks = np.empty(m, dtype=np.int64)
-    for u in range(m):
-        ids = np.concatenate(([split.held_out[u]], split.negatives[u]))
-        ranks[u] = _rank_among(scores[u, ids], 0, ids)
-    return ranks
+    ids = np.column_stack((split.held_out, split.negatives))
+    return rank_first(np.take_along_axis(scores, ids, axis=1), ids)
 
 
 def evaluate(model, bundle, split, ks=DEFAULT_KS, mode="mean", protocol="standard"):
@@ -172,17 +170,18 @@ def evaluate_cold_start(model, cold, bundle, ks=DEFAULT_KS, seed=None, mode="mea
     rng = named_rng(seed, "cold-negatives")
     n_t = bundle.target.n_items
     test_users = np.asarray(cold.test_users, dtype=np.int64)
+    if not len(test_users):
+        raise DataError("no cold-start test users")
     r_s = bundle.source.to_dense(test_users)
     scores = model.predict_scores(r_s, None, mode=mode)
-    ranks = []
-    for k_row, u in enumerate(test_users):
-        positives = bundle.target.rows[u]
-        for item in positives:
-            negatives = sample_negatives(positives, n_t, n_negatives, rng)
-            ids = np.concatenate(([item], negatives))
-            ranks.append(_rank_among(scores[k_row, ids], 0, ids))
+    rows = [bundle.target.rows[u] for u in test_users]
+    # one pool per user; drawing its negatives interaction by interaction keeps
+    # the stream of one sample_negatives call per interaction
+    ids = [np.column_stack((row, sample_negatives(row, n_t, n_negatives, rng, size=len(row))))
+           for row in rows]
+    ranks = rank_first(np.concatenate([s[i] for s, i in zip(scores, ids)]), np.concatenate(ids))
     return _aggregate(
-        np.asarray(ranks), ks, model.config.variant, "coldstart", seed,
+        ranks, ks, model.config.variant, "coldstart", seed,
         extra={"n_test_users": int(len(test_users)), "fraction": cold.fraction},
     )
 

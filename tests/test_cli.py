@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from xdvae import data
 from xdvae.cli import main
 
 from conftest import rewrite_header
@@ -134,6 +135,29 @@ HEADER_DEFECTS = {
     "negative-dims": lambda h: h["dims"].update(n_target=-3),
 }
 
+BUNDLE_HEADER_DEFECTS = {
+    "missing-blobs": lambda h: h.pop("blobs"),
+    "blob-dtype-not-a-string": lambda h: h["blobs"][0].update(dtype=7),
+    "missing-user-index": lambda h: h.pop("user_index"),
+    "user-index-not-a-list": lambda h: h.update(user_index=5),
+    "missing-item-index": lambda h: h["domains"]["source"].pop("item_index"),
+    "null-row-lengths": lambda h: h["domains"]["target"].update(row_lengths=None),
+    "missing-has-ts": lambda h: h["domains"]["target"].pop("has_ts"),
+    "missing-provenance": lambda h: h.pop("provenance"),
+    "provenance-not-an-object": lambda h: h.update(provenance=5),
+    "missing-aux-dim": lambda h: h.pop("aux_dim"),
+    "missing-split-seed": lambda h: h["split"].pop("seed"),
+    "missing-split-policy": lambda h: h["split"].pop("policy"),
+}
+
+
+def _held_out_outside_row(bundle, split):
+    split.held_out[0] = split.negatives[0, 0]
+
+
+def _negative_inside_row(bundle, split):
+    split.negatives[0, 0] = bundle.target.rows[0][0]
+
 
 class TestEval:
     @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
@@ -147,6 +171,35 @@ class TestEval:
         ])
         assert code == 2
         assert "malformed checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect", sorted(BUNDLE_HEADER_DEFECTS))
+    def test_malformed_bundle_header_exit_two(self, prepared, trained, tmp_path, capsys,
+                                              defect):
+        bad = tmp_path / "bad.xdb"
+        rewrite_header(prepared, bad, BUNDLE_HEADER_DEFECTS[defect])
+        code = main([
+            "eval", "--model", str(trained), "--bundle", str(bad),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "malformed bundle header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("defect, message", [
+        (_held_out_outside_row, "held_out item outside"),
+        (_negative_inside_row, "negative among"),
+    ], ids=["held-out-outside-row", "negative-inside-row"])
+    def test_split_off_target_rows_exit_two(self, prepared, trained, tmp_path, capsys,
+                                            defect, message):
+        bundle, split = data.load_bundle(prepared)
+        defect(bundle, split)
+        bad = tmp_path / "bad.xdb"
+        data.save_bundle(bundle, bad, split=split)
+        code = main([
+            "eval", "--model", str(trained), "--bundle", str(bad),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_standard_protocol_writes_metrics(self, prepared, trained, tmp_path):
         prefix = tmp_path / "metrics"

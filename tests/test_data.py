@@ -1,5 +1,7 @@
 """Ingestion, domain routing, filtering, splits and bundle round trips."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -200,6 +202,22 @@ class TestSampleNegatives:
         assert set(out.tolist()).isdisjoint(positives.tolist())
         assert len(set(out.tolist())) == k
 
+    @given(seed=st.integers(0, 2**16), n=st.integers(20, 60), npos=st.integers(0, 10),
+           k=st.integers(0, 10), size=st.integers(0, 5))
+    @settings(max_examples=50, deadline=None)
+    def test_stack_equals_sequential_calls(self, seed, n, npos, k, size):
+        positives = np.random.default_rng(seed).choice(n, size=npos, replace=False)
+        rng = named_rng(seed, "x")
+        stacked = data.sample_negatives(positives, n, k, rng, size=size)
+        # reference: one call per draw, each rebuilding its pool with setdiff1d
+        ref_rng = named_rng(seed, "x")
+        pool = np.setdiff1d(np.arange(n), positives)
+        sequential = [ref_rng.choice(pool, size=k, replace=False) if k else []
+                      for _ in range(size)]
+        assert stacked.shape == (size, k) and stacked.dtype == np.int64
+        assert stacked.tolist() == [list(draw) for draw in sequential]
+        assert rng.random() == ref_rng.random()  # both consumed the same draws
+
 
 class TestColdStartSplit:
     def test_exact_arithmetic(self):
@@ -362,6 +380,12 @@ class TestBundleInvariants:
         path = tmp_path / "t.xdb"
         data.save_bundle(toy_bundle, path, split=split)
         with pytest.raises(DataError):
+            data.load_bundle(path)
+
+    def test_non_object_header_rejected(self, tmp_path):
+        path = tmp_path / "t.xdb"
+        path.write_bytes(data.BUNDLE_MAGIC + struct.pack("<I", 3) + b"[1]")
+        with pytest.raises(DataError, match="not a JSON object"):
             data.load_bundle(path)
 
     def test_row_lengths_must_cover_the_blob(self, toy_bundle, tmp_path):

@@ -188,6 +188,78 @@ class TestEvaluateProtocols:
             evaluate.evaluate_cold_start(model, cold, bundle)
 
 
+def reference_rank(score_row, ids):
+    """Per-candidate loop: one place down for each higher score or lower-id tie."""
+    s0, id0 = score_row[ids[0]], ids[0]
+    rank = 1
+    for item in ids[1:]:
+        if score_row[item] > s0 or (score_row[item] == s0 and item < id0):
+            rank += 1
+    return rank
+
+
+class _TiedModel:
+    """Random scores rounded to one decimal, so candidates often tie."""
+
+    def __init__(self, n_target, variant):
+        self.n_target = n_target
+        self.config = make_toy_config(variant)
+        self.rng = np.random.default_rng(17)
+
+    def predict_scores(self, r_s, r_t=None, aux=None, mode="mean", rng=None):
+        self.scores = np.round(self.rng.random((r_s.shape[0], self.n_target)), 1)
+        return self.scores
+
+
+@pytest.fixture()
+def captured_ranks(monkeypatch):
+    """Rank vectors the protocol runners hand to _aggregate, in call order."""
+    seen = []
+    aggregate = evaluate._aggregate
+
+    def spy(ranks, *args, **kwargs):
+        seen.append(np.asarray(ranks).tolist())
+        return aggregate(ranks, *args, **kwargs)
+
+    monkeypatch.setattr(evaluate, "_aggregate", spy)
+    return seen
+
+
+class TestRankOracles:
+    def test_standard_ranks_match_reference_loop(self, captured_ranks):
+        bundle = make_toy_bundle(m=40, n_source=6, n_target=30, seed=4, min_target=4)
+        split, view = data.build_loo_split(bundle, seed=2, n_negatives=10)
+        model = _TiedModel(bundle.target.n_items, "generic")
+        evaluate.evaluate(model, view, split)
+        expected = [reference_rank(model.scores[u], [split.held_out[u], *split.negatives[u]])
+                    for u in range(view.m)]
+        assert captured_ranks == [expected]
+        # the tie-break is exercised: some test item shares its score with a candidate
+        users = np.arange(view.m)
+        test_scores = model.scores[users, split.held_out][:, None]
+        assert (model.scores[users[:, None], split.negatives] == test_scores).any()
+
+    @pytest.mark.parametrize("empty_user", [None, 0])
+    def test_cold_start_ranks_match_reference_loop(self, captured_ranks, empty_user):
+        bundle = make_toy_bundle(m=40, n_source=6, n_target=30, seed=4, min_target=4)
+        cold = data.cold_start_split(bundle, 0.25, seed=5)
+        if empty_user is not None:
+            # an empty target row consumes no draws and raises nothing
+            bundle.target.rows[cold.test_users[empty_user]] = np.empty(0, dtype=np.int64)
+        model = _TiedModel(bundle.target.n_items, "cold-start")
+        evaluate.evaluate_cold_start(model, cold, bundle, seed=3, n_negatives=5)
+        # reference: a fresh setdiff1d pool and one draw per test interaction
+        rng = named_rng(3, "cold-negatives")
+        expected = []
+        for k_row, u in enumerate(cold.test_users):
+            row = bundle.target.rows[u]
+            pool = np.setdiff1d(np.arange(bundle.target.n_items), row)
+            for item in row:
+                ids = [item, *rng.choice(pool, size=5, replace=False)]
+                expected.append(reference_rank(model.scores[k_row], ids))
+        assert captured_ranks == [expected]
+
+
 class TestReportFiles:
     def test_json_and_csv_round_trip(self, toy_setup, tmp_path):
         _, split, view = toy_setup
