@@ -116,7 +116,7 @@ def cmd_prepare(args):
         target_labels=sorted(target_labels),
         seed=args.seed,
     )
-    split, _ = data.build_loo_split(bundle, args.seed, policy=args.policy)
+    split = data.build_loo_split(bundle, args.seed, policy=args.policy)
     if args.aux:
         vectors = data.load_aux_vectors(args.aux, expected_dim=args.aux_dim)
         data.attach_aux(bundle, vectors, expected_dim=args.aux_dim)

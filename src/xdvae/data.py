@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -18,18 +20,31 @@ from .nn import named_rng
 
 BUNDLE_MAGIC = b"XDB1"
 BUNDLE_VERSION = 1
+# Log lines parsed per bulk step. It bounds the per-line token list; larger
+# chunks parsed no faster and raised the parse's peak RSS.
+CHUNK = 1 << 12
 
 
 class DataError(ValueError):
     """Malformed input data or an impossible pipeline request."""
 
 
-@dataclass(frozen=True)
-class Interaction:
-    user: str
-    item: str
-    rating: int
-    timestamp: int | None = None
+@dataclass
+class Ratings:
+    """A rating log as columns in input order; ids are codes into sorted id lists."""
+
+    users: list              # distinct user ids, sorted as strings
+    items: list              # distinct item ids, sorted as strings
+    user: np.ndarray         # int64 codes into users
+    item: np.ndarray         # int64 codes into items
+    rating: np.ndarray       # int64
+    ts: np.ndarray           # int64, -1 where the line has no timestamp
+    has_ts: np.ndarray       # bool: a literal -1 timestamp is still a timestamp
+
+    def select(self, mask):
+        """The same log reduced to the lines where mask holds."""
+        return replace(self, user=self.user[mask], item=self.item[mask],
+                       rating=self.rating[mask], ts=self.ts[mask], has_ts=self.has_ts[mask])
 
 
 @dataclass
@@ -108,15 +123,15 @@ class ColdStartSplit:
 
 
 def load_ratings(path, format="movielens-dat"):
-    """Parse a rating log into Interactions, preserving input order.
+    """Parse a rating log into columnar Ratings, preserving input order.
 
     movielens-dat lines look like ``user::item::rating::timestamp``; csv files
     carry a ``user,item,rating,timestamp`` header and may leave the timestamp
-    empty.
+    empty. Lines are parsed CHUNK at a time into arrays; only a chunk that
+    fails is scanned line by line, for the first bad line's message.
     """
     if format not in ("movielens-dat", "csv"):
         raise DataError(f"unknown ratings format {format!r}")
-    interactions = []
     with open(path, "r", encoding="latin-1") as fh:
         lines = fh.read().splitlines()
     start = 0
@@ -128,30 +143,75 @@ def load_ratings(path, format="movielens-dat"):
             raise DataError(f"{path}: expected 'user,item,rating,timestamp' header")
         start = 1
     sep = "::" if format == "movielens-dat" else ","
-    for n, line in enumerate(lines[start:], start=start + 1):
+    # provisional codes in first-seen order: a new id gets the count of ids before it
+    user_ids, item_ids = defaultdict(), defaultdict()
+    user_ids.default_factory, item_ids.default_factory = user_ids.__len__, item_ids.__len__
+    chunks = []
+    for at in range(start, len(lines), CHUNK):
+        chunk = lines[at:at + CHUNK]
+        try:
+            chunks.append(_parse_chunk(chunk, sep, user_ids, item_ids))
+        except (ValueError, OverflowError):
+            raise _first_bad_line(path, chunk, at + 1, sep) from None
+    if not sum(len(c[0]) for c in chunks):
+        raise DataError(f"{path}: no interactions")
+    user, item, rating, ts, has_ts = map(np.concatenate, zip(*chunks))
+    users, user = _in_string_order(user_ids, user)
+    items, item = _in_string_order(item_ids, item)
+    return Ratings(users, items, user, item, rating, ts, has_ts)
+
+
+def _parse_chunk(chunk, sep, user_ids, item_ids):
+    """Columns (user, item, rating, ts, has_ts); ValueError or OverflowError if a line is bad."""
+    fields = np.fromiter(map(str.count, chunk, repeat(sep)), np.int64, len(chunk)) + 1
+    # a line without a separator is blank (skipped) or malformed
+    blank = np.flatnonzero(fields == 1)
+    if not np.isin(fields, (1, 3, 4)).all() or any(chunk[k].strip() for k in blank):
+        raise ValueError("malformed line")
+    lines = np.array(chunk, dtype=object)[fields > 1]
+    lines[fields[fields > 1] == 3] += sep  # empty timestamp field
+    # splitlines leaves no "\n" inside a line, so no separator can span two lines
+    # (joining on a "::" separator would misread a line that ends in ":")
+    tokens = "\n".join(lines.tolist()).replace(sep, "\n").split("\n")
+    n = len(lines)
+    rating = np.fromiter(map(int, tokens[2::4]), np.int64, n)
+    if ((rating < 1) | (rating > 5)).any():
+        raise ValueError("rating outside 1..5")
+    ts_text = list(map(str.strip, tokens[3::4]))
+    has_ts = np.fromiter(map(bool, ts_text), bool, n)
+    ts = np.fromiter((int(t) if t else -1 for t in ts_text), np.int64, n)
+    user = np.fromiter(map(user_ids.__getitem__, map(str.strip, tokens[0::4])), np.int64, n)
+    item = np.fromiter(map(item_ids.__getitem__, map(str.strip, tokens[1::4])), np.int64, n)
+    return user, item, rating, ts, has_ts
+
+
+def _first_bad_line(path, chunk, first, sep):
+    """DataError for the first bad line of a chunk whose bulk parse failed."""
+    for n, line in enumerate(chunk, start=first):
         if not line.strip():
             continue
         parts = line.split(sep)
         if len(parts) not in (3, 4):
-            raise DataError(f"{path}:{n}: malformed line {line!r}")
-        user, item, rating = parts[0].strip(), parts[1].strip(), parts[2].strip()
-        ts = parts[3].strip() if len(parts) == 4 else ""
+            return DataError(f"{path}:{n}: malformed line {line!r}")
         try:
-            rating = int(rating)
+            rating = int(parts[2].strip())
         except ValueError:
-            raise DataError(f"{path}:{n}: bad rating {parts[2]!r}") from None
+            return DataError(f"{path}:{n}: bad rating {parts[2]!r}")
         if rating < 1 or rating > 5:
-            raise DataError(f"{path}:{n}: rating {rating} outside 1..5")
-        timestamp = None
-        if ts:
+            return DataError(f"{path}:{n}: rating {rating} outside 1..5")
+        if len(parts) == 4 and parts[3].strip():
             try:
-                timestamp = int(ts)
-            except ValueError:
-                raise DataError(f"{path}:{n}: bad timestamp {parts[3]!r}") from None
-        interactions.append(Interaction(user, item, rating, timestamp))
-    if not interactions:
-        raise DataError(f"{path}: no interactions")
-    return interactions
+                np.int64(int(parts[3].strip()))
+            except (ValueError, OverflowError):
+                return DataError(f"{path}:{n}: bad timestamp {parts[3]!r}")
+    raise AssertionError("chunk failed but no line is bad")
+
+
+def _in_string_order(ids, codes):
+    """Ids sorted as strings, and first-seen codes renumbered to match."""
+    names = sorted(ids)
+    # argsort inverts the permutation sorted position -> first-seen code
+    return names, np.argsort([ids[x] for x in names])[codes]
 
 
 def load_item_labels(path, format="movielens-dat"):
@@ -160,29 +220,24 @@ def load_item_labels(path, format="movielens-dat"):
     with open(path, "r", encoding="latin-1") as fh:
         lines = fh.read().splitlines()
     start = 0
-    sep = "::" if format == "movielens-dat" else ","
-    if format == "csv" and lines and lines[0].lower().startswith("item"):
+    sep, width = ("::", 3) if format == "movielens-dat" else (",", 2)
+    if format == "csv" and lines and lines[0].split(",")[0].strip().lower() == "item":
         start = 1
     for n, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
             continue
         parts = line.split(sep)
-        if format == "movielens-dat":
-            if len(parts) != 3:
-                raise DataError(f"{path}:{n}: malformed line {line!r}")
-            item, genre_field = parts[0].strip(), parts[2]
-        else:
-            if len(parts) != 2:
-                raise DataError(f"{path}:{n}: malformed line {line!r}")
-            item, genre_field = parts[0].strip(), parts[1]
+        if len(parts) != width:
+            raise DataError(f"{path}:{n}: malformed line {line!r}")
+        item, genre_field = parts[0].strip(), parts[-1]
         labels[item] = {g.strip() for g in genre_field.split("|") if g.strip()}
     if not labels:
         raise DataError(f"{path}: no items")
     return labels
 
 
-def split_domains(interactions, item_labels, source_labels, target_labels):
-    """Route interactions to (source, target) lists by item label.
+def split_domains(ratings, item_labels, source_labels, target_labels):
+    """Route ratings to (source, target) Ratings by item label.
 
     An item belongs to the source domain iff its labels touch source_labels
     and not target_labels, and vice versa; items touching both or neither are
@@ -190,77 +245,56 @@ def split_domains(interactions, item_labels, source_labels, target_labels):
     """
     source_labels = set(source_labels)
     target_labels = set(target_labels)
-    unknown = sorted({x.item for x in interactions if x.item not in item_labels})
+    unknown = [item for item in ratings.items if item not in item_labels]
     if unknown:
         shown = ", ".join(unknown[:10])
         more = f" (+{len(unknown) - 10} more)" if len(unknown) > 10 else ""
         raise DataError(f"items without a label entry: {shown}{more}")
-    route = {}
-    for item, labels in item_labels.items():
-        in_s = bool(labels & source_labels)
-        in_t = bool(labels & target_labels)
-        if in_s and not in_t:
-            route[item] = "source"
-        elif in_t and not in_s:
-            route[item] = "target"
-        # both or neither: dropped
-    source = [x for x in interactions if route.get(x.item) == "source"]
-    target = [x for x in interactions if route.get(x.item) == "target"]
-    return source, target
+    in_s = np.array([bool(item_labels[x] & source_labels) for x in ratings.items], dtype=bool)
+    in_t = np.array([bool(item_labels[x] & target_labels) for x in ratings.items], dtype=bool)
+    return (ratings.select((in_s & ~in_t)[ratings.item]),
+            ratings.select((in_t & ~in_s)[ratings.item]))
 
 
 def binarize_and_filter(source, target, threshold=4, min_target_positives=2):
     """Build the shared-user DatasetBundle of binary positives.
 
-    Ratings >= threshold become positives. A user survives only with at least
-    one source positive and min_target_positives target positives (so one
-    target item can be held out while the training row stays nonempty). Items
-    without any surviving positive are dropped from the index.
+    source and target are split_domains' halves of one log. Ratings >= threshold
+    become positives; a repeated positive keeps its last line's timestamp. A
+    user survives only with at least one source positive and
+    min_target_positives target positives (so one target item can be held out
+    while the training row stays nonempty). Items without any surviving
+    positive are dropped from the index.
     """
-    if not source or not target:
+    if not source.user.size or not target.user.size:
         raise DataError("empty source or target interaction list")
+    n_users, n_items = len(source.users), len(source.items)
 
-    def positives(interactions):
-        by_user = {}
-        for x in interactions:
-            if x.rating >= threshold:
-                by_user.setdefault(x.user, {})[x.item] = x.timestamp
-        return by_user
+    def positives(ratings):
+        """Ascending packed keys user * n_items + item, with each pair's last ts."""
+        at = np.flatnonzero(ratings.rating >= threshold)[::-1]  # last line first
+        keys, first = np.unique(ratings.user[at] * n_items + ratings.item[at], return_index=True)
+        return keys, ratings.ts[at[first]], ratings.has_ts[at[first]]
 
-    pos_s = positives(source)
-    pos_t = positives(target)
-    users = sorted(
-        u
-        for u in pos_s
-        if u in pos_t and len(pos_s[u]) >= 1 and len(pos_t[u]) >= min_target_positives
-    )
-    if not users:
+    pos_s, pos_t = positives(source), positives(target)
+    count_s, count_t = (np.bincount(p[0] // n_items, minlength=n_users) for p in (pos_s, pos_t))
+    # a user needs a target positive even when min_target_positives < 1
+    kept = (count_s >= 1) & (count_t >= max(min_target_positives, 1))
+    if not kept.any():
         raise DataError("no users survive the shared-domain filter")
+    users = [source.users[u] for u in np.flatnonzero(kept)]
 
-    def build(domain, pos):
-        items = sorted({item for u in users for item in pos[u]})
-        item_pos = {item: k for k, item in enumerate(items)}
-        rows, row_ts = [], []
-        has_ts = False
-        for u in users:
-            entries = sorted((item_pos[item], ts) for item, ts in pos[u].items())
-            rows.append(np.array([e[0] for e in entries], dtype=np.int64))
-            ts = np.array(
-                [e[1] if e[1] is not None else -1 for e in entries], dtype=np.int64
-            )
-            row_ts.append(ts)
-            has_ts = has_ts or any(e[1] is not None for e in entries)
-        return DomainMatrix(domain, users, items, rows, row_ts if has_ts else None)
+    def build(domain, keys, ts, has_ts):
+        on = kept[keys // n_items]
+        codes, rows = np.unique(keys[on] % n_items, return_inverse=True)
+        bounds = np.cumsum(np.bincount(keys[on] // n_items, minlength=n_users)[kept])[:-1]
+        row_ts = np.split(ts[on], bounds) if has_ts[on].any() else None
+        items = [source.items[c] for c in codes]
+        return DomainMatrix(domain, users, items, np.split(rows, bounds), row_ts)
 
-    bundle = DatasetBundle(
-        source=build("source", pos_s),
-        target=build("target", pos_t),
-        provenance={
-            "threshold": threshold,
-            "min_target_positives": min_target_positives,
-        },
-    )
-    return bundle.validate()
+    provenance = {"threshold": threshold, "min_target_positives": min_target_positives}
+    return DatasetBundle(build("source", *pos_s), build("target", *pos_t),
+                         provenance=provenance).validate()
 
 
 def sample_negatives(positives, n_items, k, rng, size=None):
@@ -284,8 +318,7 @@ def build_loo_split(bundle, seed, policy="random", n_negatives=99):
     """Hold one target positive per user out and freeze 99 negatives.
 
     policy "random" picks uniformly; "latest" picks the max-timestamp positive.
-    Returns the split and a training copy of the bundle with the held-out
-    entries removed from the target rows.
+    training_bundle(bundle, split) gives the rows to train on.
     """
     if policy not in ("random", "latest"):
         raise DataError(f"unknown hold-out policy {policy!r}")
@@ -294,7 +327,6 @@ def build_loo_split(bundle, seed, policy="random", n_negatives=99):
     target = bundle.target
     held = np.empty(m, dtype=np.int64)
     negatives = np.empty((m, n_negatives), dtype=np.int64)
-    train_rows, train_ts = [], []
     for u in range(m):
         row = target.rows[u]
         if len(row) < 2:
@@ -309,30 +341,14 @@ def build_loo_split(bundle, seed, policy="random", n_negatives=99):
             pick = int(rng.integers(len(row)))
         held[u] = row[pick]
         negatives[u] = np.sort(sample_negatives(row, target.n_items, n_negatives, rng))
-        keep = np.arange(len(row)) != pick
-        train_rows.append(row[keep])
-        if target.row_ts is not None:
-            train_ts.append(target.row_ts[u][keep])
-    split = LeaveOneOutSplit(held, negatives, seed=seed, policy=policy)
-    training = DatasetBundle(
-        source=bundle.source,
-        target=DomainMatrix(
-            "target",
-            target.user_index,
-            target.item_index,
-            train_rows,
-            train_ts if target.row_ts is not None else None,
-        ),
-        aux_vectors=bundle.aux_vectors,
-        provenance=dict(bundle.provenance, loo_seed=seed, loo_policy=policy),
-    )
-    return split, training
+    return LeaveOneOutSplit(held, negatives, seed=seed, policy=policy)
 
 
 def training_bundle(bundle, split):
     """Training view of a full bundle: target rows minus the held-out items."""
     target = bundle.target
     rows, row_ts = [], []
+    # rows rise strictly, so != drops exactly the held-out entry
     for u in range(bundle.m):
         keep = target.rows[u] != split.held_out[u]
         rows.append(target.rows[u][keep])

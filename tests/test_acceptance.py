@@ -177,7 +177,8 @@ class TestCriterion04Headline:
     def test_criterion_04_movielens_headline(self, ml1m_bundle):
         hrs, ndcgs = [], []
         for seed in SEEDS:
-            split, view = data.build_loo_split(ml1m_bundle, seed=seed)
+            split = data.build_loo_split(ml1m_bundle, seed=seed)
+            view = data.training_bundle(ml1m_bundle, split)
             model, _ = train(view, reference_config(seed))
             report = evaluate.evaluate(model, view, split)
             hrs.append(report.hr[10])
@@ -198,7 +199,8 @@ class TestCriterion05Ablation:
     def test_criterion_05_ablation_ordering(self, ml1m_bundle):
         mean_hr = {v: [] for v in self.VARIANTS}
         for seed in SEEDS:
-            split, view = data.build_loo_split(ml1m_bundle, seed=seed)
+            split = data.build_loo_split(ml1m_bundle, seed=seed)
+            view = data.training_bundle(ml1m_bundle, split)
             base = reference_config(seed)
             for name in self.VARIANTS:
                 model, _ = train(view, ablation_config(base, name))
@@ -225,7 +227,8 @@ class TestCriterion06Beta:
     def test_criterion_06_beta_sensitivity(self, ml1m_bundle):
         deltas = []
         for seed in SEEDS:
-            split, view = data.build_loo_split(ml1m_bundle, seed=seed)
+            split = data.build_loo_split(ml1m_bundle, seed=seed)
+            view = data.training_bundle(ml1m_bundle, split)
             with_beta, _ = train(view, reference_config(seed, beta=15.0))
             without, _ = train(view, reference_config(seed, beta=0.0))
             deltas.append(
@@ -281,7 +284,8 @@ class TestCriterion08Degradation:
     @pytest.mark.slow
     def test_criterion_08a_movielens_monotone_trend(self, ml1m_bundle):
         fractions = [1.0, 0.75, 0.5, 0.25, 0.0]
-        split, view = data.build_loo_split(ml1m_bundle, seed=SEEDS[0])
+        split = data.build_loo_split(ml1m_bundle, seed=SEEDS[0])
+        view = data.training_bundle(ml1m_bundle, split)
         model, _ = train(view, reference_config(SEEDS[0]))
         reports = evaluate.evaluate_degraded(model, view, split, fractions, seed=SEEDS[0])
         hrs = [r.hr[10] for r in reports]
@@ -351,7 +355,8 @@ class TestCriterion09Determinism:
 
 class TestCriterion10RoundTrips:
     def test_criterion_10_save_load_save_byte_identity(self, synthetic_bundle, tmp_path):
-        split, view = data.build_loo_split(synthetic_bundle, seed=13)
+        split = data.build_loo_split(synthetic_bundle, seed=13)
+        view = data.training_bundle(synthetic_bundle, split)
         b1, b2 = tmp_path / "b1.xdb", tmp_path / "b2.xdb"
         data.save_bundle(synthetic_bundle, b1, split=split)
         loaded, loaded_split = data.load_bundle(b1)

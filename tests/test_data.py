@@ -1,6 +1,7 @@
 """Ingestion, domain routing, filtering, splits and bundle round trips."""
 
 import struct
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdvae import data
-from xdvae.data import DataError, Interaction
+from xdvae.data import DataError
 from xdvae.nn import named_rng
 
 from conftest import make_toy_bundle, rewrite_header
@@ -20,11 +21,46 @@ def write(tmp_path, name, text):
     return str(path)
 
 
+def make_ratings(*lines):
+    """Ratings from (user, item, rating[, ts]) tuples, ids coded in string order."""
+    users = sorted({x[0] for x in lines})
+    items = sorted({x[1] for x in lines})
+    ts = [x[3] if len(x) > 3 else None for x in lines]
+    return data.Ratings(
+        users, items,
+        np.array([users.index(x[0]) for x in lines], dtype=np.int64),
+        np.array([items.index(x[1]) for x in lines], dtype=np.int64),
+        np.array([x[2] for x in lines], dtype=np.int64),
+        np.array([-1 if t is None else t for t in ts], dtype=np.int64),
+        np.array([t is not None for t in ts], dtype=bool),
+    )
+
+
+def halves(source, target):
+    """split_domains-style (source, target) halves of one log holding both lists."""
+    log = make_ratings(*source, *target)
+    first = np.arange(len(log.user)) < len(source)
+    return log.select(first), log.select(~first)
+
+
+def rows_of(ratings):
+    """(user, item, rating, ts-or-None) per line, in log order."""
+    return [
+        (ratings.users[u], ratings.items[i], int(r), int(t) if h else None)
+        for u, i, r, t, h in zip(ratings.user, ratings.item, ratings.rating,
+                                 ratings.ts, ratings.has_ts)
+    ]
+
+
 class TestLoadRatings:
     def test_movielens_line(self, tmp_path):
         path = write(tmp_path, "r.dat", "1::1193::5::978300760\n")
-        (x,) = data.load_ratings(path, "movielens-dat")
-        assert x == Interaction("1", "1193", 5, 978300760)
+        ratings = data.load_ratings(path, "movielens-dat")
+        assert rows_of(ratings) == [("1", "1193", 5, 978300760)]
+        assert ratings.users == ["1"] and ratings.items == ["1193"]
+        for col in (ratings.user, ratings.item, ratings.rating, ratings.ts):
+            assert col.dtype == np.int64
+        assert ratings.has_ts.dtype == bool
 
     def test_empty_file_errors(self, tmp_path):
         path = write(tmp_path, "r.dat", "")
@@ -33,8 +69,13 @@ class TestLoadRatings:
 
     def test_csv_missing_timestamp(self, tmp_path):
         path = write(tmp_path, "r.csv", "user,item,rating,timestamp\nu1,i1,4,\n")
-        (x,) = data.load_ratings(path, "csv")
-        assert x == Interaction("u1", "i1", 4, None)
+        ratings = data.load_ratings(path, "csv")
+        assert rows_of(ratings) == [("u1", "i1", 4, None)]
+        assert ratings.ts.tolist() == [-1]
+
+    def test_literal_minus_one_timestamp_is_a_timestamp(self, tmp_path):
+        path = write(tmp_path, "r.csv", "user,item,rating,timestamp\nu1,i1,4,-1\n")
+        assert data.load_ratings(path, "csv").has_ts.tolist() == [True]
 
     def test_malformed_line_reports_number(self, tmp_path):
         path = write(tmp_path, "r.dat", "1::2::5::9\n1::2\n")
@@ -48,8 +89,71 @@ class TestLoadRatings:
 
     def test_order_preserved(self, tmp_path):
         path = write(tmp_path, "r.dat", "2::b::4::1\n1::a::5::2\n")
-        users = [x.user for x in data.load_ratings(path, "movielens-dat")]
-        assert users == ["2", "1"]
+        ratings = data.load_ratings(path, "movielens-dat")
+        assert [ratings.users[u] for u in ratings.user] == ["2", "1"]
+        assert ratings.users == ["1", "2"]
+
+    def test_ids_in_string_order(self, tmp_path):
+        path = write(tmp_path, "r.dat", "9::9::4::1\n10::10::5::2\n")
+        ratings = data.load_ratings(path, "movielens-dat")
+        assert ratings.users == ["10", "9"] and ratings.user.tolist() == [1, 0]
+        assert ratings.items == ["10", "9"] and ratings.item.tolist() == [1, 0]
+
+    def test_first_bad_line_wins_whatever_its_fault(self, tmp_path):
+        path = write(tmp_path, "r.dat", "1::2::5::9\n1::2::5::x\n1::2::9::9\n1::2\n")
+        with pytest.raises(DataError, match=r":2: bad timestamp 'x'$"):
+            data.load_ratings(path, "movielens-dat")
+
+    def test_line_ending_in_separator_character(self, tmp_path):
+        # "::" joins would pair the trailing ":" with the next line's separator
+        path = write(tmp_path, "r.dat", "1::2::5::9:\n3::4::5::9\n")
+        with pytest.raises(DataError, match=r":1: bad timestamp '9:'"):
+            data.load_ratings(path, "movielens-dat")
+
+
+class TestChunkBoundaries:
+    """A log longer than data.CHUNK, so its lines are parsed in several chunks."""
+
+    filler = "zz::s9::1::0"  # below threshold, so it adds no positive
+
+    def log(self, edits):
+        lines = [self.filler] * (data.CHUNK + 50)
+        for line_number, text in edits.items():
+            lines[line_number - 1] = text
+        return "\n".join(lines) + "\n"
+
+    def test_bad_rating_in_second_chunk_reports_its_line(self, tmp_path):
+        bad = data.CHUNK + 7
+        path = write(tmp_path, "r.dat", self.log({bad: "u1::t1::x::5", bad + 3: "u1"}))
+        with pytest.raises(DataError, match=rf"r\.dat:{bad}: bad rating 'x'$"):
+            data.load_ratings(path, "movielens-dat")
+
+    def test_later_chunk_wins_duplicates_and_new_ids_sort_into_place(self, tmp_path):
+        later = data.CHUNK + 5
+        path = write(tmp_path, "r.dat", self.log({
+            1: "u1::t1::5::100", 2: "u1::s1::5::1", 3: "u1::t2::4::1",
+            later: "u1::t1::5::200",
+            later + 1: "a0::s1::5::1", later + 2: "a0::t0::5::1", later + 3: "a0::t1::5::1",
+        }))
+        labels = {"s1": {"Action"}, "s9": {"Action"}, "t0": {"Drama"}, "t1": {"Drama"},
+                  "t2": {"Drama"}}
+        ratings = data.load_ratings(path, "movielens-dat")
+        assert ratings.users == ["a0", "u1", "zz"]
+        assert ratings.items == ["s1", "s9", "t0", "t1", "t2"]
+        bundle = data.binarize_and_filter(
+            *data.split_domains(ratings, labels, {"Action"}, {"Drama"}))
+        assert bundle.target.user_index == ["a0", "u1"]
+        assert bundle.target.item_index == ["t0", "t1", "t2"]
+        assert bundle.target.rows[1].tolist() == [1, 2]
+        assert bundle.target.row_ts[1].tolist() == [200, 1]
+
+
+class TestLoadItemLabels:
+    def test_csv_header_is_an_exact_item_field(self, tmp_path):
+        path = write(tmp_path, "i.csv", "items42,Books\nB1,Movies_TV\n")
+        assert data.load_item_labels(path, "csv") == {"items42": {"Books"}, "B1": {"Movies_TV"}}
+        path = write(tmp_path, "h.csv", " Item ,labels\nB1,Books\n")
+        assert data.load_item_labels(path, "csv") == {"B1": {"Books"}}
 
 
 class TestSplitDomains:
@@ -63,25 +167,25 @@ class TestSplitDomains:
     target_labels = {"Comedy", "Drama", "Fantasy", "Romance"}
 
     def interactions(self, *items):
-        return [Interaction("u", item, 5) for item in items]
+        return make_ratings(*[("u", item, 5) for item in items])
 
     def test_pure_source_routed(self):
         src, tgt = data.split_domains(
             self.interactions("a"), self.labels, self.source_labels, self.target_labels
         )
-        assert [x.item for x in src] == ["a"] and tgt == []
+        assert [x[1] for x in rows_of(src)] == ["a"] and rows_of(tgt) == []
 
     def test_dual_label_dropped(self):
         src, tgt = data.split_domains(
             self.interactions("b"), self.labels, self.source_labels, self.target_labels
         )
-        assert src == [] and tgt == []
+        assert rows_of(src) == [] and rows_of(tgt) == []
 
     def test_off_label_dropped(self):
         src, tgt = data.split_domains(
             self.interactions("c"), self.labels, self.source_labels, self.target_labels
         )
-        assert src == [] and tgt == []
+        assert rows_of(src) == [] and rows_of(tgt) == []
 
     def test_unknown_item_errors(self):
         with pytest.raises(DataError, match="zzz"):
@@ -90,37 +194,51 @@ class TestSplitDomains:
                 self.source_labels, self.target_labels,
             )
 
+    def test_unknown_items_sorted_first_ten_shown(self):
+        items = [f"x{k}" for k in range(12, 0, -1)]
+        with pytest.raises(DataError) as err:
+            data.split_domains(self.interactions(*items), self.labels,
+                               self.source_labels, self.target_labels)
+        shown = ", ".join(sorted(items)[:10])
+        assert str(err.value) == f"items without a label entry: {shown} (+2 more)"
+
     def test_output_item_sets_disjoint(self):
         src, tgt = data.split_domains(
             self.interactions("a", "b", "c", "d"), self.labels,
             self.source_labels, self.target_labels,
         )
-        assert {x.item for x in src} & {x.item for x in tgt} == set()
+        assert {x[1] for x in rows_of(src)} & {x[1] for x in rows_of(tgt)} == set()
 
 
 class TestBinarizeAndFilter:
     def test_user_without_target_dropped(self):
-        source = [Interaction("u1", "s1", 5), Interaction("u2", "s1", 5)]
-        target = [
-            Interaction("u1", "t1", 5), Interaction("u1", "t2", 4),
-            Interaction("u2", "t1", 3),
-        ]
+        source, target = halves(
+            [("u1", "s1", 5), ("u2", "s1", 5)],
+            [("u1", "t1", 5), ("u1", "t2", 4), ("u2", "t1", 3)],
+        )
         bundle = data.binarize_and_filter(source, target)
         assert bundle.source.user_index == ["u1"]
 
     def test_threshold_below_all_ratings_is_identity(self):
-        source = [Interaction("u1", "s1", 5)]
-        target = [Interaction("u1", "t1", 5), Interaction("u1", "t2", 5)]
+        source, target = halves([("u1", "s1", 5)], [("u1", "t1", 5), ("u1", "t2", 5)])
         a = data.binarize_and_filter(source, target, threshold=4)
         b = data.binarize_and_filter(source, target, threshold=1)
         assert a.source.item_index == b.source.item_index
         assert all(np.array_equal(x, y) for x, y in zip(a.target.rows, b.target.rows))
 
     def test_zero_survivors_errors(self):
-        source = [Interaction("u1", "s1", 2)]
-        target = [Interaction("u1", "t1", 2), Interaction("u1", "t2", 2)]
+        source, target = halves([("u1", "s1", 2)], [("u1", "t1", 2), ("u1", "t2", 2)])
         with pytest.raises(DataError, match="no users"):
             data.binarize_and_filter(source, target)
+
+    def test_last_duplicate_positive_wins(self):
+        source, target = halves(
+            [("u1", "s1", 5)],
+            [("u1", "t1", 5, 30), ("u1", "t2", 4, 20), ("u1", "t1", 4, 10), ("u1", "t1", 2, 99)],
+        )
+        bundle = data.binarize_and_filter(source, target)
+        assert bundle.target.rows[0].tolist() == [0, 1]
+        assert bundle.target.row_ts[0].tolist() == [10, 20]
 
     def test_min_positive_invariant_holds(self, synthetic_bundle):
         for row in synthetic_bundle.source.rows:
@@ -142,17 +260,204 @@ class TestBinarizeAndFilter:
         assert "both0" not in items and "none0" not in items
 
 
+def reference_bundle(path, fmt, item_labels, source_labels, target_labels,
+                     threshold=4, min_target_positives=2):
+    """The per-line parser and dict-of-dicts filter the columnar pipeline replaced."""
+    with open(path, "r", encoding="latin-1") as fh:
+        lines = fh.read().splitlines()
+    start = 0
+    if fmt == "csv":
+        if not lines:
+            raise DataError(f"{path}: no interactions")
+        header = [c.strip().lower() for c in lines[0].split(",")]
+        if header[:3] != ["user", "item", "rating"]:
+            raise DataError(f"{path}: expected 'user,item,rating,timestamp' header")
+        start = 1
+    sep = "::" if fmt == "movielens-dat" else ","
+    log = []
+    for n, line in enumerate(lines[start:], start=start + 1):
+        if not line.strip():
+            continue
+        parts = line.split(sep)
+        if len(parts) not in (3, 4):
+            raise DataError(f"{path}:{n}: malformed line {line!r}")
+        ts = parts[3].strip() if len(parts) == 4 else ""
+        try:
+            rating = int(parts[2].strip())
+        except ValueError:
+            raise DataError(f"{path}:{n}: bad rating {parts[2]!r}") from None
+        if rating < 1 or rating > 5:
+            raise DataError(f"{path}:{n}: rating {rating} outside 1..5")
+        try:
+            timestamp = int(ts) if ts else None
+        except ValueError:
+            raise DataError(f"{path}:{n}: bad timestamp {parts[3]!r}") from None
+        log.append((parts[0].strip(), parts[1].strip(), rating, timestamp))
+    if not log:
+        raise DataError(f"{path}: no interactions")
+
+    unknown = sorted({x[1] for x in log if x[1] not in item_labels})
+    if unknown:
+        more = f" (+{len(unknown) - 10} more)" if len(unknown) > 10 else ""
+        raise DataError(f"items without a label entry: {', '.join(unknown[:10])}{more}")
+    route = {}
+    for item, labels in item_labels.items():
+        in_s, in_t = bool(labels & source_labels), bool(labels & target_labels)
+        if in_s != in_t:
+            route[item] = "source" if in_s else "target"
+    source = [x for x in log if route.get(x[1]) == "source"]
+    target = [x for x in log if route.get(x[1]) == "target"]
+    if not source or not target:
+        raise DataError("empty source or target interaction list")
+
+    def positives(interactions):
+        by_user = {}
+        for user, item, rating, timestamp in interactions:
+            if rating >= threshold:
+                by_user.setdefault(user, {})[item] = timestamp
+        return by_user
+
+    pos_s, pos_t = positives(source), positives(target)
+    users = sorted(u for u in pos_s if u in pos_t and len(pos_t[u]) >= min_target_positives)
+    if not users:
+        raise DataError("no users survive the shared-domain filter")
+
+    def build(domain, pos):
+        items = sorted({item for u in users for item in pos[u]})
+        item_pos = {item: k for k, item in enumerate(items)}
+        rows, row_ts = [], []
+        for u in users:
+            entries = sorted((item_pos[item], ts) for item, ts in pos[u].items())
+            rows.append(np.array([e[0] for e in entries], dtype=np.int64))
+            row_ts.append(np.array([-1 if e[1] is None else e[1] for e in entries],
+                                   dtype=np.int64))
+        has_ts = any(ts is not None for u in users for ts in pos[u].values())
+        return data.DomainMatrix(domain, users, items, rows, row_ts if has_ts else None)
+
+    provenance = {"threshold": threshold, "min_target_positives": min_target_positives}
+    return data.DatasetBundle(build("source", pos_s), build("target", pos_t),
+                              provenance=provenance).validate()
+
+
+def columnar_bundle(path, fmt, item_labels, source_labels, target_labels, **kwargs):
+    source, target = data.split_domains(
+        data.load_ratings(path, fmt), item_labels, source_labels, target_labels)
+    return data.binarize_and_filter(source, target, **kwargs)
+
+
+def outcome(build, path, *args, **kwargs):
+    """('ok', bundle) or ('error', DataError message) of one pipeline."""
+    try:
+        return "ok", build(path, *args, **kwargs)
+    except DataError as e:
+        return "error", str(e)
+
+
+# "10" and "9" sort one way as strings and the other as numbers; "a:" ends in
+# a character of the "::" separator. Items route to source (S) or target (T)
+# unless a draw reroutes them.
+USERS = ["9", "10", "a:"]
+ITEMS = {"1": {"S"}, "9": {"S"}, "10": {"T"}, "a:": {"T"}, "B": {"T"}}
+PAD = st.sampled_from(["", " ", "\t", "\xa0"])
+
+
+@st.composite
+def rating_logs(draw):
+    """(format, text, item labels) of a small rating log, sometimes with faults."""
+    fmt = draw(st.sampled_from(["movielens-dat", "csv"]))
+    sep = "::" if fmt == "movielens-dat" else ","
+
+    def field(value):
+        return draw(PAD) + value + draw(PAD)
+
+    def good_line():
+        if draw(st.integers(0, 7)) == 0:
+            return draw(st.sampled_from(["", "   ", "\t"]))
+        user, item = draw(st.sampled_from(USERS)), draw(st.sampled_from(list(ITEMS)))
+        rating = draw(st.sampled_from("12345555"))
+        parts = [field(user), field(item), field(rating)]
+        kind = draw(st.sampled_from(["ts", "ts", "ts", "empty-ts", "minus-one", "three"]))
+        if kind == "ts":
+            parts.append(field(str(draw(st.integers(0, 10**12)))))
+        elif kind == "empty-ts":
+            parts.append(draw(PAD))
+        elif kind == "minus-one":
+            parts.append(field("-1"))
+        return sep.join(parts)
+
+    def bad_line():
+        kind = draw(st.sampled_from(["malformed", "rating", "range", "ts", "ts-colon"]))
+        user, item = draw(st.sampled_from(USERS)), draw(st.sampled_from(list(ITEMS)))
+        if kind == "malformed":
+            return sep.join([user] * draw(st.sampled_from([1, 2, 5])))
+        if kind == "rating":
+            return sep.join([user, item, draw(st.sampled_from(["x", "", "4.0"])), "1"])
+        if kind == "range":
+            return sep.join([user, item, draw(st.sampled_from(["0", "6", "-3"])), "1"])
+        return sep.join([user, item, "5", "x7" if kind == "ts" else "7:"])
+
+    lines = draw(st.lists(st.builds(good_line), min_size=8, max_size=40))
+    if draw(st.integers(0, 3)) == 0:
+        for _ in range(draw(st.integers(1, 3))):
+            lines.insert(draw(st.integers(0, len(lines))), bad_line())
+    if fmt == "csv":
+        lines.insert(0, draw(st.sampled_from(["user,item,rating,timestamp", " User ,Item,Rating"])))
+    # a rerouted item goes to the other side, both (dropped), neither, or has no entry
+    labels = {}
+    for item, route in ITEMS.items():
+        if draw(st.integers(0, 5)) == 0:
+            route = draw(st.sampled_from([{"S"}, {"T"}, {"S", "T"}, {"X"}, None]))
+        if route is not None:
+            labels[item] = route
+    return fmt, "\n".join(lines) + draw(st.sampled_from(["", "\n"])), labels
+
+
+@pytest.fixture(scope="module")
+def scratch_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("oracle")
+
+
+class TestIngestionOracle:
+    @given(log=rating_logs(), threshold=st.sampled_from([1, 4, 4, 5]),
+           min_target=st.sampled_from([0, 1, 2, 2, 3]), chunk=st.sampled_from([1, 2, 3, data.CHUNK]))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_line_reference(self, scratch_dir, log, threshold, min_target, chunk):
+        fmt, text, labels = log
+        path = scratch_dir / "r.log"
+        path.write_text(text, encoding="latin-1")
+        args = (str(path), fmt, labels, {"S"}, {"T"})
+        kwargs = dict(threshold=threshold, min_target_positives=min_target)
+        want = outcome(reference_bundle, *args, **kwargs)
+        with patch.object(data, "CHUNK", chunk):
+            got = outcome(columnar_bundle, *args, **kwargs)
+        assert got[0] == want[0], (got, want)
+        if want[0] == "error":
+            assert got[1] == want[1]
+            return
+        a, b = got[1], want[1]
+        for x, y in ((a.source, b.source), (a.target, b.target)):
+            assert x.user_index == y.user_index and x.item_index == y.item_index
+            assert [r.tolist() for r in x.rows] == [r.tolist() for r in y.rows]
+            assert (x.row_ts is None) == (y.row_ts is None)
+            if x.row_ts is not None:
+                assert [t.tolist() for t in x.row_ts] == [t.tolist() for t in y.row_ts]
+        data.save_bundle(a, scratch_dir / "a.xdb")
+        data.save_bundle(b, scratch_dir / "b.xdb")
+        assert (scratch_dir / "a.xdb").read_bytes() == (scratch_dir / "b.xdb").read_bytes()
+
+
 class TestLooSplit:
     def test_two_choice_case(self):
         bundle = make_toy_bundle(m=1, n_target=4, min_target=2, seed=5)
         bundle.target.rows[0] = np.array([1, 3])
-        split, training = data.build_loo_split(bundle, seed=0, n_negatives=2)
+        split = data.build_loo_split(bundle, seed=0, n_negatives=2)
+        training = data.training_bundle(bundle, split)
         assert split.held_out[0] in (1, 3)
         assert list(training.target.rows[0]) == [3 if split.held_out[0] == 1 else 1]
 
     def test_determinism(self, toy_bundle):
-        a, _ = data.build_loo_split(toy_bundle, seed=77, n_negatives=1)
-        b, _ = data.build_loo_split(toy_bundle, seed=77, n_negatives=1)
+        a = data.build_loo_split(toy_bundle, seed=77, n_negatives=1)
+        b = data.build_loo_split(toy_bundle, seed=77, n_negatives=1)
         assert np.array_equal(a.held_out, b.held_out)
         assert np.array_equal(a.negatives, b.negatives)
 
@@ -160,11 +465,12 @@ class TestLooSplit:
         bundle = make_toy_bundle(m=1, n_target=4, min_target=2)
         bundle.target.rows[0] = np.array([0, 2])
         bundle.target.row_ts = [np.array([10, 99])]
-        split, _ = data.build_loo_split(bundle, seed=0, policy="latest", n_negatives=2)
+        split = data.build_loo_split(bundle, seed=0, policy="latest", n_negatives=2)
         assert split.held_out[0] == 2
 
     def test_invariants_over_users(self, synthetic_bundle):
-        split, training = data.build_loo_split(synthetic_bundle, seed=3)
+        split = data.build_loo_split(synthetic_bundle, seed=3)
+        training = data.training_bundle(synthetic_bundle, split)
         for u in range(synthetic_bundle.m):
             assert split.held_out[u] not in training.target.rows[u]
             assert len(split.negatives[u]) == 99
@@ -292,7 +598,7 @@ class TestAuxVectors:
 
 class TestBundleRoundTrip:
     def test_save_load_save_is_byte_identical(self, synthetic_bundle, tmp_path):
-        split, _ = data.build_loo_split(synthetic_bundle, seed=5)
+        split = data.build_loo_split(synthetic_bundle, seed=5)
         p1, p2 = tmp_path / "a.xdb", tmp_path / "b.xdb"
         data.save_bundle(synthetic_bundle, p1, split=split)
         loaded, loaded_split = data.load_bundle(p1)
@@ -375,7 +681,7 @@ class TestBundleInvariants:
         _negatives_one_row_short, _negatives_three_dimensional,
     ], ids=lambda f: f.__name__.strip("_"))
     def test_structural_defect_rejected(self, toy_bundle, tmp_path, defect):
-        split, _ = data.build_loo_split(toy_bundle, seed=1, n_negatives=2)
+        split = data.build_loo_split(toy_bundle, seed=1, n_negatives=2)
         defect(toy_bundle, split)
         path = tmp_path / "t.xdb"
         data.save_bundle(toy_bundle, path, split=split)
@@ -402,7 +708,7 @@ class TestBundleInvariants:
 
 class TestTrainingViews:
     def test_training_bundle_removes_held_out(self, synthetic_bundle):
-        split, _ = data.build_loo_split(synthetic_bundle, seed=1)
+        split = data.build_loo_split(synthetic_bundle, seed=1)
         view = data.training_bundle(synthetic_bundle, split)
         for u in range(synthetic_bundle.m):
             assert split.held_out[u] not in view.target.rows[u]

@@ -117,7 +117,8 @@ class TestRandomScorerCalibration:
 @pytest.fixture(scope="module")
 def toy_setup():
     bundle = make_toy_bundle(m=10, n_source=6, n_target=12, seed=9, min_target=4)
-    split, view = data.build_loo_split(bundle, seed=2, n_negatives=5)
+    split = data.build_loo_split(bundle, seed=2, n_negatives=5)
+    view = data.training_bundle(bundle, split)
     return bundle, split, view
 
 
@@ -228,7 +229,8 @@ def captured_ranks(monkeypatch):
 class TestRankOracles:
     def test_standard_ranks_match_reference_loop(self, captured_ranks):
         bundle = make_toy_bundle(m=40, n_source=6, n_target=30, seed=4, min_target=4)
-        split, view = data.build_loo_split(bundle, seed=2, n_negatives=10)
+        split = data.build_loo_split(bundle, seed=2, n_negatives=10)
+        view = data.training_bundle(bundle, split)
         model = _TiedModel(bundle.target.n_items, "generic")
         evaluate.evaluate(model, view, split)
         expected = [reference_rank(model.scores[u], [split.held_out[u], *split.negatives[u]])

@@ -49,7 +49,8 @@ def desk_config(variant="generic", seed=1, **overrides):
 class TestLearnsCrossDomainStructure:
     def test_generic_beats_chance_across_seeds(self, strong_bundle):
         for seed in (1, 2, 3):
-            split, view = data.build_loo_split(strong_bundle, seed=seed)
+            split = data.build_loo_split(strong_bundle, seed=seed)
+            view = data.training_bundle(strong_bundle, split)
             model, history = train(view, desk_config(seed=seed))
             assert history.totals()[-1] < history.totals()[0]
             report = evaluate(model, view, split)
@@ -79,7 +80,8 @@ class TestLearnsCrossDomainStructure:
 @pytest.mark.slow
 class TestProtocolShapes:
     def test_degradation_pipeline_covers_all_fractions(self, strong_bundle):
-        split, view = data.build_loo_split(strong_bundle, seed=5)
+        split = data.build_loo_split(strong_bundle, seed=5)
+        view = data.training_bundle(strong_bundle, split)
         model, _ = train(view, desk_config(seed=5, epochs=60))
         fractions = [1.0, 0.75, 0.5, 0.25, 0.0]
         reports = evaluate_degraded(model, view, split, fractions, seed=5)
@@ -90,7 +92,8 @@ class TestProtocolShapes:
             assert 0.0 <= r.ndcg[10] <= r.hr[10] <= 1.0
 
     def test_variant_suite_all_train_and_evaluate(self, strong_bundle):
-        split, view = data.build_loo_split(strong_bundle, seed=6)
+        split = data.build_loo_split(strong_bundle, seed=6)
+        view = data.training_bundle(strong_bundle, split)
         base = desk_config(seed=6, epochs=40)
         results = run_variant_suite(
             view, base, ["generic", "single", "single0", "merged", "merged0", "no-mmd"]
