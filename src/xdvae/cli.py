@@ -8,6 +8,7 @@ bit-for-bit. Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -312,6 +313,9 @@ def cmd_ablate(args):
 # ---------------------------------------------------------------------------
 
 
+# argparse parsers hold reference cycles; one parser per process keeps every
+# main() call from leaving another few hundred objects for the cyclic GC
+@functools.cache
 def build_parser():
     parser = _Parser(prog="xdvae", description=__doc__)
     parser.add_argument("--version", action="version", version=f"xdvae {__version__}")

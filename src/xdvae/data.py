@@ -12,7 +12,7 @@ import json
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -20,8 +20,8 @@ from .nn import named_rng
 
 BUNDLE_MAGIC = b"XDB1"
 BUNDLE_VERSION = 1
-# Log lines parsed per bulk step. It bounds the per-line token list; larger
-# chunks parsed no faster and raised the parse's peak RSS.
+# Log lines read and parsed per bulk step. It bounds the text and the per-line
+# token list held at once; larger chunks parsed no faster and raised peak RSS.
 CHUNK = 1 << 12
 
 
@@ -49,13 +49,15 @@ class Ratings:
 
 @dataclass
 class DomainMatrix:
-    """Binary interactions for one domain; rows are sorted positive item indices."""
+    """Binary interactions for one domain as CSR rows: user u's positives are
+    indices[indptr[u]:indptr[u + 1]], item positions rising strictly."""
 
     domain: str                      # "source" or "target"
     user_index: list                 # shared across the paired matrices
     item_index: list
-    rows: list                       # per user: int64 array of item positions
-    row_ts: list | None = None       # optional timestamps aligned with rows
+    indptr: np.ndarray               # (m + 1,) int64 row offsets into indices
+    indices: np.ndarray              # (nnz,) int64 item positions
+    ts: np.ndarray | None = None     # (nnz,) int64 timestamps aligned with indices
 
     @property
     def n_items(self):
@@ -63,22 +65,70 @@ class DomainMatrix:
 
     @property
     def n_interactions(self):
-        return int(sum(len(r) for r in self.rows))
+        return int(self.indices.size)
 
     def sparsity(self):
         """Fraction of empty cells, 1 - interactions / (m * n)."""
         cells = len(self.user_index) * self.n_items
         return 1.0 - self.n_interactions / cells if cells else 1.0
 
-    def to_dense(self, user_positions=None, rows=None):
+    def to_dense(self, user_positions=None):
         """Dense float64 matrix for the given user positions (default: all)."""
-        rows = self.rows if rows is None else rows
-        if user_positions is None:
-            user_positions = range(len(rows))
-        out = np.zeros((len(user_positions), self.n_items))
-        for k, u in enumerate(user_positions):
-            out[k, rows[u]] = 1.0
+        indptr, at = self.indptr, slice(None)
+        if user_positions is not None:
+            indptr, at = gather_rows(self.indptr, user_positions)
+        out = np.zeros((len(indptr) - 1, self.n_items))
+        out.reshape(-1)[row_ids(indptr) * self.n_items + self.indices[at]] = 1.0
         return out
+
+    def contains(self, users, items):
+        """Whether items[k] is a positive of user users[k], elementwise after broadcasting."""
+        # rows rise strictly, so the packed keys u * n_items + item rise strictly;
+        # the sentinel m * n_items sits above every key and equals no query
+        n = self.n_items
+        keys = np.append(row_ids(self.indptr) * n + self.indices, (len(self.indptr) - 1) * n)
+        queries = np.asarray(users, dtype=np.int64) * n + items
+        return keys[np.searchsorted(keys, queries)] == queries
+
+
+def row_ids(indptr):
+    """The row of every CSR entry: u repeated indptr[u + 1] - indptr[u] times."""
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def gather_rows(indptr, users):
+    """(indptr, entry positions) of the CSR rows `users`, stacked in that order."""
+    users = np.asarray(users, dtype=np.int64)
+    lengths = indptr[users + 1] - indptr[users]
+    out = _indptr(lengths)
+    return out, np.arange(out[-1]) + np.repeat(indptr[users] - out[:-1], lengths)
+
+
+def _indptr(lengths):
+    out = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=out[1:])
+    return out
+
+
+def _check_rows(mat):
+    """Reject CSR arrays that break the DomainMatrix invariants: one row per
+    user, item positions in [0, n_items) rising strictly, aligned timestamps."""
+    m, indptr, indices = len(mat.user_index), mat.indptr, mat.indices
+    if (indptr.shape != (m + 1,) or indices.ndim != 1 or indptr[0] != 0
+            or (np.diff(indptr) < 0).any() or indptr[-1] != indices.size):
+        raise DataError(
+            f"{mat.domain} row lengths do not split {indices.size} entries over {m} users"
+        )
+    if indices.size and (indices.min() < 0 or indices.max() >= mat.n_items):
+        raise DataError(f"{mat.domain} item index outside [0, {mat.n_items})")
+    rising = np.diff(indices) > 0
+    starts = indptr[1:-1]
+    # a row may start below where the previous one ended
+    rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
+    if not rising.all():
+        raise DataError(f"{mat.domain} row not strictly increasing")
+    if mat.ts is not None and mat.ts.shape != indices.shape:
+        raise DataError(f"{mat.domain} timestamps do not align with rows")
 
 
 @dataclass
@@ -96,11 +146,15 @@ class DatasetBundle:
         if self.source.user_index != self.target.user_index:
             raise DataError("source/target user indices differ")
         for mat in (self.source, self.target):
-            for u, row in enumerate(mat.rows):
-                if len(row) == 0 and mat.domain == "source":
-                    raise DataError(f"user {mat.user_index[u]!r} has empty {mat.domain} row")
-        if self.aux_vectors is not None and self.aux_vectors.shape[0] != self.m:
+            _check_rows(mat)
+        empty = np.flatnonzero(np.diff(self.source.indptr) == 0)
+        if empty.size:
+            raise DataError(f"user {self.source.user_index[empty[0]]!r} has empty source row")
+        aux = self.aux_vectors
+        if aux is not None and (aux.ndim != 2 or aux.shape[0] != self.m):
             raise DataError("aux_vectors row count != m")
+        if aux is not None and not np.isfinite(aux).all():
+            raise DataError("non-finite auxiliary value")
         return self
 
 
@@ -127,32 +181,31 @@ def load_ratings(path, format="movielens-dat"):
 
     movielens-dat lines look like ``user::item::rating::timestamp``; csv files
     carry a ``user,item,rating,timestamp`` header and may leave the timestamp
-    empty. Lines are parsed CHUNK at a time into arrays; only a chunk that
-    fails is scanned line by line, for the first bad line's message.
+    empty. The file is read and parsed CHUNK lines at a time into arrays; only
+    a chunk that fails is scanned line by line, for the first bad line's message.
     """
     if format not in ("movielens-dat", "csv"):
         raise DataError(f"unknown ratings format {format!r}")
-    with open(path, "r", encoding="latin-1") as fh:
-        lines = fh.read().splitlines()
-    start = 0
-    if format == "csv":
-        if not lines:
-            raise DataError(f"{path}: no interactions")
-        header = [c.strip().lower() for c in lines[0].split(",")]
-        if header[:3] != ["user", "item", "rating"]:
-            raise DataError(f"{path}: expected 'user,item,rating,timestamp' header")
-        start = 1
     sep = "::" if format == "movielens-dat" else ","
     # provisional codes in first-seen order: a new id gets the count of ids before it
     user_ids, item_ids = defaultdict(), defaultdict()
     user_ids.default_factory, item_ids.default_factory = user_ids.__len__, item_ids.__len__
-    chunks = []
-    for at in range(start, len(lines), CHUNK):
-        chunk = lines[at:at + CHUNK]
-        try:
-            chunks.append(_parse_chunk(chunk, sep, user_ids, item_ids))
-        except (ValueError, OverflowError):
-            raise _first_bad_line(path, chunk, at + 1, sep) from None
+    chunks, first = [], 1  # first: the file line number of lines[0]
+    with open(path, "r", encoding="latin-1") as fh:
+        # every piece but the last ends in "\n", so splitting the pieces one by
+        # one gives the lines and line numbers of splitting the whole text
+        for lines in iter(lambda: "".join(islice(fh, CHUNK)).splitlines(), []):
+            if format == "csv" and first == 1:
+                header = [c.strip().lower() for c in lines[0].split(",")]
+                if header[:3] != ["user", "item", "rating"]:
+                    raise DataError(f"{path}: expected 'user,item,rating,timestamp' header")
+                lines, first = lines[1:], 2
+            if lines:
+                try:
+                    chunks.append(_parse_chunk(lines, sep, user_ids, item_ids))
+                except (ValueError, OverflowError):
+                    raise _first_bad_line(path, lines, first, sep) from None
+            first += len(lines)
     if not sum(len(c[0]) for c in chunks):
         raise DataError(f"{path}: no interactions")
     user, item, rating, ts, has_ts = map(np.concatenate, zip(*chunks))
@@ -286,11 +339,11 @@ def binarize_and_filter(source, target, threshold=4, min_target_positives=2):
 
     def build(domain, keys, ts, has_ts):
         on = kept[keys // n_items]
-        codes, rows = np.unique(keys[on] % n_items, return_inverse=True)
-        bounds = np.cumsum(np.bincount(keys[on] // n_items, minlength=n_users)[kept])[:-1]
-        row_ts = np.split(ts[on], bounds) if has_ts[on].any() else None
+        codes, indices = np.unique(keys[on] % n_items, return_inverse=True)
+        indptr = _indptr(np.bincount(keys[on] // n_items, minlength=n_users)[kept])
         items = [source.items[c] for c in codes]
-        return DomainMatrix(domain, users, items, np.split(rows, bounds), row_ts)
+        return DomainMatrix(domain, users, items, indptr, indices,
+                            ts[on] if has_ts[on].any() else None)
 
     provenance = {"threshold": threshold, "min_target_positives": min_target_positives}
     return DatasetBundle(build("source", *pos_s), build("target", *pos_t),
@@ -327,16 +380,16 @@ def build_loo_split(bundle, seed, policy="random", n_negatives=99):
     target = bundle.target
     held = np.empty(m, dtype=np.int64)
     negatives = np.empty((m, n_negatives), dtype=np.int64)
-    for u in range(m):
-        row = target.rows[u]
+    for u, (a, b) in enumerate(zip(target.indptr[:-1].tolist(), target.indptr[1:].tolist())):
+        row = target.indices[a:b]
         if len(row) < 2:
             raise DataError(
                 f"user {target.user_index[u]!r} has {len(row)} target positives, need >= 2"
             )
         if policy == "latest":
-            if target.row_ts is None:
+            if target.ts is None:
                 raise DataError("policy 'latest' requires timestamps")
-            pick = int(np.argmax(target.row_ts[u]))
+            pick = int(np.argmax(target.ts[a:b]))
         else:
             pick = int(rng.integers(len(row)))
         held[u] = row[pick]
@@ -347,18 +400,15 @@ def build_loo_split(bundle, seed, policy="random", n_negatives=99):
 def training_bundle(bundle, split):
     """Training view of a full bundle: target rows minus the held-out items."""
     target = bundle.target
-    rows, row_ts = [], []
+    owner = row_ids(target.indptr)
     # rows rise strictly, so != drops exactly the held-out entry
-    for u in range(bundle.m):
-        keep = target.rows[u] != split.held_out[u]
-        rows.append(target.rows[u][keep])
-        if target.row_ts is not None:
-            row_ts.append(target.row_ts[u][keep])
+    keep = target.indices != split.held_out[owner]
     return DatasetBundle(
         source=bundle.source,
         target=DomainMatrix(
-            "target", target.user_index, target.item_index, rows,
-            row_ts if target.row_ts is not None else None,
+            "target", target.user_index, target.item_index,
+            _indptr(np.bincount(owner[keep], minlength=bundle.m)), target.indices[keep],
+            None if target.ts is None else target.ts[keep],
         ),
         aux_vectors=bundle.aux_vectors,
         provenance=dict(bundle.provenance, loo_seed=split.seed, loo_policy=split.policy),
@@ -371,13 +421,9 @@ def restrict_users(bundle, user_positions):
     users = [bundle.source.user_index[u] for u in user_positions]
 
     def cut(mat):
-        return DomainMatrix(
-            mat.domain,
-            users,
-            mat.item_index,
-            [mat.rows[u] for u in user_positions],
-            [mat.row_ts[u] for u in user_positions] if mat.row_ts is not None else None,
-        )
+        indptr, at = gather_rows(mat.indptr, user_positions)
+        return DomainMatrix(mat.domain, users, mat.item_index, indptr, mat.indices[at],
+                            None if mat.ts is None else mat.ts[at])
 
     aux = bundle.aux_vectors[user_positions] if bundle.aux_vectors is not None else None
     return DatasetBundle(cut(bundle.source), cut(bundle.target), aux, dict(bundle.provenance))
@@ -395,21 +441,22 @@ def cold_start_split(bundle, fraction=0.1, seed=0):
     return ColdStartSplit(train, test, fraction, seed)
 
 
-def degrade_target_rows(rows, fraction_kept, seed):
-    """Keep ceil(fraction_kept * len) uniformly chosen positives per row."""
+def degrade_target_rows(mat, fraction_kept, seed):
+    """Copy of mat keeping ceil(fraction_kept * len) uniformly chosen positives
+    per row, without timestamps; fraction 1 returns mat itself."""
     if not 0.0 <= fraction_kept <= 1.0:
         raise DataError(f"fraction_kept must be in [0, 1], got {fraction_kept}")
     if fraction_kept == 1.0:
-        return [row.copy() for row in rows]
+        return mat
     rng = named_rng(seed, f"degrade-{fraction_kept}")
-    out = []
-    for row in rows:
-        keep = int(np.ceil(fraction_kept * len(row)))
-        if keep == 0:
-            out.append(np.empty(0, dtype=np.int64))
-        else:
-            out.append(np.sort(rng.choice(row, size=keep, replace=False)))
-    return out
+    indptr = _indptr(np.ceil(fraction_kept * np.diff(mat.indptr)).astype(np.int64))
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    # a row that keeps nothing draws nothing
+    for u in np.flatnonzero(np.diff(indptr)).tolist():
+        row = mat.indices[mat.indptr[u]:mat.indptr[u + 1]]
+        indices[indptr[u]:indptr[u + 1]] = np.sort(
+            rng.choice(row, size=indptr[u + 1] - indptr[u], replace=False))
+    return DomainMatrix(mat.domain, mat.user_index, mat.item_index, indptr, indices)
 
 
 def load_aux_vectors(path, expected_dim=256):
@@ -466,12 +513,6 @@ def _canonical_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _pack_rows(rows):
-    lengths = [len(r) for r in rows]
-    flat = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-    return lengths, flat.astype("<i8")
-
-
 def save_bundle(bundle, path, split=None):
     """Serialize a bundle (and optionally its leave-one-out split) to one file."""
     blobs = []
@@ -492,16 +533,14 @@ def save_bundle(bundle, path, split=None):
         blobs.append(arr.tobytes())
 
     for mat in (bundle.source, bundle.target):
-        lengths, flat = _pack_rows(mat.rows)
         header["domains"][mat.domain] = {
             "item_index": list(mat.item_index),
-            "row_lengths": lengths,
-            "has_ts": mat.row_ts is not None,
+            "row_lengths": np.diff(mat.indptr).tolist(),
+            "has_ts": mat.ts is not None,
         }
-        add_blob(f"{mat.domain}.rows", flat, "<i8")
-        if mat.row_ts is not None:
-            _, flat_ts = _pack_rows(mat.row_ts)
-            add_blob(f"{mat.domain}.ts", flat_ts, "<i8")
+        for kind, arr in (("rows", mat.indices), ("ts", mat.ts)):
+            if arr is not None:
+                add_blob(f"{mat.domain}.{kind}", arr, "<i8")
     if split is not None:
         header["split"] = {
             "seed": split.seed,
@@ -523,58 +562,22 @@ def save_bundle(bundle, path, split=None):
             fh.write(blob)
 
 
-def _check_rows(path, domain, flat, lengths, m, n_items):
-    """Reject packed rows that break the DomainMatrix invariants.
-
-    Every row must hold item indices in [0, n_items), strictly increasing.
-    The checks run on the whole packed blob at once, not row by row.
-    """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    if lengths.shape != (m,) or (lengths < 0).any() or lengths.sum() != flat.size:
-        raise DataError(
-            f"{path}: {domain} row lengths do not split {flat.size} entries over {m} users"
-        )
-    if flat.size and (flat.min() < 0 or flat.max() >= n_items):
-        raise DataError(f"{path}: {domain} item index outside [0, {n_items})")
-    rising = np.diff(flat) > 0
-    starts = np.cumsum(lengths)[:-1]
-    # a row may start below where the previous one ended
-    rising[starts[(starts > 0) & (starts < flat.size)] - 1] = True
-    if not rising.all():
-        raise DataError(f"{path}: {domain} row not strictly increasing")
-
-
-def _check_split(path, held_out, negatives, target_flat, lengths, n_items):
-    """Reject a leave-one-out split that does not fit the bundle's target rows.
-
-    Each held-out item must be a positive of its user and no negative may be;
-    the packed keys u * n_items + item rise strictly (rows are checked sorted
-    first), so one searchsorted answers both for every user at once.
-    """
-    m = len(lengths)
+def _check_split(held_out, negatives, target):
+    """Reject a leave-one-out split that does not fit the bundle's target rows:
+    each held-out item must be a positive of its user and no negative may be."""
+    m = len(target.user_index)
     if held_out.shape != (m,) or negatives.ndim != 2 or negatives.shape[0] != m:
         raise DataError(
-            f"{path}: split shapes {held_out.shape} and {negatives.shape} do not fit {m} users"
+            f"split shapes {held_out.shape} and {negatives.shape} do not fit {m} users"
         )
     for name, a in (("held_out", held_out), ("negatives", negatives)):
-        if a.size and (a.min() < 0 or a.max() >= n_items):
-            raise DataError(f"{path}: split {name} index outside [0, {n_items})")
-    # the sentinel m * n_items sits above every key and equals no query
-    keys = np.append(np.repeat(np.arange(m), lengths) * n_items + target_flat, m * n_items)
-    base = np.arange(m) * n_items
-    if not (keys[np.searchsorted(keys, base + held_out)] == base + held_out).all():
-        raise DataError(f"{path}: split held_out item outside its user's target row")
-    queries = base[:, None] + negatives
-    if (keys[np.searchsorted(keys, queries)] == queries).any():
-        raise DataError(f"{path}: split negative among its user's target positives")
-
-
-def _unpack_rows(flat, lengths):
-    rows, at = [], 0
-    for n in lengths:
-        rows.append(flat[at:at + n].astype(np.int64))
-        at += n
-    return rows
+        if a.size and (a.min() < 0 or a.max() >= target.n_items):
+            raise DataError(f"split {name} index outside [0, {target.n_items})")
+    users = np.arange(m)
+    if not target.contains(users, held_out).all():
+        raise DataError("split held_out item outside its user's target row")
+    if target.contains(users[:, None], negatives).any():
+        raise DataError("split negative among its user's target positives")
 
 
 def load_bundle(path):
@@ -594,65 +597,53 @@ def load_bundle(path):
         raise DataError(f"{path}: corrupt header (not a JSON object)")
     if header.get("version") != BUNDLE_VERSION:
         raise DataError(f"{path}: unsupported bundle version {header.get('version')}")
-    # Header fields come from outside the program: a missing key or a wrong
-    # type anywhere in the decoding is a malformed file, not a crash.
+    # Header fields come from outside the program: a missing key, a wrong type
+    # or a bad value anywhere in the decoding is a malformed file, not a crash.
     try:
-        return _decode_bundle(path, raw, 8 + head_len, header)
-    except (KeyError, TypeError) as e:
+        return _decode_bundle(raw, 8 + head_len, header)
+    except DataError as e:
+        raise DataError(f"{path}: {e}") from None
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise DataError(
             f"{path}: malformed bundle header ({type(e).__name__}: {e})"
         ) from None
 
 
-def _decode_bundle(path, raw, at, header):
+def _decode_bundle(raw, at, header):
     """Blobs from offset `at` and header fields into (bundle, split-or-None)."""
     arrays = {}
     for entry in header["blobs"]:
+        # every blob is little-endian int64 but the float32 aux vectors; the
+        # declared dtype is compared, never parsed (np.dtype(",i8") is a SyntaxError)
+        dtype = np.dtype("<f4" if entry["name"] == "aux" else "<i8")
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * np.dtype(entry["dtype"]).itemsize
-        if at + nbytes > len(raw):
-            raise DataError(f"{path}: truncated file at blob {entry['name']!r}")
-        arrays[entry["name"]] = np.frombuffer(
-            raw[at:at + nbytes], dtype=entry["dtype"]
-        ).reshape(entry["shape"])
-        at += nbytes
+        if entry["dtype"] != dtype.str or count < 0:
+            raise ValueError(f"blob {entry['name']!r} declared {entry['dtype']!r} {entry['shape']}")
+        if at + count * dtype.itemsize > len(raw):
+            raise DataError(f"truncated file at blob {entry['name']!r}")
+        arrays[entry["name"]] = np.frombuffer(raw, dtype, count, at).reshape(entry["shape"]).copy()
+        at += count * dtype.itemsize
     if at != len(raw):
-        raise DataError(f"{path}: trailing bytes after declared blobs")
+        raise DataError("trailing bytes after declared blobs")
 
     users = header["user_index"]
 
     def mat(domain):
         dom = header["domains"][domain]
-        flat = arrays[f"{domain}.rows"]
-        _check_rows(path, domain, flat, dom["row_lengths"], len(users), len(dom["item_index"]))
-        rows = _unpack_rows(flat, dom["row_lengths"])
-        row_ts = None
-        if dom["has_ts"]:
-            if arrays[f"{domain}.ts"].shape != flat.shape:
-                raise DataError(f"{path}: {domain} timestamps do not align with rows")
-            row_ts = _unpack_rows(arrays[f"{domain}.ts"], dom["row_lengths"])
-        return DomainMatrix(domain, users, dom["item_index"], rows, row_ts)
+        indptr = _indptr(np.asarray(dom["row_lengths"], dtype=np.int64))
+        rows_blob, ts_blob = (f"{domain}.{kind}" for kind in ("rows", "ts"))
+        return DomainMatrix(domain, users, dom["item_index"], indptr, arrays[rows_blob],
+                            arrays[ts_blob] if dom["has_ts"] else None)
 
     if not isinstance(header["provenance"], dict):
         raise TypeError("provenance is not an object")
-    bundle = DatasetBundle(
-        source=mat("source"),
-        target=mat("target"),
-        provenance=header["provenance"],
-    )
+    bundle = DatasetBundle(mat("source"), mat("target"), provenance=header["provenance"])
     if header["aux_dim"] is not None:
         bundle.aux_vectors = arrays["aux"].astype(np.float64)
+    bundle.validate()
     split = None
     if header["split"] is not None:
-        _check_split(
-            path, arrays["split.held_out"], arrays["split.negatives"],
-            arrays["target.rows"], header["domains"]["target"]["row_lengths"],
-            bundle.target.n_items,
-        )
-        split = LeaveOneOutSplit(
-            held_out=arrays["split.held_out"].astype(np.int64),
-            negatives=arrays["split.negatives"].astype(np.int64),
-            seed=header["split"]["seed"],
-            policy=header["split"]["policy"],
-        )
-    return bundle.validate(), split
+        split = LeaveOneOutSplit(arrays["split.held_out"], arrays["split.negatives"],
+                                 seed=header["split"]["seed"], policy=header["split"]["policy"])
+        _check_split(split.held_out, split.negatives, bundle.target)
+    return bundle, split

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, degrade_target_rows, sample_negatives
+from .data import DataError, degrade_target_rows, gather_rows, row_ids, sample_negatives
 from .nn import named_rng
 
 DEFAULT_KS = (5, 10, 20, 50)
@@ -58,21 +58,6 @@ def rank_first(scores, ids):
     return 1 + np.count_nonzero(ahead, axis=1)
 
 
-def rank_test_item(scores, test_position, candidate_ids):
-    """1-based rank of the test candidate; score ties broken by lower item id.
-
-    scores and candidate_ids cover exactly the 100 candidates (held-out plus
-    99 negatives) in matching order.
-    """
-    scores = np.asarray(scores)
-    candidate_ids = np.asarray(candidate_ids)
-    if scores.shape[0] != 100 or candidate_ids.shape[0] != 100:
-        raise DataError(f"expected 100 candidates, got {scores.shape[0]}")
-    # rolling the test candidate to the front leaves the candidate set unchanged
-    return int(rank_first(np.roll(scores, -test_position)[None],
-                          np.roll(candidate_ids, -test_position)[None])[0])
-
-
 def hit_ratio(ranks, k) -> float:
     ranks = np.asarray(ranks)
     if ranks.size == 0:
@@ -112,13 +97,12 @@ def evaluate(model, bundle, split, ks=DEFAULT_KS, mode="mean", protocol="standar
     The bundle must hold training rows (held-out items removed); negatives and
     held-out items come frozen from the split.
     """
-    target_rows = bundle.target.rows
-    for u in range(bundle.m):
-        if split.held_out[u] in target_rows[u]:
-            raise DataError(
-                f"held-out item present in training row of user "
-                f"{bundle.target.user_index[u]!r}"
-            )
+    leaked = bundle.target.contains(np.arange(bundle.m), split.held_out)
+    if leaked.any():
+        raise DataError(
+            f"held-out item present in training row of user "
+            f"{bundle.target.user_index[np.argmax(leaked)]!r}"
+        )
     r_s = bundle.source.to_dense()
     r_t = bundle.target.to_dense()
     scores = model.predict_scores(r_s, r_t, aux=bundle.aux_vectors, mode=mode)
@@ -140,8 +124,7 @@ def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS, mode
     r_s = bundle.source.to_dense()
     reports = []
     for fraction in fractions:
-        rows = degrade_target_rows(bundle.target.rows, fraction, seed)
-        r_t = bundle.target.to_dense(rows=rows)
+        r_t = degrade_target_rows(bundle.target, fraction, seed).to_dense()
         scores = model.predict_scores(r_s, r_t, aux=bundle.aux_vectors, mode=mode)
         ranks = _candidate_ranks(scores, split)
         reports.append(
@@ -174,12 +157,14 @@ def evaluate_cold_start(model, cold, bundle, ks=DEFAULT_KS, seed=None, mode="mea
         raise DataError("no cold-start test users")
     r_s = bundle.source.to_dense(test_users)
     scores = model.predict_scores(r_s, None, mode=mode)
-    rows = [bundle.target.rows[u] for u in test_users]
+    indptr, at = gather_rows(bundle.target.indptr, test_users)
+    items = bundle.target.indices[at]
     # one pool per user; drawing its negatives interaction by interaction keeps
     # the stream of one sample_negatives call per interaction
-    ids = [np.column_stack((row, sample_negatives(row, n_t, n_negatives, rng, size=len(row))))
-           for row in rows]
-    ranks = rank_first(np.concatenate([s[i] for s, i in zip(scores, ids)]), np.concatenate(ids))
+    negatives = [sample_negatives(items[a:b], n_t, n_negatives, rng, size=b - a)
+                 for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
+    ids = np.column_stack((items, np.concatenate(negatives)))
+    ranks = rank_first(scores[row_ids(indptr)[:, None], ids], ids)
     return _aggregate(
         ranks, ks, model.config.variant, "coldstart", seed,
         extra={"n_test_users": int(len(test_users)), "fraction": cold.fraction},

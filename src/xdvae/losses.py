@@ -56,16 +56,6 @@ def _as_batch(x):
     return x.reshape(1, -1) if x.ndim == 1 else x
 
 
-def bce(r, r_hat) -> float:
-    """Binary cross-entropy summed over items, averaged over the batch."""
-    r = _as_batch(r)
-    p = _clamped(_as_batch(r_hat))
-    if r.shape != p.shape:
-        raise ValueError(f"shape mismatch {r.shape} vs {p.shape}")
-    per_row = -(r * np.log(p) + (1.0 - r) * np.log1p(-p)).sum(axis=1)
-    return float(per_row.mean())
-
-
 def masked_recon(r, r_hat, beta) -> float:
     """Reconstruction error with an extra beta-weighted penalty on positives.
 

@@ -271,10 +271,6 @@ class LinkedVAE(_ModelBase):
         state, _ = enc.forward(np.atleast_2d(r), np.atleast_2d(eps), sub_out)
         return state
 
-    def decode_source(self, z_source):
-        out, _ = self.dec_s.forward(np.atleast_2d(z_source))
-        return out
-
     def decode_target(self, z_prime):
         """Target reconstruction from the merged (2L) or mapped (L) latent."""
         out, _ = self.dec_t.forward(np.atleast_2d(z_prime))

@@ -210,6 +210,9 @@ def load_checkpoint(path):
         problem = "truncated tensor data" if have < want else "trailing bytes after tensors"
         raise DataError(f"{path}: {problem} ({have} bytes, expected {want})")
     params.flat[...] = np.frombuffer(raw, dtype="<f4", offset=at)
+    # float32 values cannot overflow a float64 sum, so it is finite iff they all are
+    if not np.isfinite(params.flat.sum()):
+        raise DataError(f"{path}: non-finite tensor data")
     return model, config
 
 

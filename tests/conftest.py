@@ -28,14 +28,37 @@ def make_toy_bundle(m=8, n_source=6, n_target=8, seed=123, min_target=3, aux_dim
         return rows
 
     bundle = DatasetBundle(
-        source=DomainMatrix("source", users, [f"s{j}" for j in range(n_source)],
-                            rows_for(n_source, 1)),
-        target=DomainMatrix("target", users, [f"t{j}" for j in range(n_target)],
-                            rows_for(n_target, min_target)),
+        source=make_matrix("source", users, [f"s{j}" for j in range(n_source)],
+                           rows_for(n_source, 1)),
+        target=make_matrix("target", users, [f"t{j}" for j in range(n_target)],
+                           rows_for(n_target, min_target)),
     )
     if aux_dim:
         bundle.aux_vectors = rng.standard_normal((m, aux_dim))
     return bundle.validate()
+
+
+def make_matrix(domain, users, items, rows, row_ts=None):
+    """CSR DomainMatrix from one item list (and one timestamp list) per user."""
+    def flat(lists):
+        return np.array([x for r in lists for x in r], dtype=np.int64)
+
+    indptr = np.cumsum([0, *map(len, rows)], dtype=np.int64)
+    return DomainMatrix(domain, users, items, indptr, flat(rows),
+                        None if row_ts is None else flat(row_ts))
+
+
+def row_list(mat, values=None):
+    """Per-user slices of mat.indices (or of values, e.g. mat.ts)."""
+    return np.split(mat.indices if values is None else values, mat.indptr[1:-1])
+
+
+def with_rows(mat, edits, row_ts=None):
+    """Copy of mat with the rows of edits ({user position: items}) replaced."""
+    rows = row_list(mat)
+    for u, items in edits.items():
+        rows[u] = items
+    return make_matrix(mat.domain, mat.user_index, mat.item_index, rows, row_ts)
 
 
 def make_store(**arrays):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from xdvae import data, evaluate
-from xdvae.evaluate import hit_ratio, ndcg, rank_test_item
+from xdvae.evaluate import hit_ratio, ndcg, rank_first
 from xdvae.cli import main as cli_main
 from xdvae.model import ModelConfig, build_model
 from xdvae.nn import finite_diff_check, named_rng
@@ -159,7 +159,7 @@ class TestCriterion03MetricOracles:
         hit = 0
         for u in range(users):
             scores = rng.random(100)
-            if rank_test_item(scores, 0, ids) <= 10:
+            if rank_first(scores[None], ids[None])[0] <= 10:
                 hit += 1
         hr10 = hit / users
         check(

@@ -1,6 +1,7 @@
 """End-to-end CLI runs over the synthetic corpus, including exit codes,
 manifests and byte-level determinism of artifacts."""
 
+import gc
 import json
 
 import pytest
@@ -156,7 +157,7 @@ def _held_out_outside_row(bundle, split):
 
 
 def _negative_inside_row(bundle, split):
-    split.negatives[0, 0] = bundle.target.rows[0][0]
+    split.negatives[0, 0] = bundle.target.indices[bundle.target.indptr[0]]
 
 
 class TestEval:
@@ -294,3 +295,19 @@ class TestAblate:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         betas = [r["extra"]["beta"] for r in payload["reports"]]
         assert betas == [0.0, 4.0]
+
+
+class TestParserReuse:
+    def test_repeated_main_calls_leave_no_cycles(self, tmp_path):
+        missing = str(tmp_path / "missing.dat")
+        argv = ["prepare", "--ratings", missing, "--items", missing, "--source-labels", "Action",
+                "--target-labels", "Drama", "--out", str(tmp_path / "x.xdb")]
+        assert main(argv) == 2  # warm-up
+        gc.collect()
+        gc.disable()
+        try:
+            assert [main(argv) for _ in range(3)] == [2, 2, 2]
+            # a parser built per call leaves a few hundred objects in cycles
+            assert gc.collect() < 100
+        finally:
+            gc.enable()

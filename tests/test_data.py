@@ -12,7 +12,7 @@ from xdvae import data
 from xdvae.data import DataError
 from xdvae.nn import named_rng
 
-from conftest import make_toy_bundle, rewrite_header
+from conftest import make_matrix, make_toy_bundle, rewrite_header, row_list, with_rows
 
 
 def write(tmp_path, name, text):
@@ -144,8 +144,39 @@ class TestChunkBoundaries:
             *data.split_domains(ratings, labels, {"Action"}, {"Drama"}))
         assert bundle.target.user_index == ["a0", "u1"]
         assert bundle.target.item_index == ["t0", "t1", "t2"]
-        assert bundle.target.rows[1].tolist() == [1, 2]
-        assert bundle.target.row_ts[1].tolist() == [200, 1]
+        assert row_list(bundle.target)[1].tolist() == [1, 2]
+        assert row_list(bundle.target, bundle.target.ts)[1].tolist() == [200, 1]
+
+
+class TestLineBreaks:
+    """The log is read CHUNK physical lines at a time, but lines and line numbers
+    are those of splitlines() on the whole text, which also breaks at \\x0b,
+    \\x0c, \\x1c-\\x1e and \\x85 (and sees \\r\\n and \\r as \\n)."""
+
+    text = ("u1::s1::5::1\x0cu1::t1::5::2\r\nu1::t2::4::3\x1c\x85u2::s1::5::4\n"
+            "u2::t1::5::5\x0bu2::t2::5::6\ru3::t2::5::7\x1d\x1eu3::s1::5::8\n")
+
+    def log(self, tmp_path, text):
+        path = tmp_path / "r.dat"
+        path.write_bytes(text.encode("latin-1"))
+        return str(path)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, data.CHUNK])
+    def test_lines_as_whole_text_splitlines(self, tmp_path, chunk):
+        path = self.log(tmp_path, self.text)
+        with patch.object(data, "CHUNK", chunk):
+            ratings = data.load_ratings(path, "movielens-dat")
+        with open(path, encoding="latin-1") as fh:
+            lines = [line.split("::") for line in fh.read().splitlines() if line]
+        assert rows_of(ratings) == [(u, i, int(r), int(t)) for u, i, r, t in lines]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, data.CHUNK])
+    def test_error_line_numbers_count_every_break(self, tmp_path, chunk):
+        path = self.log(tmp_path, self.text + "u4::t1::x::9\n")
+        # 10 lines above it: 8 ratings and the empty lines in \x1c\x85 and \x1d\x1e
+        with patch.object(data, "CHUNK", chunk), \
+                pytest.raises(DataError, match=r"r\.dat:11: bad rating 'x'$"):
+            data.load_ratings(path, "movielens-dat")
 
 
 class TestLoadItemLabels:
@@ -224,7 +255,7 @@ class TestBinarizeAndFilter:
         a = data.binarize_and_filter(source, target, threshold=4)
         b = data.binarize_and_filter(source, target, threshold=1)
         assert a.source.item_index == b.source.item_index
-        assert all(np.array_equal(x, y) for x, y in zip(a.target.rows, b.target.rows))
+        assert all(np.array_equal(x, y) for x, y in zip(row_list(a.target), row_list(b.target)))
 
     def test_zero_survivors_errors(self):
         source, target = halves([("u1", "s1", 2)], [("u1", "t1", 2), ("u1", "t2", 2)])
@@ -237,19 +268,19 @@ class TestBinarizeAndFilter:
             [("u1", "t1", 5, 30), ("u1", "t2", 4, 20), ("u1", "t1", 4, 10), ("u1", "t1", 2, 99)],
         )
         bundle = data.binarize_and_filter(source, target)
-        assert bundle.target.rows[0].tolist() == [0, 1]
-        assert bundle.target.row_ts[0].tolist() == [10, 20]
+        assert row_list(bundle.target)[0].tolist() == [0, 1]
+        assert row_list(bundle.target, bundle.target.ts)[0].tolist() == [10, 20]
 
     def test_min_positive_invariant_holds(self, synthetic_bundle):
-        for row in synthetic_bundle.source.rows:
+        for row in row_list(synthetic_bundle.source):
             assert len(row) >= 1
-        for row in synthetic_bundle.target.rows:
+        for row in row_list(synthetic_bundle.target):
             assert len(row) >= 2
 
     def test_items_all_have_a_surviving_positive(self, synthetic_bundle):
         for mat in (synthetic_bundle.source, synthetic_bundle.target):
             seen = set()
-            for row in mat.rows:
+            for row in row_list(mat):
                 seen.update(int(j) for j in row)
             assert seen == set(range(mat.n_items))
 
@@ -332,7 +363,7 @@ def reference_bundle(path, fmt, item_labels, source_labels, target_labels,
             row_ts.append(np.array([-1 if e[1] is None else e[1] for e in entries],
                                    dtype=np.int64))
         has_ts = any(ts is not None for u in users for ts in pos[u].values())
-        return data.DomainMatrix(domain, users, items, rows, row_ts if has_ts else None)
+        return make_matrix(domain, users, items, rows, row_ts if has_ts else None)
 
     provenance = {"threshold": threshold, "min_target_positives": min_target_positives}
     return data.DatasetBundle(build("source", pos_s), build("target", pos_t),
@@ -437,10 +468,11 @@ class TestIngestionOracle:
         a, b = got[1], want[1]
         for x, y in ((a.source, b.source), (a.target, b.target)):
             assert x.user_index == y.user_index and x.item_index == y.item_index
-            assert [r.tolist() for r in x.rows] == [r.tolist() for r in y.rows]
-            assert (x.row_ts is None) == (y.row_ts is None)
-            if x.row_ts is not None:
-                assert [t.tolist() for t in x.row_ts] == [t.tolist() for t in y.row_ts]
+            assert [r.tolist() for r in row_list(x)] == [r.tolist() for r in row_list(y)]
+            assert (x.ts is None) == (y.ts is None)
+            if x.ts is not None:
+                assert [t.tolist() for t in row_list(x, x.ts)] == \
+                    [t.tolist() for t in row_list(y, y.ts)]
         data.save_bundle(a, scratch_dir / "a.xdb")
         data.save_bundle(b, scratch_dir / "b.xdb")
         assert (scratch_dir / "a.xdb").read_bytes() == (scratch_dir / "b.xdb").read_bytes()
@@ -449,11 +481,11 @@ class TestIngestionOracle:
 class TestLooSplit:
     def test_two_choice_case(self):
         bundle = make_toy_bundle(m=1, n_target=4, min_target=2, seed=5)
-        bundle.target.rows[0] = np.array([1, 3])
+        bundle.target = with_rows(bundle.target, {0: [1, 3]})
         split = data.build_loo_split(bundle, seed=0, n_negatives=2)
         training = data.training_bundle(bundle, split)
         assert split.held_out[0] in (1, 3)
-        assert list(training.target.rows[0]) == [3 if split.held_out[0] == 1 else 1]
+        assert list(row_list(training.target)[0]) == [3 if split.held_out[0] == 1 else 1]
 
     def test_determinism(self, toy_bundle):
         a = data.build_loo_split(toy_bundle, seed=77, n_negatives=1)
@@ -463,8 +495,7 @@ class TestLooSplit:
 
     def test_latest_policy_takes_max_timestamp(self):
         bundle = make_toy_bundle(m=1, n_target=4, min_target=2)
-        bundle.target.rows[0] = np.array([0, 2])
-        bundle.target.row_ts = [np.array([10, 99])]
+        bundle.target = with_rows(bundle.target, {0: [0, 2]}, row_ts=[[10, 99]])
         split = data.build_loo_split(bundle, seed=0, policy="latest", n_negatives=2)
         assert split.held_out[0] == 2
 
@@ -472,15 +503,15 @@ class TestLooSplit:
         split = data.build_loo_split(synthetic_bundle, seed=3)
         training = data.training_bundle(synthetic_bundle, split)
         for u in range(synthetic_bundle.m):
-            assert split.held_out[u] not in training.target.rows[u]
+            assert split.held_out[u] not in row_list(training.target)[u]
             assert len(split.negatives[u]) == 99
             assert len(set(split.negatives[u].tolist())) == 99
-            positives = set(synthetic_bundle.target.rows[u].tolist())
+            positives = set(row_list(synthetic_bundle.target)[u].tolist())
             assert positives.isdisjoint(split.negatives[u].tolist())
 
     def test_user_with_single_positive_named(self):
         bundle = make_toy_bundle(m=2, min_target=3)
-        bundle.target.rows[1] = np.array([0])
+        bundle.target = with_rows(bundle.target, {1: [0]})
         with pytest.raises(DataError, match="u1"):
             data.build_loo_split(bundle, seed=0, n_negatives=2)
 
@@ -551,25 +582,42 @@ class TestColdStartSplit:
             data.cold_start_split(toy_bundle, 1.5, seed=0)
 
 
+def target_matrix(rows):
+    return make_matrix("target", [f"u{k}" for k in range(len(rows))],
+                       [f"t{j}" for j in range(8)], rows)
+
+
 class TestDegradeRows:
-    rows = [np.array([0, 2, 5, 7]), np.array([1]), np.array([3, 4])]
+    rows = [[0, 2, 5, 7], [1], [3, 4]]
 
     def test_identity_fraction(self):
-        out = data.degrade_target_rows(self.rows, 1.0, seed=0)
-        assert all(np.array_equal(a, b) for a, b in zip(out, self.rows))
+        out = data.degrade_target_rows(target_matrix(self.rows), 1.0, seed=0)
+        assert all(np.array_equal(a, b) for a, b in zip(row_list(out), self.rows))
 
     def test_zero_fraction_empties_rows(self):
-        out = data.degrade_target_rows(self.rows, 0.0, seed=0)
-        assert all(r.size == 0 for r in out)
+        out = data.degrade_target_rows(target_matrix(self.rows), 0.0, seed=0)
+        assert all(r.size == 0 for r in row_list(out))
 
     def test_ceiling_keeps_one_of_four(self):
-        out = data.degrade_target_rows([np.array([0, 2, 5, 7])], 0.25, seed=0)
-        assert out[0].size == 1 and out[0][0] in (0, 2, 5, 7)
+        out = data.degrade_target_rows(target_matrix([[0, 2, 5, 7]]), 0.25, seed=0)
+        assert out.indices.size == 1 and out.indices[0] in (0, 2, 5, 7)
 
     def test_kept_items_are_subset(self):
-        out = data.degrade_target_rows(self.rows, 0.5, seed=1)
-        for kept, orig in zip(out, self.rows):
-            assert set(kept.tolist()) <= set(orig.tolist())
+        out = data.degrade_target_rows(target_matrix(self.rows), 0.5, seed=1)
+        for kept, orig in zip(row_list(out), self.rows):
+            assert set(kept.tolist()) <= set(orig)
+
+    @pytest.mark.parametrize("fraction", [0.75, 0.5, 0.25, 0.1])
+    def test_draws_match_per_row_reference(self, synthetic_bundle, fraction):
+        out = data.degrade_target_rows(synthetic_bundle.target, fraction, seed=4)
+        # reference: ceil(fraction * len) items drawn row by row from one stream
+        rng = named_rng(4, f"degrade-{fraction}")
+        expected = []
+        for row in row_list(synthetic_bundle.target):
+            keep = int(np.ceil(fraction * len(row)))
+            expected.append(sorted(rng.choice(row, size=keep, replace=False)) if keep else [])
+        assert [r.tolist() for r in row_list(out)] == expected
+        assert out.ts is None and out.user_index == synthetic_bundle.target.user_index
 
 
 class TestAuxVectors:
@@ -613,7 +661,7 @@ class TestBundleRoundTrip:
         assert split is None
         assert loaded.source.user_index == toy_bundle.source.user_index
         assert loaded.target.item_index == toy_bundle.target.item_index
-        for a, b in zip(loaded.target.rows, toy_bundle.target.rows):
+        for a, b in zip(row_list(loaded.target), row_list(toy_bundle.target)):
             assert np.array_equal(a, b)
         assert np.allclose(loaded.aux_vectors, toy_bundle.aux_vectors)
 
@@ -639,19 +687,19 @@ class TestBundleRoundTrip:
 
 
 def _negative_target_index(bundle, split):
-    bundle.target.rows[0] = np.array([-1, 2, 3])
+    bundle.target = with_rows(bundle.target, {0: [-1, 2, 3]})
 
 
 def _index_past_catalog(bundle, split):
-    bundle.source.rows[1] = np.array([0, bundle.source.n_items])
+    bundle.source = with_rows(bundle.source, {1: [0, bundle.source.n_items]})
 
 
 def _unsorted_row(bundle, split):
-    bundle.target.rows[2] = np.array([3, 1, 4])
+    bundle.target = with_rows(bundle.target, {2: [3, 1, 4]})
 
 
 def _repeated_item_in_row(bundle, split):
-    bundle.target.rows[2] = np.array([1, 1, 4])
+    bundle.target = with_rows(bundle.target, {2: [1, 1, 4]})
 
 
 def _negative_past_catalog(bundle, split):
@@ -710,12 +758,52 @@ class TestTrainingViews:
     def test_training_bundle_removes_held_out(self, synthetic_bundle):
         split = data.build_loo_split(synthetic_bundle, seed=1)
         view = data.training_bundle(synthetic_bundle, split)
+        view_rows, rows = row_list(view.target), row_list(synthetic_bundle.target)
         for u in range(synthetic_bundle.m):
-            assert split.held_out[u] not in view.target.rows[u]
-            assert len(view.target.rows[u]) == len(synthetic_bundle.target.rows[u]) - 1
+            assert split.held_out[u] not in view_rows[u]
+            assert len(view_rows[u]) == len(rows[u]) - 1
 
     def test_restrict_users_keeps_alignment(self, synthetic_bundle):
         sub = data.restrict_users(synthetic_bundle, [3, 5, 8])
         assert sub.m == 3
         assert sub.source.user_index == [synthetic_bundle.source.user_index[u] for u in (3, 5, 8)]
-        assert np.array_equal(sub.target.rows[1], synthetic_bundle.target.rows[5])
+        assert np.array_equal(row_list(sub.target)[1], row_list(synthetic_bundle.target)[5])
+
+
+@st.composite
+def csr_rows(draw):
+    """Strictly increasing item rows over a small catalog, some of them empty."""
+    n_items = draw(st.integers(1, 9))
+    rows = draw(st.lists(st.sets(st.integers(0, n_items - 1)).map(sorted), min_size=1, max_size=8))
+    return n_items, rows
+
+
+class TestCsrOracles:
+    """CSR array passes against per-row loops over the same rows."""
+
+    @given(csr=csr_rows(), draw=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_to_dense_and_gather_match_row_loops(self, csr, draw):
+        n_items, rows = csr
+        mat = make_matrix("target", [f"u{k}" for k in range(len(rows))],
+                          [f"t{j}" for j in range(n_items)], rows)
+        users = draw.draw(st.lists(st.integers(0, len(rows) - 1), max_size=10), label="users")
+        expected = np.zeros((len(users), n_items))
+        for k, u in enumerate(users):
+            expected[k, rows[u]] = 1.0
+        assert np.array_equal(mat.to_dense(users), expected)
+        assert np.array_equal(mat.to_dense(), mat.to_dense(range(len(rows))))
+        indptr, at = data.gather_rows(mat.indptr, users)
+        assert np.diff(indptr).tolist() == [len(rows[u]) for u in users]
+        assert mat.indices[at].tolist() == [j for u in users for j in rows[u]]
+
+    @given(csr=csr_rows())
+    @settings(max_examples=100, deadline=None)
+    def test_contains_matches_membership(self, csr):
+        n_items, rows = csr
+        mat = make_matrix("target", [f"u{k}" for k in range(len(rows))],
+                          [f"t{j}" for j in range(n_items)], rows)
+        users = np.arange(len(rows))[:, None]
+        items = np.arange(n_items)[None, :]
+        expected = [[j in rows[u] for j in range(n_items)] for u in range(len(rows))]
+        assert mat.contains(users, items).tolist() == expected

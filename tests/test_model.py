@@ -65,7 +65,7 @@ class TestEncode:
 class TestDecoders:
     def test_source_outputs_in_unit_interval(self):
         model = build_toy_model("generic")
-        out = model.decode_source(np.random.default_rng(0).standard_normal((5, 3)))
+        out, _ = model.dec_s.forward(np.random.default_rng(0).standard_normal((5, 3)))
         assert out.shape == (5, 6)
         assert np.all(out > 0) and np.all(out < 1)
 

@@ -65,7 +65,7 @@ class TestLearnsCrossDomainStructure:
         report = evaluate_cold_start(model, cold, strong_bundle)
         assert report.hr[10] >= 0.14, f"HR@10 {report.hr[10]:.3f}"
         assert report.m_evaluated == sum(
-            len(strong_bundle.target.rows[u]) for u in cold.test_users
+            np.diff(strong_bundle.target.indptr)[u] for u in cold.test_users
         )
 
     def test_cold_training_never_sees_test_users(self, strong_bundle):

@@ -77,7 +77,7 @@ class TestTrainLoop:
         # weight norm must not grow
         bundle = make_toy_bundle(m=6, n_source=5, n_target=7, seed=1)
         for mat in (bundle.source, bundle.target):
-            mat.rows = [np.empty(0, dtype=np.int64) for _ in range(6)]
+            mat.indptr, mat.indices = np.zeros(7, dtype=np.int64), np.empty(0, dtype=np.int64)
         config = make_toy_config("generic", epochs=20, beta=0.0, lambda_reg=1e-2)
         model, history = train(bundle, config)
         first = history.epochs[0].reg
