@@ -138,24 +138,23 @@ def cmd_prepare(args):
 # train
 
 
-def _config_from_args(args, bundle):
+def _model_config(args, **fields):
+    """ModelConfig from the model flags train and ablate share, then fields.
+
+    A value that ModelConfig.validate rejects is a usage error naming its flag.
+    """
     dims = tuple(_parse_int_list(args.dims, "--dims"))
-    aux_dim = bundle.aux_vectors.shape[1] if bundle.aux_vectors is not None else None
-    return ModelConfig(
-        variant=args.variant,
-        beta=args.beta,
-        lambda_reg=args.lambda_reg,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        latent_dim=args.latent_dim,
-        enc_dims_source=dims,
-        enc_dims_target=dims,
-        seed=args.seed,
-        aux_dim=aux_dim if args.variant == "aux" else None,
-        aux_attach=args.aux_attach,
-        cold_fraction=args.cold_fraction,
-    ).validate()
+    if min(dims) < 1:
+        raise CliError("--dims widths must be >= 1")
+    shared = dict(beta=args.beta, lambda_reg=args.lambda_reg, lr=args.lr,
+                  batch_size=args.batch_size, epochs=args.epochs, latent_dim=args.latent_dim,
+                  enc_dims_source=dims, enc_dims_target=dims, seed=args.seed)
+    try:
+        return ModelConfig(**{**shared, **fields}).validate()
+    except ValueError as e:
+        # validate's message starts with the field name, the flag's name with "_" for "-"
+        field, _, rule = str(e).partition(" ")
+        raise CliError(f"--{field.replace('_', '-')} {rule}") from None
 
 
 def _training_view(bundle, split, config):
@@ -170,7 +169,13 @@ def _training_view(bundle, split, config):
 
 def cmd_train(args):
     bundle, split = data.load_bundle(args.bundle)
-    config = _config_from_args(args, bundle)
+    aux_dim = None
+    if args.variant == "aux":
+        if bundle.aux_vectors is None:
+            raise data.DataError("the aux variant needs a bundle with aux vectors")
+        aux_dim = bundle.aux_vectors.shape[1]
+    config = _model_config(args, variant=args.variant, aux_dim=aux_dim,
+                           aux_attach=args.aux_attach, cold_fraction=args.cold_fraction)
     view = _training_view(bundle, split, config)
     model, history = training.train(view, config, early_stop=args.early_stop)
     training.save_checkpoint(model, args.out)
@@ -253,27 +258,13 @@ def cmd_ablate(args):
         raise data.DataError("bundle carries no leave-one-out split")
     ks = _parse_int_list(args.ks, "--ks")
     view = data.training_bundle(bundle, split)
-    dims = tuple(_parse_int_list(args.dims, "--dims"))
-    base = ModelConfig(
-        variant="generic",
-        beta=args.beta,
-        lambda_reg=args.lambda_reg,
-        lr=args.lr,
-        batch_size=args.batch_size,
-        epochs=args.epochs,
-        latent_dim=args.latent_dim,
-        enc_dims_source=dims,
-        enc_dims_target=dims,
-        seed=args.seed,
-    ).validate()
+    base = _model_config(args)
 
     reports = []
     if args.beta_sweep:
         betas = _parse_float_list(args.beta_sweep, "--beta-sweep")
         for beta in betas:
-            cfg = ModelConfig.from_dict(base.to_dict())
-            cfg.beta = beta
-            model, _ = training.train(view, cfg)
+            model, _ = training.train(view, _model_config(args, beta=beta))
             report = evaluate.evaluate(model, view, split, ks=ks)
             report.variant = f"generic-b{beta:g}"
             report.protocol = "beta-sweep"
@@ -320,6 +311,16 @@ def build_parser():
     parser = _Parser(prog="xdvae", description=__doc__)
     parser.add_argument("--version", action="version", version=f"xdvae {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # the model flags of train and ablate, read by _model_config
+    model_flags = _Parser(add_help=False)
+    model_flags.add_argument("--beta", type=float, default=15.0)
+    model_flags.add_argument("--lambda-reg", type=float, default=1e-4)
+    model_flags.add_argument("--lr", type=float, default=0.001)
+    model_flags.add_argument("--batch-size", type=int, default=32)
+    model_flags.add_argument("--epochs", type=int, default=100)
+    model_flags.add_argument("--latent-dim", type=int, default=128)
+    model_flags.add_argument("--dims", default="256", help="hidden widths, e.g. '512,256'")
+    model_flags.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("prepare", help="ingest ratings and build a dataset bundle")
     p.add_argument("--ratings", required=True, help="ratings file")
@@ -337,18 +338,10 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prepare)
 
-    p = sub.add_parser("train", help="train one model variant")
+    p = sub.add_parser("train", parents=[model_flags], help="train one model variant")
     p.add_argument("--bundle", required=True)
     p.add_argument("--variant", default="generic",
                    choices=("generic", "single", "merged", "no-mmd", "cold-start", "aux"))
-    p.add_argument("--beta", type=float, default=15.0)
-    p.add_argument("--lambda-reg", type=float, default=1e-4)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--latent-dim", type=int, default=128)
-    p.add_argument("--dims", default="256", help="hidden widths, e.g. '512,256'")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--aux-attach", choices=("both", "source", "target"), default="both")
     p.add_argument("--cold-fraction", type=float, default=0.1)
     p.add_argument("--early-stop", action="store_true")
@@ -368,19 +361,12 @@ def build_parser():
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("ablate", help="train and compare ablation variants")
+    p = sub.add_parser("ablate", parents=[model_flags],
+                       help="train and compare ablation variants")
     p.add_argument("--bundle", required=True)
     p.add_argument("--variants", default="generic,single,single0,merged,merged0,no-mmd")
     p.add_argument("--beta-sweep", default=None, help="comma-separated betas")
     p.add_argument("--ks", default="5,10,20,50")
-    p.add_argument("--beta", type=float, default=15.0)
-    p.add_argument("--lambda-reg", type=float, default=1e-4)
-    p.add_argument("--lr", type=float, default=0.001)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--latent-dim", type=int, default=128)
-    p.add_argument("--dims", default="256")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_ablate)
     return parser

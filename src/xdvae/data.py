@@ -190,7 +190,12 @@ def load_ratings(path, format="movielens-dat"):
     # provisional codes in first-seen order: a new id gets the count of ids before it
     user_ids, item_ids = defaultdict(), defaultdict()
     user_ids.default_factory, item_ids.default_factory = user_ids.__len__, item_ids.__len__
-    chunks, first = [], 1  # first: the file line number of lines[0]
+    # user, item, rating, ts, has_ts, filled up to n: each chunk is copied in
+    # and dropped, and the room doubles when one does not fit. Chunk arrays
+    # kept for one final join held the peak near twice the columns, since
+    # freed they stay in the malloc heap.
+    columns, n = [np.empty(0, np.int64)] * 4 + [np.empty(0, bool)], 0
+    first = 1  # the file line number of lines[0]
     with open(path, "r", encoding="latin-1") as fh:
         # every piece but the last ends in "\n", so splitting the pieces one by
         # one gives the lines and line numbers of splitting the whole text
@@ -202,16 +207,30 @@ def load_ratings(path, format="movielens-dat"):
                 lines, first = lines[1:], 2
             if lines:
                 try:
-                    chunks.append(_parse_chunk(lines, sep, user_ids, item_ids))
+                    parsed = _parse_chunk(lines, sep, user_ids, item_ids)
                 except (ValueError, OverflowError):
                     raise _first_bad_line(path, lines, first, sep) from None
+                k = len(parsed[0])
+                if n + k > columns[0].size:
+                    columns = [_with_room(c, n, 2 * (n + k)) for c in columns]
+                for column, part in zip(columns, parsed):
+                    column[n:n + k] = part
+                n += k
             first += len(lines)
-    if not sum(len(c[0]) for c in chunks):
+    if not n:
         raise DataError(f"{path}: no interactions")
-    user, item, rating, ts, has_ts = map(np.concatenate, zip(*chunks))
+    user, item, rating, ts, has_ts = (c[:n] for c in columns)
+    del columns  # so each code column is freed once it is renumbered below
     users, user = _in_string_order(user_ids, user)
     items, item = _in_string_order(item_ids, item)
     return Ratings(users, items, user, item, rating, ts, has_ts)
+
+
+def _with_room(column, n, size):
+    """A copy of column[:n] in a new array of size entries."""
+    out = np.empty(size, column.dtype)
+    out[:n] = column[:n]
+    return out
 
 
 def _parse_chunk(chunk, sep, user_ids, item_ids):
@@ -639,7 +658,9 @@ def _decode_bundle(raw, at, header):
         raise TypeError("provenance is not an object")
     bundle = DatasetBundle(mat("source"), mat("target"), provenance=header["provenance"])
     if header["aux_dim"] is not None:
-        bundle.aux_vectors = arrays["aux"].astype(np.float64)
+        # a signalling NaN would warn in the cast; validate() rejects it
+        with np.errstate(invalid="ignore"):
+            bundle.aux_vectors = arrays["aux"].astype(np.float64)
     bundle.validate()
     split = None
     if header["split"] is not None:

@@ -21,12 +21,6 @@ DEFAULT_KS = (5, 10, 20, 50)
 
 
 @dataclass
-class RankOutcome:
-    user: int
-    rank: int   # 1-based among the 100 candidates
-
-
-@dataclass
 class MetricsReport:
     variant: str
     protocol: str
@@ -91,7 +85,7 @@ def _candidate_ranks(scores, split):
     return rank_first(np.take_along_axis(scores, ids, axis=1), ids)
 
 
-def evaluate(model, bundle, split, ks=DEFAULT_KS, mode="mean", protocol="standard"):
+def evaluate(model, bundle, split, ks=DEFAULT_KS, protocol="standard"):
     """Standard protocol: score each user from (source row, training target row).
 
     The bundle must hold training rows (held-out items removed); negatives and
@@ -105,12 +99,12 @@ def evaluate(model, bundle, split, ks=DEFAULT_KS, mode="mean", protocol="standar
         )
     r_s = bundle.source.to_dense()
     r_t = bundle.target.to_dense()
-    scores = model.predict_scores(r_s, r_t, aux=bundle.aux_vectors, mode=mode)
+    scores = model.predict_scores(r_s, r_t, aux=bundle.aux_vectors)
     ranks = _candidate_ranks(scores, split)
     return _aggregate(ranks, ks, model.config.variant, protocol, split.seed)
 
 
-def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS, mode="mean"):
+def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS):
     """Re-run evaluation with the target input rows degraded at prediction time.
 
     Source rows are untouched; scoring-side target rows keep the given
@@ -125,7 +119,7 @@ def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS, mode
     reports = []
     for fraction in fractions:
         r_t = degrade_target_rows(bundle.target, fraction, seed).to_dense()
-        scores = model.predict_scores(r_s, r_t, aux=bundle.aux_vectors, mode=mode)
+        scores = model.predict_scores(r_s, r_t, aux=bundle.aux_vectors)
         ranks = _candidate_ranks(scores, split)
         reports.append(
             _aggregate(
@@ -136,8 +130,7 @@ def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS, mode
     return reports
 
 
-def evaluate_cold_start(model, cold, bundle, ks=DEFAULT_KS, seed=None, mode="mean",
-                        n_negatives=99):
+def evaluate_cold_start(model, cold, bundle, ks=DEFAULT_KS, seed=None, n_negatives=99):
     """Cold-start protocol over the held-out test users.
 
     Every target positive of a test user is a test interaction, ranked
@@ -156,7 +149,7 @@ def evaluate_cold_start(model, cold, bundle, ks=DEFAULT_KS, seed=None, mode="mea
     if not len(test_users):
         raise DataError("no cold-start test users")
     r_s = bundle.source.to_dense(test_users)
-    scores = model.predict_scores(r_s, None, mode=mode)
+    scores = model.predict_scores(r_s, None)
     indptr, at = gather_rows(bundle.target.indptr, test_users)
     items = bundle.target.indices[at]
     # one pool per user; drawing its negatives interaction by interaction keeps

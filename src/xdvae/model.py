@@ -13,12 +13,13 @@ output layer is fused with the cross-entropy terms for stability.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import losses
-from .nn import DenseLayer, DenseStack, bind_layers
+from .nn import DenseLayer, DenseStack, bind_layers, init_weights
 
 VARIANTS = losses.VARIANTS
 LINKED_VARIANTS = ("generic", "no-mmd", "cold-start", "aux")
@@ -47,7 +48,7 @@ class ModelConfig:
     enc_dims_source: tuple = (256,)
     enc_dims_target: tuple = (256,)
     seed: int = 0
-    inference_mode: str = "mean"
+    inference_mode: str = "mean"     # scores come from the posterior mean; kept in headers
     aux_dim: int | None = None
     aux_encoder_dims: tuple = (128,)
     aux_attach: str = "both"          # "both" | "source" | "target"
@@ -55,20 +56,24 @@ class ModelConfig:
     cold_fraction: float = 0.1
 
     def validate(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
-        if self.latent_dim < 1:
-            raise ValueError("latent_dim must be >= 1")
-        if self.epochs < 0:
-            raise ValueError("epochs must be >= 0")
-        if self.inference_mode not in ("mean", "sample"):
-            raise ValueError(f"unknown inference_mode {self.inference_mode!r}")
-        if self.aux_attach not in ("both", "source", "target"):
-            raise ValueError(f"unknown aux_attach {self.aux_attach!r}")
-        if self.variant == "aux" and not self.aux_dim:
-            raise ValueError("aux variant requires aux_dim")
+        """Raise ValueError for the first bad field; the message starts with its name."""
+        for name, ok, rule in (
+            ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
+            ("beta", 0 <= self.beta < math.inf, "finite and >= 0"),
+            ("lambda_reg", 0 <= self.lambda_reg < math.inf, "finite and >= 0"),
+            ("lr", 0 < self.lr < math.inf, "finite and > 0"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("epochs", self.epochs >= 0, ">= 0"),
+            ("latent_dim", self.latent_dim >= 1, ">= 1"),
+            ("seed", self.seed >= 0, ">= 0"),
+            ("cold_fraction", 0 < self.cold_fraction < 1, "in (0, 1)"),
+            ("inference_mode", self.inference_mode == "mean", "'mean'"),
+            ("aux_attach", self.aux_attach in ("both", "source", "target"),
+             "'both', 'source' or 'target'"),
+            ("aux_dim", self.variant != "aux" or bool(self.aux_dim), "set for the aux variant"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         return self
 
     def to_dict(self):
@@ -109,19 +114,18 @@ def _kl_grads(state, batch):
 class _Encoder:
     """Tanh hidden stack with parallel identity mu / logvar heads."""
 
-    def __init__(self, hidden, mu_head, logvar_head):
-        self.hidden = hidden
-        self.mu_head = mu_head
-        self.logvar_head = logvar_head
-
-    @classmethod
-    def create(cls, input_dim, hidden_dims, latent_dim, rng, extra_head_input=0):
+    def __init__(self, input_dim, hidden_dims, latent_dim, extra_head_input=0):
         dims = [input_dim] + list(hidden_dims)
-        hidden = DenseStack.create(dims, ["tanh"] * (len(dims) - 1), rng)
+        self.hidden = DenseStack.create(dims, ["tanh"] * (len(dims) - 1))
         head_in = dims[-1] + extra_head_input
-        mu_head = DenseLayer.create(head_in, latent_dim, "identity", rng)
-        logvar_head = DenseLayer.create(head_in, latent_dim, "identity", rng)
-        return cls(hidden, mu_head, logvar_head)
+        self.mu_head = DenseLayer(head_in, latent_dim, "identity")
+        self.logvar_head = DenseLayer(head_in, latent_dim, "identity")
+
+    def mean(self, r, sub_out=None):
+        """Posterior mean mu: the hidden stack and the mu head only."""
+        h, _ = self.hidden.forward(r)
+        h_comb = h if sub_out is None else np.concatenate([h, sub_out], axis=1)
+        return self.mu_head.forward(h_comb)[0]
 
     def forward(self, r, eps, sub_out=None):
         h, h_caches = self.hidden.forward(r)
@@ -160,14 +164,14 @@ class _Encoder:
             (f"{prefix}.mu", self.mu_head), (f"{prefix}.logvar", self.logvar_head)]
 
 
-def _make_decoder(input_dim, hidden_dims, output_dim, rng):
+def _make_decoder(input_dim, hidden_dims, output_dim):
     dims = [input_dim] + list(hidden_dims) + [output_dim]
     activations = ["tanh"] * len(hidden_dims) + ["sigmoid"]
-    return DenseStack.create(dims, activations, rng)
+    return DenseStack.create(dims, activations)
 
 
 class _ModelBase:
-    """Shared surface: parameter store, training step, config echo, eps draws."""
+    """Shared surface: parameter store, training step, config echo."""
 
     def __init__(self, config, n_source, n_target, hosted_variants):
         config.validate()
@@ -189,13 +193,6 @@ class _ModelBase:
         fwd = self.forward(r_s, r_t, eps, aux)
         return self.loss_breakdown(fwd), self.backward(fwd)
 
-    def _eps_for(self, shape, mode, rng):
-        if mode == "mean":
-            return np.zeros(shape)
-        if rng is None:
-            raise ValueError("sample mode needs an rng")
-        return rng.standard_normal(shape)
-
 
 class LinkedVAE(_ModelBase):
     """Two per-domain VAEs joined at the latent layer (generic and kin).
@@ -210,7 +207,7 @@ class LinkedVAE(_ModelBase):
 
     n_latents = 2   # noise blocks per training step: eps_S, eps_T
 
-    def __init__(self, config, n_source, n_target, rng):
+    def __init__(self, config, n_source, n_target):
         super().__init__(config, n_source, n_target, LINKED_VARIANTS)
         L = config.latent_dim
         self.use_mmd = config.variant in ("generic", "aux", "cold-start")
@@ -222,28 +219,22 @@ class LinkedVAE(_ModelBase):
         )
 
         sub_out = config.aux_encoder_dims[-1] if self.aux_attached else 0
-        self.enc_s = _Encoder.create(
-            n_source, config.enc_dims_source, L, rng,
+        self.enc_s = _Encoder(
+            n_source, config.enc_dims_source, L,
             extra_head_input=sub_out if "S" in self.aux_attached else 0,
         )
-        self.enc_t = _Encoder.create(
-            n_target, config.enc_dims_target, L, rng,
+        self.enc_t = _Encoder(
+            n_target, config.enc_dims_target, L,
             extra_head_input=sub_out if "T" in self.aux_attached else 0,
         )
-        self.dec_s = _make_decoder(
-            L, list(reversed(config.enc_dims_source)), n_source, rng
-        )
+        self.dec_s = _make_decoder(L, list(reversed(config.enc_dims_source)), n_source)
         dec_t_in = L if self.use_map else 2 * L
-        self.dec_t = _make_decoder(
-            dec_t_in, list(reversed(config.enc_dims_target)), n_target, rng
-        )
-        self.map_layer = (
-            DenseLayer.create(L, L, "tanh", rng) if self.use_map else None
-        )
+        self.dec_t = _make_decoder(dec_t_in, list(reversed(config.enc_dims_target)), n_target)
+        self.map_layer = DenseLayer(L, L, "tanh") if self.use_map else None
         self.sub_encoder = None
         if self.aux_attached:
             dims = [config.aux_dim] + list(config.aux_encoder_dims)
-            self.sub_encoder = DenseStack.create(dims, ["tanh"] * (len(dims) - 1), rng)
+            self.sub_encoder = DenseStack.create(dims, ["tanh"] * (len(dims) - 1))
 
         named = [
             *self.enc_s.named_layers("enc_S"),
@@ -259,45 +250,22 @@ class LinkedVAE(_ModelBase):
 
     # -- forward pieces ----------------------------------------------------
 
-    def encode(self, domain, r, eps, aux=None):
-        """LatentState for one domain; aux is required when attached there."""
-        enc = self.enc_s if domain == "source" else self.enc_t
-        tag = "S" if domain == "source" else "T"
-        sub_out = None
-        if tag in self.aux_attached:
-            if aux is None:
-                raise ValueError(f"variant {self.config.variant!r} needs aux vectors")
-            sub_out, _ = self.sub_encoder.forward(np.atleast_2d(aux))
-        state, _ = enc.forward(np.atleast_2d(r), np.atleast_2d(eps), sub_out)
-        return state
-
-    def decode_target(self, z_prime):
-        """Target reconstruction from the merged (2L) or mapped (L) latent."""
-        out, _ = self.dec_t.forward(np.atleast_2d(z_prime))
-        return out
-
-    def map_latent(self, z_source):
-        """Cold-start intermediary: tanh-linear map of the source latent."""
-        if self.map_layer is None:
-            raise ValueError(f"variant {self.config.variant!r} has no mapping layer")
-        out, _ = self.map_layer.forward(np.atleast_2d(z_source))
-        return out
+    def _sub_outputs(self, aux):
+        """(sub-encoder output for enc_S, for enc_T, caches); None where not attached."""
+        if not self.aux_attached:
+            return None, None, None
+        if aux is None:
+            raise ValueError("aux vectors required for this variant")
+        out, caches = self.sub_encoder.forward(aux)
+        return (out if "S" in self.aux_attached else None,
+                out if "T" in self.aux_attached else None, caches)
 
     def forward(self, r_s, r_t, eps, aux=None):
         """Full training forward pass; returns a state dict for backward()."""
         eps_s, eps_t = eps
-        sub_out = sub_caches = None
-        if self.aux_attached:
-            if aux is None:
-                raise ValueError("aux vectors required for this variant")
-            sub_out, sub_caches = self.sub_encoder.forward(aux)
-
-        st_s, cache_s = self.enc_s.forward(
-            r_s, eps_s, sub_out if "S" in self.aux_attached else None
-        )
-        st_t, cache_t = self.enc_t.forward(
-            r_t, eps_t, sub_out if "T" in self.aux_attached else None
-        )
+        sub_s, sub_t, sub_caches = self._sub_outputs(aux)
+        st_s, cache_s = self.enc_s.forward(r_s, eps_s, sub_s)
+        st_t, cache_t = self.enc_t.forward(r_t, eps_t, sub_t)
         p_s, dec_s_caches = self.dec_s.forward(st_s.z)
         if self.use_map:
             z_prime, map_cache = self.map_layer.forward(st_s.z)
@@ -373,30 +341,20 @@ class LinkedVAE(_ModelBase):
 
     # -- prediction ----------------------------------------------------------
 
-    def predict_scores(self, r_s, r_t=None, aux=None, mode=None, rng=None):
-        """Ranking scores over target items; mode "mean" forces eps to zero.
+    def predict_scores(self, r_s, r_t, aux=None):
+        """Ranking scores over target items from the posterior means (z = mu).
 
-        The cold-start variant never reads r_t (scores depend on the source
-        row alone); the other variants treat a missing r_t as an all-zero row.
+        The cold-start variant never reads r_t: its scores depend on the
+        source row alone, through the mapped source latent.
         """
-        mode = mode or self.config.inference_mode
-        single = np.asarray(r_s).ndim == 1
-        r_s = np.atleast_2d(np.asarray(r_s, dtype=float))
-        batch = r_s.shape[0]
-        L = self.config.latent_dim
-        eps_s = self._eps_for((batch, L), mode, rng)
-        st_s = self.encode("source", r_s, eps_s, aux)
+        sub_s, sub_t, _ = self._sub_outputs(aux)
+        z_s = self.enc_s.mean(r_s, sub_s)
         if self.use_map:
-            z_prime = self.map_latent(st_s.z)
+            z_prime, _ = self.map_layer.forward(z_s)
         else:
-            if r_t is None:
-                r_t = np.zeros((batch, self.n_target))
-            r_t = np.atleast_2d(np.asarray(r_t, dtype=float))
-            eps_t = self._eps_for((batch, L), mode, rng)
-            st_t = self.encode("target", r_t, eps_t, aux)
-            z_prime = merge_latents(st_s.z, st_t.z)
-        scores = self.decode_target(z_prime)
-        return scores[0] if single else scores
+            z_prime = merge_latents(z_s, self.enc_t.mean(r_t, sub_t))
+        scores, _ = self.dec_t.forward(z_prime)
+        return scores
 
 
 class SingleVAE(_ModelBase):
@@ -409,14 +367,12 @@ class SingleVAE(_ModelBase):
 
     n_latents = 1   # noise blocks per training step: the one encoder's eps
 
-    def __init__(self, config, n_source, n_target, rng):
+    def __init__(self, config, n_source, n_target):
         super().__init__(config, n_source, n_target, ("single", "merged"))
         self.input_dim = n_target if config.variant == "single" else n_source + n_target
         L = config.latent_dim
-        self.enc = _Encoder.create(self.input_dim, config.enc_dims_target, L, rng)
-        self.dec = _make_decoder(
-            L, list(reversed(config.enc_dims_target)), self.input_dim, rng
-        )
+        self.enc = _Encoder(self.input_dim, config.enc_dims_target, L)
+        self.dec = _make_decoder(L, list(reversed(config.enc_dims_target)), self.input_dim)
         self._params, self._grads = bind_layers(
             [*self.enc.named_layers("enc"), *self.dec.named_layers("dec")]
         )
@@ -425,10 +381,6 @@ class SingleVAE(_ModelBase):
         if self.config.variant == "single":
             return r_t
         return np.concatenate([r_s, r_t], axis=1)
-
-    def encode(self, x, eps):
-        state, _ = self.enc.forward(np.atleast_2d(x), np.atleast_2d(eps))
-        return state
 
     def forward(self, r_s, r_t, eps, aux=None):
         (eps_x,) = eps
@@ -456,31 +408,21 @@ class SingleVAE(_ModelBase):
         losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
         return self._grads
 
-    def predict_scores(self, r_s, r_t=None, aux=None, mode=None, rng=None):
-        mode = mode or self.config.inference_mode
-        ref = r_t if r_t is not None else r_s
-        single = np.asarray(ref).ndim == 1
-        batch = np.atleast_2d(np.asarray(ref)).shape[0]
-        if r_t is None:
-            r_t = np.zeros((batch, self.n_target))
-        r_t = np.atleast_2d(np.asarray(r_t, dtype=float))
-        if self.config.variant == "merged":
-            if r_s is None:
-                r_s = np.zeros((batch, self.n_source))
-            r_s = np.atleast_2d(np.asarray(r_s, dtype=float))
-            x = np.concatenate([r_s, r_t], axis=1)
-        else:
-            x = r_t
-        eps = self._eps_for((batch, self.config.latent_dim), mode, rng)
-        state = self.encode(x, eps)
-        p, _ = self.dec.forward(state.z)
-        scores = p[:, self.n_source:] if self.config.variant == "merged" else p
-        return scores[0] if single else scores
+    def predict_scores(self, r_s, r_t, aux=None):
+        """Ranking scores over target items from the posterior mean (z = mu)."""
+        p, _ = self.dec.forward(self.enc.mean(self._input(r_s, r_t)))
+        return p[:, self.n_source:] if self.config.variant == "merged" else p
 
 
-def build_model(config, n_source, n_target, rng):
-    """Instantiate the right architecture for config.variant."""
+def build_model(config, n_source, n_target, rng=None):
+    """Instantiate the right architecture for config.variant.
+
+    With rng, the weight matrices are Glorot-drawn in store order and biases
+    are zero; without, every parameter stays zero for a checkpoint to fill.
+    """
     config.validate()
-    if config.variant in LINKED_VARIANTS:
-        return LinkedVAE(config, n_source, n_target, rng)
-    return SingleVAE(config, n_source, n_target, rng)
+    host = LinkedVAE if config.variant in LINKED_VARIANTS else SingleVAE
+    model = host(config, n_source, n_target)
+    if rng is not None:
+        init_weights(model.params(), rng)
+    return model

@@ -1,4 +1,4 @@
-"""Dense-network substrate: layers, parameter store, Glorot init, Adam, gradient checks.
+"""Dense-network substrate: layers, parameter store, Glorot init, Adam, finite checks.
 
 Everything operates on row batches (shape ``(batch, dim)``) in float64.
 A model's parameters are named views of one buffer (ParamStore), so the
@@ -39,6 +39,13 @@ def glorot_init(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.ndarr
         raise ValueError(f"bad fan sizes ({fan_in}, {fan_out})")
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+
+def init_weights(params, rng):
+    """Glorot-draw every "<prefix>.W" tensor of a store in place, in store order."""
+    for name, w in params.items():
+        if name.endswith(".W"):
+            w[...] = glorot_init(w.shape[1], w.shape[0], rng)
 
 
 def _act_forward(name, a):
@@ -92,14 +99,12 @@ class ParamStore(Mapping):
 def bind_layers(named_layers):
     """(params, grads) stores over a list of (prefix, DenseLayer) pairs.
 
-    Tensors are named "<prefix>.W" and "<prefix>.b"; each layer's w and b
-    become views of params, and its gw and gb views of grads.
+    Tensors are named "<prefix>.W" and "<prefix>.b" and start at zero; each
+    layer's w and b become views of params, and its gw and gb views of grads.
     """
-    arrays = [(f"{p}.{t}", a) for p, layer in named_layers
-              for t, a in (("W", layer.w), ("b", layer.b))]
-    shapes = [(name, a.shape) for name, a in arrays]
-    params = ParamStore(shapes, np.concatenate([a.ravel() for _, a in arrays]))
-    grads = ParamStore(shapes)
+    shapes = [(f"{p}.{t}", shape) for p, layer in named_layers
+              for t, shape in (("W", layer.shape), ("b", layer.shape[:1]))]
+    params, grads = ParamStore(shapes), ParamStore(shapes)
     for p, layer in named_layers:
         layer.w, layer.b = params[f"{p}.W"], params[f"{p}.b"]
         layer.gw, layer.gb = grads[f"{p}.W"], grads[f"{p}.b"]
@@ -107,27 +112,24 @@ def bind_layers(named_layers):
 
 
 class DenseLayer:
-    """Fully connected layer y = act(x @ W.T + b); backward writes grads into gw, gb."""
+    """Fully connected layer y = act(x @ W.T + b); backward writes grads into gw, gb.
 
-    def __init__(self, w: np.ndarray, b: np.ndarray, activation: str):
-        if b.shape[0] != w.shape[0]:
-            raise ValueError(f"bias size {b.shape[0]} != rows(W) {w.shape[0]}")
+    The layer holds only its shape until bind_layers points w, b, gw and gb
+    at views of a parameter store and its gradient twin.
+    """
+
+    def __init__(self, in_dim, out_dim, activation):
+        if in_dim < 1 or out_dim < 1:
+            raise ValueError(f"bad layer sizes ({in_dim}, {out_dim})")
         if activation not in ("tanh", "sigmoid", "identity"):
             raise ValueError(f"unknown activation {activation!r}")
-        self.w = w
-        self.b = b
-        # np.zeros, unlike zeros_like, leaves pages unbacked until written;
-        # bind_layers replaces these with views before any are.
-        self.gw, self.gb = np.zeros(w.shape), np.zeros(b.shape)
+        self.shape = (out_dim, in_dim)
         self.activation = activation
-
-    @classmethod
-    def create(cls, in_dim, out_dim, activation, rng) -> "DenseLayer":
-        return cls(glorot_init(in_dim, out_dim, rng), np.zeros(out_dim), activation)
+        self.w = self.b = self.gw = self.gb = None
 
     @property
     def in_dim(self):
-        return self.w.shape[1]
+        return self.shape[1]
 
     def forward(self, x):
         """Returns (y, cache); x has shape (batch, in_dim)."""
@@ -158,15 +160,12 @@ class DenseStack:
         self.layers = list(layers)
 
     @classmethod
-    def create(cls, dims, activations, rng) -> "DenseStack":
+    def create(cls, dims, activations) -> "DenseStack":
         """dims = [in, h1, ..., out]; activations has len(dims)-1 entries."""
         if len(activations) != len(dims) - 1:
             raise ValueError("one activation per layer required")
-        layers = [
-            DenseLayer.create(dims[k], dims[k + 1], activations[k], rng)
-            for k in range(len(dims) - 1)
-        ]
-        return cls(layers)
+        return cls(DenseLayer(dims[k], dims[k + 1], activations[k])
+                   for k in range(len(dims) - 1))
 
     def forward(self, x):
         caches = []
@@ -234,28 +233,3 @@ def assert_all_finite(store, context=""):
         if not np.isfinite(a).all():
             where = f" ({context})" if context else ""
             raise NumericError(f"non-finite values in {name!r}{where}")
-
-
-def finite_diff_check(loss_fn, params, grads, h=1e-5):
-    """Max relative error between analytic grads and central differences.
-
-    loss_fn() must re-run the forward pass from the current parameter values
-    with all sampling noise frozen; params are perturbed in place and restored.
-    """
-    worst = 0.0
-    for name, p in params.items():
-        g = grads[name]
-        flat_p = p.reshape(-1)
-        flat_g = g.reshape(-1)
-        for idx in range(flat_p.size):
-            orig = flat_p[idx]
-            flat_p[idx] = orig + h
-            f_plus = loss_fn()
-            flat_p[idx] = orig - h
-            f_minus = loss_fn()
-            flat_p[idx] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            analytic = flat_g[idx]
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst

@@ -185,9 +185,7 @@ def load_checkpoint(path):
         config = ModelConfig.from_dict(header["config"])
         variant = header["variant"]
         dims = header["dims"]
-        model = build_model(
-            config, dims["n_source"], dims["n_target"], named_rng(config.seed, "init")
-        )
+        model = build_model(config, dims["n_source"], dims["n_target"])
         declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(
@@ -209,7 +207,9 @@ def load_checkpoint(path):
     if have != want:
         problem = "truncated tensor data" if have < want else "trailing bytes after tensors"
         raise DataError(f"{path}: {problem} ({have} bytes, expected {want})")
-    params.flat[...] = np.frombuffer(raw, dtype="<f4", offset=at)
+    # a signalling NaN would warn in the cast; the finite check below rejects it
+    with np.errstate(invalid="ignore"):
+        params.flat[...] = np.frombuffer(raw, dtype="<f4", offset=at)
     # float32 values cannot overflow a float64 sum, so it is finite iff they all are
     if not np.isfinite(params.flat.sum()):
         raise DataError(f"{path}: non-finite tensor data")

@@ -11,7 +11,7 @@ import pytest
 
 from xdvae.data import DatasetBundle, DomainMatrix
 from xdvae.model import ModelConfig
-from xdvae.nn import ParamStore
+from xdvae.nn import DenseLayer, ParamStore, bind_layers
 
 
 def make_toy_bundle(m=8, n_source=6, n_target=8, seed=123, min_target=3, aux_dim=None):
@@ -65,6 +65,40 @@ def make_store(**arrays):
     """ParamStore holding copies of the given arrays, in argument order."""
     shapes = [(name, np.shape(a)) for name, a in arrays.items()]
     return ParamStore(shapes, np.concatenate([np.ravel(a) for a in arrays.values()], dtype=float))
+
+
+def make_layer(w, b, activation):
+    """DenseLayer bound to stores of its own, holding copies of w and b."""
+    w = np.asarray(w, dtype=float)
+    layer = DenseLayer(w.shape[1], w.shape[0], activation)
+    bind_layers([("layer", layer)])
+    layer.w[...], layer.b[...] = w, b
+    return layer
+
+
+def finite_diff_check(loss_fn, params, grads, h=1e-5):
+    """Max relative error between analytic grads and central differences.
+
+    loss_fn() must re-run the forward pass from the current parameter values
+    with all sampling noise frozen; params are perturbed in place and restored.
+    """
+    worst = 0.0
+    for name, p in params.items():
+        g = grads[name]
+        flat_p = p.reshape(-1)
+        flat_g = g.reshape(-1)
+        for idx in range(flat_p.size):
+            orig = flat_p[idx]
+            flat_p[idx] = orig + h
+            f_plus = loss_fn()
+            flat_p[idx] = orig - h
+            f_minus = loss_fn()
+            flat_p[idx] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            analytic = flat_g[idx]
+            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
 
 
 def rewrite_header(src, dst, edit):

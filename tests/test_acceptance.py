@@ -19,10 +19,10 @@ from xdvae import data, evaluate
 from xdvae.evaluate import hit_ratio, ndcg, rank_first
 from xdvae.cli import main as cli_main
 from xdvae.model import ModelConfig, build_model
-from xdvae.nn import finite_diff_check, named_rng
+from xdvae.nn import named_rng
 from xdvae.train import ablation_config, load_checkpoint, save_checkpoint, train
 
-from conftest import make_toy_bundle, make_toy_config
+from conftest import finite_diff_check, make_toy_bundle, make_toy_config
 
 ML1M_ENV = "XDVAE_ML1M_DIR"
 SOURCE_GENRES = {"Action"}
@@ -253,8 +253,8 @@ class TestCriterion07ColdStart:
         model, _ = train(view, config)
         r_s = synthetic_bundle.source.to_dense(cold.test_users)
         r_t = synthetic_bundle.target.to_dense(cold.test_users)
-        with_rows = model.predict_scores(r_s, r_t, mode="mean")
-        zeroed = model.predict_scores(r_s, np.zeros_like(r_t), mode="mean")
+        with_rows = model.predict_scores(r_s, r_t)
+        zeroed = model.predict_scores(r_s, np.zeros_like(r_t))
         check(
             "7a", np.array_equal(with_rows, zeroed),
             "cold-start predictions bit-identical with target rows zeroed",

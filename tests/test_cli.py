@@ -134,6 +134,8 @@ HEADER_DEFECTS = {
     "missing-tensors": lambda h: h.pop("tensors"),
     "tensor-without-shape": lambda h: h["tensors"][0].pop("shape"),
     "negative-dims": lambda h: h["dims"].update(n_target=-3),
+    "zero-n-source": lambda h: h["dims"].update(n_source=0),
+    "sample-inference-mode": lambda h: h["config"].update(inference_mode="sample"),
 }
 
 BUNDLE_HEADER_DEFECTS = {
@@ -172,6 +174,17 @@ class TestEval:
         ])
         assert code == 2
         assert "malformed checkpoint header" in capsys.readouterr().err
+
+    def test_sampled_inference_checkpoint_names_the_field(self, prepared, trained, tmp_path,
+                                                           capsys):
+        bad = tmp_path / "bad.xdv"
+        rewrite_header(trained, bad, HEADER_DEFECTS["sample-inference-mode"])
+        code = main([
+            "eval", "--model", str(bad), "--bundle", str(prepared),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 2
+        assert "inference_mode must be 'mean', got 'sample'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("defect", sorted(BUNDLE_HEADER_DEFECTS))
     def test_malformed_bundle_header_exit_two(self, prepared, trained, tmp_path, capsys,
@@ -270,6 +283,57 @@ class TestEval:
             "--ks", "0,10", "--out", str(tmp_path / "x"),
         ])
         assert code == 1
+
+
+# Numeric model flags that used to train (exit 0), fail mid-epoch (exit 3) or
+# be reported as data errors (exit 2); each is a usage error naming its flag.
+BAD_MODEL_FLAGS = {
+    "batch-size-negative": ["--batch-size", "-3"],
+    "batch-size-zero": ["--batch-size", "0"],
+    "lr-negative": ["--lr", "-1"],
+    "lr-nan": ["--lr", "nan"],
+    "beta-nan": ["--beta", "nan"],
+    "lambda-reg-inf": ["--lambda-reg", "inf"],
+    "epochs-negative": ["--epochs", "-1"],
+    "latent-dim-zero": ["--latent-dim", "0"],
+    "dims-zero": ["--dims", "0"],
+    "seed-negative": ["--seed", "-1"],
+}
+
+
+class TestModelFlags:
+    @pytest.mark.parametrize("case", sorted(BAD_MODEL_FLAGS))
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_bad_value_exit_one_naming_the_flag(self, prepared, tmp_path, capsys, command,
+                                                case):
+        flags = BAD_MODEL_FLAGS[case]
+        out = tmp_path / "x"
+        code = main([command, "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1",
+                     *flags, "--out", str(out)])
+        assert code == 1
+        assert f"xdvae: error: {flags[0]} " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_cold_fraction_outside_unit_interval_exit_one(self, prepared, tmp_path, capsys):
+        code = main(["train", "--bundle", str(prepared), "--variant", "cold-start",
+                     *TRAIN_FLAGS, "--cold-fraction", "1.5", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "--cold-fraction must be in (0, 1)" in capsys.readouterr().err
+
+    def test_beta_sweep_value_is_checked(self, prepared, tmp_path, capsys):
+        code = main(["ablate", "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1",
+                     "--beta-sweep", "4,nan", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "--beta must be finite and >= 0, got nan" in capsys.readouterr().err
+
+    def test_shared_flags_keep_names_and_defaults(self, prepared, tmp_path):
+        out = tmp_path / "m.xdv"
+        assert main(["train", "--bundle", str(prepared), "--epochs", "0", "--dims", "8",
+                     "--latent-dim", "4", "--out", str(out)]) == 0
+        argv = json.loads((tmp_path / "m.xdv.manifest.json").read_text())["argv"]
+        for item in ("batch_size=32", "beta=15.0", "lambda_reg=0.0001", "lr=0.001",
+                     "seed=0", "aux_attach=both", "cold_fraction=0.1"):
+            assert item in argv
 
 
 class TestAblate:

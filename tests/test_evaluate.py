@@ -134,7 +134,7 @@ class _OracleModel:
         self.n_target = n_target
         self.config = make_toy_config(variant)
 
-    def predict_scores(self, r_s, r_t=None, aux=None, mode="mean", rng=None):
+    def predict_scores(self, r_s, r_t, aux=None):
         out = np.zeros((r_s.shape[0], self.n_target))
         out[np.arange(r_s.shape[0]), self.split.held_out] = 1.0
         return out
@@ -211,7 +211,7 @@ class _TiedModel:
         self.config = make_toy_config(variant)
         self.rng = np.random.default_rng(17)
 
-    def predict_scores(self, r_s, r_t=None, aux=None, mode="mean", rng=None):
+    def predict_scores(self, r_s, r_t, aux=None):
         self.scores = np.round(self.rng.random((r_s.shape[0], self.n_target)), 1)
         return self.scores
 

@@ -77,6 +77,10 @@ def check_checkpoint(path):
 
 CHECKS = {"bundle": check_bundle, "checkpoint": check_checkpoint}
 
+# float32 with an all-ones exponent, quiet bit clear and a nonzero payload;
+# casting it to float64 raises numpy's "invalid value" flag
+SIGNALLING_NAN_F32 = np.array([0x7F800001], dtype="<u4").tobytes()
+
 
 @pytest.mark.parametrize("kind", sorted(CHECKS))
 class TestDamagedFiles:
@@ -124,6 +128,24 @@ class TestFoundByFuzzing:
         data.save_bundle(bundle, path)
         with pytest.raises(DataError, match="non-finite auxiliary value"):
             data.load_bundle(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_bundle_signalling_nan_aux_vector(self, tmp_path):
+        bundle = make_toy_bundle(m=4, aux_dim=2)
+        path = tmp_path / "t.xdb"
+        data.save_bundle(bundle, path)
+        raw = path.read_bytes()
+        # the aux blob is last: its final float32 becomes a signalling NaN
+        path.write_bytes(raw[:-4] + SIGNALLING_NAN_F32)
+        with pytest.raises(DataError, match="non-finite auxiliary value"):
+            data.load_bundle(path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_checkpoint_signalling_nan_tensor(self, originals, tmp_path):
+        path = tmp_path / "t.xdv"
+        path.write_bytes(originals["checkpoint"][:-4] + SIGNALLING_NAN_F32)
+        with pytest.raises(DataError, match="non-finite tensor data"):
+            load_checkpoint(path)
 
     def test_checkpoint_non_finite_tensor(self, tmp_path):
         config = make_toy_config("generic")

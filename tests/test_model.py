@@ -4,10 +4,11 @@ differences on toy instances with frozen reparametrization noise."""
 import numpy as np
 import pytest
 
+from xdvae import nn
 from xdvae.model import LinkedVAE, ModelConfig, build_model, merge_latents
-from xdvae.nn import finite_diff_check, named_rng
+from xdvae.nn import named_rng
 
-from conftest import make_toy_bundle, make_toy_config
+from conftest import finite_diff_check, make_toy_bundle, make_toy_config
 
 TOY = dict(m=8, n_source=6, n_target=8)
 
@@ -34,7 +35,7 @@ class TestEncode:
     def test_zero_input_zero_biases_gives_eps(self):
         model = build_toy_model("generic")
         eps = np.random.default_rng(0).standard_normal((1, 3))
-        state = model.encode("source", np.zeros((1, 6)), eps)
+        state, _ = model.enc_s.forward(np.zeros((1, 6)), eps)
         # tanh(0) = 0 chains through zero-init biases into zero heads
         assert np.allclose(state.mu, 0.0)
         assert np.allclose(state.logvar, 0.0)
@@ -43,21 +44,22 @@ class TestEncode:
     def test_zero_eps_collapses_to_mu(self):
         model = build_toy_model("generic")
         r = np.random.default_rng(1).random((1, 6))
-        state = model.encode("source", r, np.zeros((1, 3)))
+        state, _ = model.enc_s.forward(r, np.zeros((1, 3)))
         assert np.array_equal(state.z, state.mu)
+        assert np.array_equal(model.enc_s.mean(r), state.mu)
 
     def test_deterministic(self):
         model = build_toy_model("generic")
         rng = np.random.default_rng(2)
         r, eps = rng.random((2, 6)), rng.standard_normal((2, 3))
-        a = model.encode("source", r, eps)
-        b = model.encode("source", r, eps)
+        a, _ = model.enc_s.forward(r, eps)
+        b, _ = model.enc_s.forward(r, eps)
         assert np.array_equal(a.z, b.z)
 
     def test_reparametrization_identity(self):
         model = build_toy_model("generic")
         rng = np.random.default_rng(3)
-        state = model.encode("target", rng.random((4, 8)), rng.standard_normal((4, 3)))
+        state, _ = model.enc_t.forward(rng.random((4, 8)), rng.standard_normal((4, 3)))
         rebuilt = state.mu + np.exp(0.5 * state.logvar) * state.eps
         assert np.array_equal(state.z, rebuilt)
 
@@ -71,7 +73,7 @@ class TestDecoders:
 
     def test_target_generic_width_is_two_latents(self):
         model = build_toy_model("generic")
-        out = model.decode_target(np.zeros((2, 6)))
+        out, _ = model.dec_t.forward(np.zeros((2, 6)))
         assert out.shape == (2, 8)
 
     def test_merge_orders_source_first(self):
@@ -88,31 +90,26 @@ class TestDecoders:
         z = rng.standard_normal((1, 6))
         bumped = z.copy()
         bumped[0, 0] += 0.5
-        assert not np.allclose(model.decode_target(z), model.decode_target(bumped))
+        assert not np.allclose(model.dec_t.forward(z)[0], model.dec_t.forward(bumped)[0])
 
 
 class TestColdStartPaths:
     def test_map_latent_range_and_shape(self):
         model = build_toy_model("cold-start")
-        out = model.map_latent(np.random.default_rng(0).standard_normal((4, 3)))
+        out, _ = model.map_layer.forward(np.random.default_rng(0).standard_normal((4, 3)))
         assert out.shape == (4, 3)
         assert np.all(out > -1) and np.all(out < 1)
 
-    def test_map_latent_missing_on_generic(self):
-        model = build_toy_model("generic")
-        with pytest.raises(ValueError, match="mapping"):
-            model.map_latent(np.zeros((1, 3)))
-
     def test_target_decoder_width_is_single_latent(self):
         model = build_toy_model("cold-start")
-        assert model.decode_target(np.zeros((2, 3))).shape == (2, 8)
+        assert model.dec_t.forward(np.zeros((2, 3)))[0].shape == (2, 8)
 
     def test_prediction_ignores_target_row(self):
         model = build_toy_model("cold-start")
         r_s, r_t, *_ = toy_batch("cold-start")
-        a = model.predict_scores(r_s, r_t, mode="mean")
-        b = model.predict_scores(r_s, np.zeros_like(r_t), mode="mean")
-        c = model.predict_scores(r_s, None, mode="mean")
+        a = model.predict_scores(r_s, r_t)
+        b = model.predict_scores(r_s, np.zeros_like(r_t))
+        c = model.predict_scores(r_s, None)
         assert np.array_equal(a, b) and np.array_equal(a, c)
 
 
@@ -128,8 +125,8 @@ class TestAsymmetry:
     def test_target_scores_depend_on_target_row_for_generic(self):
         model = build_toy_model("generic")
         r_s, r_t, *_ = toy_batch("generic")
-        a = model.predict_scores(r_s, r_t, mode="mean")
-        b = model.predict_scores(r_s, np.zeros_like(r_t), mode="mean")
+        a = model.predict_scores(r_s, r_t)
+        b = model.predict_scores(r_s, np.zeros_like(r_t))
         assert not np.allclose(a, b)
 
 
@@ -141,17 +138,17 @@ class TestAuxVariant:
 
     def test_zeroed_aux_columns_make_aux_irrelevant(self):
         model = build_toy_model("aux")
-        r_s, _, eps, aux = toy_batch("aux")
+        r_s, r_t, eps, aux = toy_batch("aux")
         for head in (model.enc_s.mu_head, model.enc_s.logvar_head):
             head.w[:, 5:] = 0.0
-        a = model.encode("source", r_s, eps[0], aux)
-        b = model.encode("source", r_s, eps[0], np.zeros_like(aux))
+        a = model.forward(r_s, r_t, eps, aux)["state_s"]
+        b = model.forward(r_s, r_t, eps, np.zeros_like(aux))["state_s"]
         assert np.array_equal(a.z, b.z)
 
     def test_aux_required(self):
         model = build_toy_model("aux")
         with pytest.raises(ValueError, match="aux"):
-            model.encode("source", np.zeros((1, 6)), np.zeros((1, 3)))
+            model.predict_scores(np.zeros((1, 6)), np.zeros((1, 8)))
 
     def test_attach_one_side_only(self):
         model = build_toy_model("aux", aux_attach="source")
@@ -163,8 +160,8 @@ class TestSingleAndMerged:
     def test_single_ignores_source(self):
         model = build_toy_model("single")
         r_s, r_t, *_ = toy_batch("single")
-        a = model.predict_scores(r_s, r_t, mode="mean")
-        b = model.predict_scores(None, r_t, mode="mean")
+        a = model.predict_scores(r_s, r_t)
+        b = model.predict_scores(None, r_t)
         assert np.array_equal(a, b)
 
     def test_merged_input_width_is_domain_sum(self):
@@ -174,7 +171,7 @@ class TestSingleAndMerged:
     def test_merged_scores_cover_target_slice(self):
         model = build_toy_model("merged")
         r_s, r_t, *_ = toy_batch("merged")
-        scores = model.predict_scores(r_s, r_t, mode="mean")
+        scores = model.predict_scores(r_s, r_t)
         assert scores.shape == (TOY["m"], TOY["n_target"])
 
 
@@ -183,25 +180,27 @@ class TestPredictScores:
     def test_mean_mode_deterministic_and_bounded(self, variant):
         model = build_toy_model(variant)
         r_s, r_t, *_ = toy_batch(variant)
-        a = model.predict_scores(r_s, r_t, mode="mean")
-        b = model.predict_scores(r_s, r_t, mode="mean")
+        a = model.predict_scores(r_s, r_t)
+        b = model.predict_scores(r_s, r_t)
         assert np.array_equal(a, b)
         assert np.all(a > 0) and np.all(a < 1)
 
-    def test_sample_mode_needs_rng_and_varies(self):
-        model = build_toy_model("generic")
-        r_s, r_t, *_ = toy_batch("generic")
-        with pytest.raises(ValueError, match="rng"):
-            model.predict_scores(r_s, r_t, mode="sample")
-        a = model.predict_scores(r_s, r_t, mode="sample", rng=np.random.default_rng(0))
-        b = model.predict_scores(r_s, r_t, mode="sample", rng=np.random.default_rng(1))
-        assert not np.allclose(a, b)
-
-    def test_single_row_input_gives_single_row_output(self):
-        model = build_toy_model("generic")
-        r_s, r_t, *_ = toy_batch("generic")
-        out = model.predict_scores(r_s[0], r_t[0], mode="mean")
-        assert out.shape == (TOY["n_target"],)
+    @pytest.mark.parametrize("variant, attach", [
+        ("generic", "both"), ("no-mmd", "both"), ("single", "both"), ("merged", "both"),
+        ("cold-start", "both"), ("aux", "both"), ("aux", "source"), ("aux", "target"),
+    ])
+    def test_equals_target_output_of_forward_with_zero_noise(self, variant, attach):
+        # prediction runs the mu heads only; the training forward pass with
+        # eps = 0 has z = mu, so both must give the same target outputs
+        model = build_toy_model(variant, aux_attach=attach)
+        r_s, r_t, eps, aux = toy_batch(variant)
+        aux = aux if variant == "aux" else None
+        fwd = model.forward(r_s, r_t, np.zeros_like(eps[:model.n_latents]), aux)
+        if variant in ("single", "merged"):
+            want = fwd["p"][:, model.n_source:] if variant == "merged" else fwd["p"]
+        else:
+            want = fwd["p_t"]
+        assert np.array_equal(model.predict_scores(r_s, r_t, aux), want)
 
 
 class TestVariantSharing:
@@ -293,4 +292,40 @@ class TestConfig:
 
     def test_linked_hosts_reject_single(self):
         with pytest.raises(ValueError):
-            LinkedVAE(make_toy_config("single"), 6, 8, named_rng(0, "init"))
+            LinkedVAE(make_toy_config("single"), 6, 8)
+
+    def test_rejects_sampled_inference(self):
+        with pytest.raises(ValueError, match="inference_mode"):
+            make_toy_config("generic", inference_mode="sample")
+
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 0), ("batch_size", -3), ("lr", 0.0), ("lr", -1.0), ("lr", np.nan),
+        ("beta", np.nan), ("beta", np.inf), ("lambda_reg", np.inf), ("lambda_reg", -1e-4),
+        ("cold_fraction", 1.5), ("cold_fraction", 0.0), ("epochs", -1), ("latent_dim", 0),
+        ("seed", -1),
+    ])
+    def test_rejects_out_of_range_values_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            make_toy_config("generic", **{field: value})
+
+
+class TestBuild:
+    def test_without_rng_draws_nothing_and_leaves_zeros(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("init stream drawn")
+
+        monkeypatch.setattr(nn, "glorot_init", no_draws)
+        model = build_model(make_toy_config("aux"), 6, 8)
+        assert not model.params().flat.any()
+
+    @pytest.mark.parametrize("variant", ["generic", "single", "merged", "cold-start", "aux"])
+    def test_weights_are_per_layer_glorot_draws_in_store_order(self, variant):
+        model = build_toy_model(variant, seed=5)
+        rng = named_rng(5, "init")
+        for name, p in model.params().items():
+            want = nn.glorot_init(p.shape[1], p.shape[0], rng) if name.endswith(".W") else 0.0
+            assert np.array_equal(p, np.broadcast_to(want, p.shape)), name
+
+    def test_rejects_empty_item_catalog(self):
+        with pytest.raises(ValueError, match="bad layer sizes"):
+            build_model(make_toy_config("generic"), 0, 8)

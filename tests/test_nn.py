@@ -11,12 +11,20 @@ from xdvae.nn import (
     NumericError,
     assert_all_finite,
     bind_layers,
-    finite_diff_check,
     glorot_init,
+    init_weights,
     named_rng,
 )
 
-from conftest import make_store
+from conftest import finite_diff_check, make_layer, make_store
+
+
+def make_stack(dims, activations, rng):
+    """Glorot-initialised DenseStack and its (params, grads) stores."""
+    stack = DenseStack.create(dims, activations)
+    params, grads = bind_layers(stack.named_layers("net"))
+    init_weights(params, rng)
+    return stack, params, grads
 
 
 class TestGlorotInit:
@@ -43,34 +51,34 @@ class TestGlorotInit:
 
 class TestDenseForward:
     def test_identity_layer_passes_through(self):
-        layer = DenseLayer(np.eye(2), np.zeros(2), "identity")
+        layer = make_layer(np.eye(2), np.zeros(2), "identity")
         y, _ = layer.forward(np.array([[0.3, -0.5]]))
         assert np.allclose(y, [[0.3, -0.5]])
 
     def test_tanh_of_zero_is_zero(self):
-        layer = DenseLayer(np.ones((3, 2)), np.zeros(3), "tanh")
+        layer = make_layer(np.ones((3, 2)), np.zeros(3), "tanh")
         y, _ = layer.forward(np.zeros((1, 2)))
         assert np.allclose(y, 0.0)
 
     def test_sigmoid_of_zero_is_half(self):
-        layer = DenseLayer(np.array([[1.0]]), np.array([0.0]), "sigmoid")
+        layer = make_layer([[1.0]], [0.0], "sigmoid")
         y, _ = layer.forward(np.array([[0.0]]))
         assert np.allclose(y, 0.5)
 
     def test_shape_mismatch_raises(self):
-        layer = DenseLayer(np.ones((3, 2)), np.zeros(3), "tanh")
+        layer = make_layer(np.ones((3, 2)), np.zeros(3), "tanh")
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 4)))
 
     def test_sigmoid_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(3)
-        layer = DenseLayer.create(6, 4, "sigmoid", rng)
+        layer = make_layer(glorot_init(6, 4, rng), np.zeros(4), "sigmoid")
         y, _ = layer.forward(rng.standard_normal((10, 6)))
         assert np.all(y > 0.0) and np.all(y < 1.0)
 
     def test_tanh_output_strictly_inside_pm_one(self):
         rng = np.random.default_rng(4)
-        layer = DenseLayer.create(6, 4, "tanh", rng)
+        layer = make_layer(glorot_init(6, 4, rng), np.zeros(4), "tanh")
         y, _ = layer.forward(rng.standard_normal((10, 6)))
         assert np.all(y > -1.0) and np.all(y < 1.0)
 
@@ -78,7 +86,7 @@ class TestDenseForward:
 class TestDenseBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(0)
-        layer = DenseLayer.create(4, 3, "tanh", rng)
+        layer = make_layer(glorot_init(4, 3, rng), np.zeros(3), "tanh")
         y, cache = layer.forward(rng.standard_normal((5, 4)))
         layer.gw[...] = 1.0
         layer.gb[...] = 1.0
@@ -90,7 +98,7 @@ class TestDenseBackward:
         # f = sum((Wx - t)^2): dW = 2 (Wx - t) x^T
         rng = np.random.default_rng(1)
         w = rng.standard_normal((3, 4))
-        layer = DenseLayer(w.copy(), np.zeros(3), "identity")
+        layer = make_layer(w, np.zeros(3), "identity")
         x = rng.standard_normal((1, 4))
         t = rng.standard_normal((1, 3))
         y, cache = layer.forward(x)
@@ -99,10 +107,9 @@ class TestDenseBackward:
 
     def test_stack_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        stack = DenseStack.create([4, 5, 3], ["tanh", "sigmoid"], rng)
+        stack, params, grads = make_stack([4, 5, 3], ["tanh", "sigmoid"], rng)
         x = rng.standard_normal((6, 4))
         t = rng.random((6, 3))
-        params, grads = bind_layers(stack.named_layers("net"))
 
         def loss():
             y, _ = stack.forward(x)
@@ -132,14 +139,31 @@ class TestParamStore:
             store["a"] = np.zeros(2)
 
     def test_bind_moves_weights_into_store(self):
-        stack = DenseStack.create([3, 4, 2], ["tanh", "sigmoid"], np.random.default_rng(0))
-        before = [layer.w.copy() for layer in stack.layers]
+        stack = DenseStack.create([3, 4, 2], ["tanh", "sigmoid"])
+        assert all(layer.w is None for layer in stack.layers)
         params, grads = bind_layers(stack.named_layers("net"))
         assert list(params) == ["net.0.W", "net.0.b", "net.1.W", "net.1.b"]
+        assert not params.flat.any()
+        params.flat[:] = np.arange(params.flat.size)
         for k, layer in enumerate(stack.layers):
-            assert np.array_equal(layer.w, before[k])
+            assert layer.w.shape == layer.shape and layer.b.shape == layer.shape[:1]
+            assert np.array_equal(layer.w, params[f"net.{k}.W"])
             assert np.shares_memory(layer.w, params.flat)
             assert np.shares_memory(layer.gw, grads.flat)
+
+    def test_init_weights_matches_per_layer_glorot_in_store_order(self):
+        stack = DenseStack.create([5, 4, 3, 2], ["tanh", "tanh", "sigmoid"])
+        params, _ = bind_layers(stack.named_layers("net"))
+        init_weights(params, np.random.default_rng(8))
+        rng = np.random.default_rng(8)
+        for k, layer in enumerate(stack.layers):
+            assert np.array_equal(params[f"net.{k}.W"], glorot_init(*layer.shape[::-1], rng))
+            assert not params[f"net.{k}.b"].any()
+
+    def test_layer_rejects_empty_sizes(self):
+        for sizes in ((0, 3), (3, 0), (-2, 3)):
+            with pytest.raises(ValueError, match="bad layer sizes"):
+                DenseLayer(*sizes, "tanh")
 
 
 class TestAdam:

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from xdvae import data
+from xdvae import data, nn
 from xdvae.data import DataError
 from xdvae.model import VARIANTS
 from xdvae.nn import DenseLayer, DenseStack
@@ -94,7 +94,7 @@ class TestTrainLoop:
         assert payload["config"]["variant"] == "generic"
 
     def test_early_stop_on_plateau(self, trainable_bundle):
-        config = make_toy_config("generic", epochs=200, lr=0.0)
+        config = make_toy_config("generic", epochs=200, lr=1e-12)  # lr must be > 0
         _, history = train(trainable_bundle, config, early_stop=True)
         assert history.early_stop_epoch is not None
         assert len(history.epochs) < 200
@@ -153,12 +153,12 @@ class TestCheckpoints:
         assert config.variant == "generic"
         r_s = trainable_bundle.source.to_dense()
         r_t = trainable_bundle.target.to_dense()
-        a = model.predict_scores(r_s, r_t, mode="mean").astype(np.float32)
-        b = loaded.predict_scores(r_s, r_t, mode="mean").astype(np.float32)
+        a = model.predict_scores(r_s, r_t).astype(np.float32)
+        b = loaded.predict_scores(r_s, r_t).astype(np.float32)
         # float32 storage: outputs agree once both parameter sets are rounded
         save_checkpoint(model, tmp_path / "again.xdv")
         rounded, _ = load_checkpoint(tmp_path / "again.xdv")
-        c = rounded.predict_scores(r_s, r_t, mode="mean").astype(np.float32)
+        c = rounded.predict_scores(r_s, r_t).astype(np.float32)
         assert np.array_equal(b, c)
         assert np.allclose(a, b, atol=1e-5)
 
@@ -169,6 +169,20 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(p1)
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_load_draws_nothing_from_the_init_stream(self, trainable_bundle, tmp_path,
+                                                     monkeypatch):
+        model, _ = train(trainable_bundle, make_toy_config("aux", epochs=1))
+        path = tmp_path / "model.xdv"
+        save_checkpoint(model, path)
+
+        def no_draws(*args):
+            raise AssertionError("init stream drawn while loading")
+
+        monkeypatch.setattr(nn, "glorot_init", no_draws)
+        loaded, _ = load_checkpoint(path)
+        assert np.array_equal(loaded.params().flat,
+                              model.params().flat.astype(np.float32))
 
     def test_truncated_file_rejected(self, trainable_bundle, tmp_path):
         model, _ = train(trainable_bundle, make_toy_config("generic", epochs=1))
