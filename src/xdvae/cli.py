@@ -77,6 +77,20 @@ def _parse_float_list(text, flag):
     return values
 
 
+def _check(flag, value, ok, rule):
+    """Usage error naming flag unless ok (a NaN fails every range test)."""
+    if not ok:
+        raise CliError(f"{flag} must be {rule}, got {value!r}")
+
+
+def _parse_ks(text):
+    """The --ks cutoffs of eval and ablate, each within a 100-candidate ranking."""
+    ks = _parse_int_list(text, "--ks")
+    for k in ks:
+        _check("--ks", k, 1 <= k <= 100, "in 1..100")
+    return ks
+
+
 def _parse_labels(text):
     return {v.strip() for v in text.split(",") if v.strip()}
 
@@ -96,6 +110,9 @@ def _summary_lines(bundle):
 
 
 def cmd_prepare(args):
+    _check("--min-target-positives", args.min_target_positives,
+           args.min_target_positives >= 1, ">= 1")
+    _check("--seed", args.seed, args.seed >= 0, ">= 0")
     source_labels = _parse_labels(args.source_labels)
     target_labels = _parse_labels(args.target_labels)
     if not source_labels or not target_labels:
@@ -203,9 +220,13 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    ks = _parse_int_list(args.ks, "--ks")
-    if any(k < 1 or k > 100 for k in ks):
-        raise CliError("--ks values must be in 1..100")
+    ks = _parse_ks(args.ks)
+    if args.seed is not None:
+        _check("--seed", args.seed, args.seed >= 0, ">= 0")
+    if args.protocol == "degrade":
+        fractions = _parse_float_list(args.fractions, "--fractions")
+        for f in fractions:
+            _check("--fractions", f, 0.0 <= f <= 1.0, "in [0, 1]")
     model, config = training.load_checkpoint(args.model)
     bundle, split = data.load_bundle(args.bundle)
     if bundle.source.n_items != model.n_source or bundle.target.n_items != model.n_target:
@@ -220,7 +241,6 @@ def cmd_eval(args):
     elif args.protocol == "degrade":
         if split is None:
             raise data.DataError("bundle carries no leave-one-out split")
-        fractions = _parse_float_list(args.fractions, "--fractions")
         view = data.training_bundle(bundle, split)
         reports = evaluate.evaluate_degraded(model, view, split, fractions, seed, ks=ks)
     elif args.protocol == "coldstart":
@@ -253,10 +273,10 @@ def cmd_eval(args):
 
 
 def cmd_ablate(args):
+    ks = _parse_ks(args.ks)
     bundle, split = data.load_bundle(args.bundle)
     if split is None:
         raise data.DataError("bundle carries no leave-one-out split")
-    ks = _parse_int_list(args.ks, "--ks")
     view = data.training_bundle(bundle, split)
     base = _model_config(args)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .nn import blocks
+from .nn import BLOCK, blocks
 
 CLAMP = 1e-7
 
@@ -68,8 +68,15 @@ def masked_recon(r, r_hat, beta) -> float:
     p = _clamped(_as_batch(r_hat))
     if r.shape != p.shape:
         raise ValueError(f"shape mismatch {r.shape} vs {p.shape}")
-    base = -(r * np.log(p) + (1.0 - r) * np.log1p(-p)).sum(axis=1)
-    positives = -(r * np.log(p)).sum(axis=1)
+    # r * log(p) is shared by both sums; p is clip's own copy, so the
+    # (1 - r) * log1p(-p) term is built in it in place
+    pos = np.log(p)
+    pos *= r
+    neg = np.log1p(np.negative(p, out=p), out=p)
+    neg *= 1.0 - r
+    neg += pos
+    base = -neg.sum(axis=1)
+    positives = -pos.sum(axis=1)
     return float((base + beta * positives).mean())
 
 
@@ -95,8 +102,10 @@ def l2_reg(params, lambda_reg) -> float:
 def add_l2_grad(params, grads, lambda_reg):
     """Add the gradient of l2_reg, 2 * lambda_reg * params, into grads."""
     if lambda_reg:
+        buf = np.empty(min(BLOCK, params.flat.size))
         for s in blocks(params.flat.size):
-            grads.flat[s] += (2.0 * lambda_reg) * params.flat[s]
+            p = params.flat[s]
+            grads.flat[s] += np.multiply(2.0 * lambda_reg, p, out=buf[:p.size])
 
 
 def mmd_linear(z_source, z_target) -> float:

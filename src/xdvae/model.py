@@ -101,8 +101,15 @@ def merge_latents(z_source, z_target):
 
 
 def _recon_preact_grad(p, r, beta, batch):
-    # d(masked recon)/d(pre-sigmoid activation), batch-averaged.
-    return ((p - r) - beta * r * (1.0 - p)) / batch
+    # d(masked recon)/d(pre-sigmoid activation), batch-averaged:
+    # ((p - r) - beta * r * (1 - p)) / batch, evaluated in that order.
+    pos = np.multiply(beta, r)
+    g = np.subtract(1.0, p)
+    pos *= g
+    np.subtract(p, r, out=g)
+    g -= pos
+    g /= batch
+    return g
 
 
 def _kl_grads(state, batch):
@@ -146,17 +153,20 @@ class _Encoder:
         return state, cache
 
     def backward(self, g_z, g_mu_extra, g_lv_extra, state, cache):
-        """Backprop to the encoder input; returns the sub-encoder slice grad (or None)."""
+        """Write the encoder's weight grads; returns the sub-encoder slice grad (or None).
+
+        The gradient w.r.t. the encoder input is never needed, so it is not computed.
+        """
         g_mu = g_z + g_mu_extra
         g_lv = g_z * (0.5 * cache["sigma"] * state.eps) + g_lv_extra
-        g_hc = (self.mu_head.backward(g_mu, cache["mu_cache"])
-                + self.logvar_head.backward(g_lv, cache["lv_cache"]))
+        g_hc = self.mu_head.backward(g_mu, cache["mu_cache"])
+        g_hc += self.logvar_head.backward(g_lv, cache["lv_cache"])
         g_sub = None
         if cache["has_sub"]:
             w = cache["main_width"]
             g_sub = g_hc[:, w:]
             g_hc = g_hc[:, :w]
-        self.hidden.backward(g_hc, cache["h_caches"])
+        self.hidden.backward(g_hc, cache["h_caches"], input_grad=False)
         return g_sub
 
     def named_layers(self, prefix):
@@ -335,7 +345,7 @@ class LinkedVAE(_ModelBase):
 
         if self.sub_encoder is not None:
             g_sub = sum(g for g in (g_sub_s, g_sub_t) if g is not None)
-            self.sub_encoder.backward(g_sub, fwd["sub_caches"])
+            self.sub_encoder.backward(g_sub, fwd["sub_caches"], input_grad=False)
         losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
         return self._grads
 

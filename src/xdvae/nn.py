@@ -49,19 +49,26 @@ def init_weights(params, rng):
 
 
 def _act_forward(name, a):
+    """Apply the activation to a in place and return it."""
     if name == "tanh":
-        return np.tanh(a)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-a))
-    if name == "identity":
-        return a
-    raise ValueError(f"unknown activation {name!r}")
+        np.tanh(a, out=a)
+    elif name == "sigmoid":
+        # 1 / (1 + exp(-a)), one pass per operation, in that order
+        np.negative(a, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+    elif name != "identity":
+        raise ValueError(f"unknown activation {name!r}")
+    return a
 
 
 def _act_backward(name, grad_y, y):
     # Derivatives expressed through the activation output.
     if name == "tanh":
-        return grad_y * (1.0 - y * y)
+        d = y * y
+        np.subtract(1.0, d, out=d)
+        return np.multiply(grad_y, d, out=d)
     if name == "sigmoid":
         return grad_y * y * (1.0 - y)
     if name == "identity":
@@ -137,19 +144,32 @@ class DenseLayer:
             raise ValueError(
                 f"input dim {x.shape[1]} != layer in_dim {self.w.shape[1]}"
             )
-        y = _act_forward(self.activation, x @ self.w.T + self.b)
+        # the bias add and the activation write into the matmul's own output
+        a = x @ self.w.T
+        a += self.b
+        y = _act_forward(self.activation, a)
         return y, (x, y)
 
-    def backward(self, grad_y, cache):
-        """Gradient w.r.t. output -> grad_x; overwrites gw and gb."""
-        _, y = cache
-        return self.backward_from_preact(_act_backward(self.activation, grad_y, y), cache)
+    def backward(self, grad_y, cache, input_grad=True):
+        """Gradient w.r.t. output -> grad_x; overwrites gw and gb.
+
+        Without input_grad (an input layer) only gw and gb are written and
+        the result is None.
+        """
+        grad_a = _act_backward(self.activation, grad_y, cache[1])
+        if not input_grad:
+            self.weight_grads(grad_a, cache)
+            return None
+        return self.backward_from_preact(grad_a, cache)
+
+    def weight_grads(self, grad_a, cache):
+        """Overwrite gw and gb from the gradient w.r.t. the pre-activation."""
+        np.matmul(grad_a.T, cache[0], out=self.gw)
+        grad_a.sum(axis=0, out=self.gb)
 
     def backward_from_preact(self, grad_a, cache):
         """Same as backward() but grad is already w.r.t. the pre-activation."""
-        x, _ = cache
-        np.matmul(grad_a.T, x, out=self.gw)
-        grad_a.sum(axis=0, out=self.gb)
+        self.weight_grads(grad_a, cache)
         return grad_a @ self.w
 
 
@@ -174,19 +194,22 @@ class DenseStack:
             caches.append(cache)
         return x, caches
 
-    def backward(self, grad_y, caches, final_preact=False):
+    def backward(self, grad_y, caches, final_preact=False, input_grad=True):
         """Backprop through the stack; returns the gradient w.r.t. its input.
 
         When final_preact is set, grad_y is taken w.r.t. the last layer's
-        pre-activation (used to fuse sigmoid with cross-entropy).
+        pre-activation (used to fuse sigmoid with cross-entropy). Without
+        input_grad the first layer writes only its weight gradients and the
+        result is None.
         """
         grad = grad_y
-        for k in range(len(self.layers) - 1, -1, -1):
+        last = len(self.layers) - 1
+        for k in range(last, -1, -1):
             layer = self.layers[k]
-            if final_preact and k == len(self.layers) - 1:
+            if final_preact and k == last:
                 grad = layer.backward_from_preact(grad, caches[k])
             else:
-                grad = layer.backward(grad, caches[k])
+                grad = layer.backward(grad, caches[k], input_grad=input_grad or k > 0)
         return grad
 
     def named_layers(self, prefix):
@@ -194,7 +217,11 @@ class DenseStack:
 
 
 class Adam:
-    """Bias-corrected Adam over a ParamStore; the moments are two flat arrays."""
+    """Bias-corrected Adam over a ParamStore; the moments are two flat arrays.
+
+    Every temporary of an update goes through two BLOCK-sized buffers that
+    the optimizer owns, so a step allocates nothing.
+    """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
         self.lr = lr
@@ -204,20 +231,48 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
+        self._buf = np.empty((2, min(BLOCK, params.flat.size)))
 
-    def step(self, params, grads):
-        """One in-place update of params from grads, a store of the same layout."""
+    def step(self, params, grads, context=""):
+        """One in-place update of params from grads, a store of the same layout.
+
+        The sweep checks each gradient block before updating it and raises
+        NumericError naming the first non-finite tensor of grads, with
+        context; the blocks before it are then already updated.
+        """
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        b1, b2 = self.beta1, self.beta2
+        c1 = 1.0 - b1 ** self.t
+        c2 = 1.0 - b2 ** self.t
         p, g = params.flat, grads.flat
-        for s in blocks(p.size):
-            m, v, gs = self.m[s], self.v[s], g[s]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * gs
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (gs * gs)
-            p[s] -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        # an overflowing sum of finite values does not raise; non-finite
+        # values the update itself produces reach the caller's params check
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in blocks(p.size):
+                gs = g[s]
+                if not np.isfinite(gs.sum()):
+                    _search_non_finite(grads, context)
+                m, v = self.m[s], self.v[s]
+                t, u = self._buf[0, :gs.size], self._buf[1, :gs.size]
+                # per element, in this order: m = b1 m + (1-b1) g,
+                # v = b2 v + (1-b2) g^2, p -= lr (m/c1) / (sqrt(v/c2) + eps)
+                m *= b1
+                m += np.multiply(1.0 - b1, gs, out=t)
+                v *= b2
+                np.multiply(gs, gs, out=t)
+                v += np.multiply(1.0 - b2, t, out=t)
+                np.multiply(self.lr, np.divide(m, c1, out=t), out=t)
+                np.sqrt(np.divide(v, c2, out=u), out=u)
+                u += self.eps
+                p[s] -= np.divide(t, u, out=t)
+
+
+def _search_non_finite(store, context):
+    """Raise NumericError naming the first non-finite tensor of a ParamStore, if any."""
+    for name, a in store.items():
+        if not np.isfinite(a).all():
+            where = f" ({context})" if context else ""
+            raise NumericError(f"non-finite values in {name!r}{where}")
 
 
 def assert_all_finite(store, context=""):
@@ -229,7 +284,4 @@ def assert_all_finite(store, context=""):
     with np.errstate(over="ignore", invalid="ignore"):
         if np.isfinite(store.flat.sum()):
             return
-    for name, a in store.items():
-        if not np.isfinite(a).all():
-            where = f" ({context})" if context else ""
-            raise NumericError(f"non-finite values in {name!r}{where}")
+    _search_non_finite(store, context)

@@ -113,8 +113,9 @@ def train(bundle, config: ModelConfig, early_stop=False):
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch offset {at}"
                 )
-            assert_all_finite(grads, context=f"grads, epoch {epoch}, batch offset {at}")
-            adam.step(model.params(), grads)
+            # the update checks grads as it sweeps them and names a non-finite tensor
+            adam.step(model.params(), grads,
+                      context=f"grads, epoch {epoch}, batch offset {at}")
             for key, value in breakdown.as_dict().items():
                 acc[key] = acc.get(key, 0.0) + value * b
             seen += b

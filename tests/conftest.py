@@ -9,8 +9,9 @@ import struct
 import numpy as np
 import pytest
 
+from xdvae import nn
 from xdvae.data import DatasetBundle, DomainMatrix
-from xdvae.model import ModelConfig
+from xdvae.model import LinkedVAE, ModelConfig
 from xdvae.nn import DenseLayer, ParamStore, bind_layers
 
 
@@ -99,6 +100,25 @@ def finite_diff_check(loss_fn, params, grads, h=1e-5):
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, err)
     return worst
+
+
+def poison_last_grad(monkeypatch, at_call, value=np.nan):
+    """Make a linked model's at_call-th backward (from 1) return value in the
+    last entry of its gradient store, which lies past the first update block
+    once BLOCK is cut to 64 elements. Returns the name of that tensor."""
+    monkeypatch.setattr(nn, "BLOCK", 64)
+    backward, calls = LinkedVAE.backward, []
+
+    def poisoned(self, fwd):
+        grads = backward(self, fwd)
+        calls.append(None)
+        if len(calls) == at_call:
+            assert grads.flat.size - grads[list(grads)[-1]].size >= nn.BLOCK
+            grads.flat[-1] = value
+        return grads
+
+    monkeypatch.setattr(LinkedVAE, "backward", poisoned)
+    return "dec_T.1.b"
 
 
 def rewrite_header(src, dst, edit):

@@ -9,7 +9,7 @@ import pytest
 from xdvae import data
 from xdvae.cli import main
 
-from conftest import rewrite_header
+from conftest import poison_last_grad, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -116,6 +116,19 @@ class TestTrain:
             "--epochs", "3", "--out", str(out), *TRAIN_FLAGS,
         ])
         assert out.read_bytes() == trained.read_bytes()
+
+    def test_non_finite_gradient_exit_three_without_checkpoint(self, prepared, tmp_path,
+                                                              capsys, monkeypatch):
+        name = poison_last_grad(monkeypatch, at_call=2)
+        out = tmp_path / "nan.xdv"
+        code = main([
+            "train", "--bundle", str(prepared), "--variant", "generic",
+            "--epochs", "2", "--out", str(out), *TRAIN_FLAGS,
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"numeric failure: non-finite values in {name!r} (grads, epoch 0, " in err
+        assert not list(tmp_path.iterdir())
 
     def test_cold_start_variant_trains(self, prepared, tmp_path):
         out = tmp_path / "cold.xdv"
@@ -334,6 +347,39 @@ class TestModelFlags:
         for item in ("batch_size=32", "beta=15.0", "lambda_reg=0.0001", "lr=0.001",
                      "seed=0", "aux_attach=both", "cold_fraction=0.1"):
             assert item in argv
+
+
+# prepare, eval and ablate flags that used to run (exit 0) or end as data
+# errors (exit 2); each is a usage error naming its flag, before any work.
+BAD_RUN_FLAGS = {
+    "prepare-min-target-positives": ("prepare", ["--min-target-positives", "-4"]),
+    "prepare-seed": ("prepare", ["--seed", "-1"]),
+    "eval-seed": ("eval", ["--protocol", "degrade", "--seed", "-1"]),
+    "eval-fraction-above-one": ("eval", ["--protocol", "degrade", "--fractions", "1,1.5"]),
+    "eval-fraction-negative": ("eval", ["--protocol", "degrade", "--fractions", "-0.25"]),
+    "eval-fraction-nan": ("eval", ["--protocol", "degrade", "--fractions", "0.5,nan"]),
+    "eval-ks": ("eval", ["--ks", "10,500"]),
+    "ablate-ks": ("ablate", ["--ks", "0,500"]),
+}
+
+
+class TestRunFlags:
+    @pytest.mark.parametrize("case", sorted(BAD_RUN_FLAGS))
+    def test_bad_value_exit_one_naming_the_flag(self, synthetic_corpus, prepared, trained,
+                                                tmp_path, capsys, case):
+        command, flags = BAD_RUN_FLAGS[case]
+        out = tmp_path / "x"
+        inputs = {
+            "prepare": ["--ratings", synthetic_corpus["ratings"],
+                        "--items", synthetic_corpus["movies"],
+                        "--source-labels", "Action", "--target-labels", "Comedy,Drama"],
+            "eval": ["--model", str(trained), "--bundle", str(prepared)],
+            "ablate": ["--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1"],
+        }[command]
+        code = main([command, *inputs, *flags, "--out", str(out)])
+        assert code == 1
+        assert f"xdvae: error: {flags[-2]} must be " in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
 
 
 class TestAblate:

@@ -70,6 +70,20 @@ class TestMaskedRecon:
         with pytest.raises(ValueError):
             losses.masked_recon([1.0], [0.5], -0.1)
 
+    def test_value_pinned_to_the_two_sum_formula(self):
+        # r * log(p) is computed once and shared; the value must be the
+        # formula's to the last bit, and the caller's predictions untouched
+        rng = np.random.default_rng(21)
+        r = (rng.random((16, 40)) < 0.2).astype(float)
+        p = rng.random((16, 40))
+        p[0, :3] = (0.0, 1.0, 1e-9)
+        p_before = p.copy()
+        q = np.clip(p, losses.CLAMP, 1.0 - losses.CLAMP)
+        base = -(r * np.log(q) + (1.0 - r) * np.log1p(-q)).sum(axis=1)
+        positives = -(r * np.log(q)).sum(axis=1)
+        assert losses.masked_recon(r, p, 15.0) == float((base + 15.0 * positives).mean())
+        assert np.array_equal(p, p_before)
+
     @given(
         r=hnp.arrays(int, 6, elements=st.integers(0, 1)),
         beta=st.one_of(st.just(0.0), st.floats(1e-6, 10, allow_nan=False)),

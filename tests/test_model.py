@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from xdvae import nn
-from xdvae.model import LinkedVAE, ModelConfig, build_model, merge_latents
+from xdvae.model import (
+    LinkedVAE, ModelConfig, _recon_preact_grad, build_model, merge_latents,
+)
 from xdvae.nn import named_rng
 
 from conftest import finite_diff_check, make_toy_bundle, make_toy_config
@@ -244,6 +246,14 @@ class TestGradients:
     )
     def test_analytic_matches_finite_differences(self, variant):
         assert run_gradient_check(variant) < GRAD_TOLERANCE
+
+    def test_output_grad_matches_the_closed_form_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        p, r = rng.random((6, 11)), (rng.random((6, 11)) < 0.3).astype(float)
+        p_before = p.copy()
+        g = _recon_preact_grad(p, r, 15.0, 6)
+        assert np.array_equal(g, ((p - r) - 15.0 * r * (1.0 - p)) / 6)
+        assert np.array_equal(p, p_before)
 
     def test_cold_start_stop_gradient_only_detaches_target_encoder(self):
         # With the stop-gradient option the mapping loss no longer backprops

@@ -83,6 +83,41 @@ class TestDenseForward:
         assert np.all(y > -1.0) and np.all(y < 1.0)
 
 
+class TestDenseInPlace:
+    """The layer writes bias and activation into its matmul output; the bytes
+    must equal the expression act(x @ W.T + b) evaluated with temporaries."""
+
+    REFERENCE = {
+        "tanh": np.tanh,
+        "sigmoid": lambda a: 1.0 / (1.0 + np.exp(-a)),
+        "identity": lambda a: a,
+    }
+
+    @pytest.mark.parametrize("activation", sorted(REFERENCE))
+    def test_forward_matches_expression_bit_for_bit(self, activation):
+        rng = np.random.default_rng(12)
+        layer = make_layer(rng.standard_normal((7, 5)), rng.standard_normal(7), activation)
+        x = 3.0 * rng.standard_normal((9, 5))
+        x_before = x.copy()
+        y, (x_cached, y_cached) = layer.forward(x)
+        expected = self.REFERENCE[activation](x @ layer.w.T + layer.b)
+        assert np.array_equal(y, expected)
+        assert np.array_equal(x, x_before) and x_cached is x and y_cached is y
+
+    def test_stack_without_input_grad_writes_the_same_weight_grads(self):
+        rng = np.random.default_rng(13)
+        stack, params, grads = make_stack([6, 5, 4, 3], ["tanh", "tanh", "identity"], rng)
+        x = rng.standard_normal((8, 6))
+        grad_y = rng.standard_normal((8, 3))
+        y, caches = stack.forward(x)
+        gx = stack.backward(grad_y, caches)
+        full = grads.flat.copy()
+        grads.flat[...] = np.nan
+        assert stack.backward(grad_y, caches, input_grad=False) is None
+        assert gx.shape == x.shape
+        assert grads.flat.tobytes() == full.tobytes()
+
+
 class TestDenseBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(0)
@@ -224,6 +259,27 @@ class TestAdam:
                 ref[n] -= 0.01 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
         for n in sizes:
             assert np.array_equal(params[n], ref[n])
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gradient_past_the_first_block_is_named(self, bad):
+        rng = np.random.default_rng(7)
+        sizes = {"a": BLOCK + 5, "b": 9, "c": BLOCK}
+        params = make_store(**{n: rng.standard_normal(k) for n, k in sizes.items()})
+        grads = make_store(**{n: rng.standard_normal(k) for n, k in sizes.items()})
+        grads["c"][BLOCK - 2] = bad
+        opt = Adam(params, lr=0.01)
+        with pytest.raises(NumericError,
+                           match=r"'c' \(grads, epoch 4, batch offset 96\)"):
+            opt.step(params, grads, context="grads, epoch 4, batch offset 96")
+
+    def test_overflowing_gradient_sum_does_not_raise(self):
+        # finite values whose sum overflows are not a non-finite gradient
+        params = make_store(x=[0.5, 0.5])
+        grads = make_store(x=[1e308, 1e308])
+        with np.errstate(all="raise"):
+            Adam(params, lr=0.01).step(params, grads)
+        assert np.isfinite(params.flat).all()
 
 
 class TestFiniteDiff:

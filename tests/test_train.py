@@ -17,7 +17,7 @@ from xdvae.train import (
     train,
 )
 
-from conftest import make_toy_bundle, make_toy_config
+from conftest import make_toy_bundle, make_toy_config, poison_last_grad
 
 
 @pytest.fixture()
@@ -114,6 +114,17 @@ def dense_layers(obj):
 def offset(view, flat):
     """Element offset of a view's first entry inside flat."""
     return (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // 8
+
+
+class TestNonFiniteGradient:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_named_with_epoch_and_batch_offset(self, trainable_bundle, monkeypatch, bad):
+        # m = 8 rows in batches of 3: the fifth step is epoch 1, offset 3
+        name = poison_last_grad(monkeypatch, at_call=5, value=bad)
+        config = make_toy_config("generic", epochs=3, batch_size=3)
+        with pytest.raises(nn.NumericError,
+                           match=rf"'{name}' \(grads, epoch 1, batch offset 3\)"):
+            train(trainable_bundle, config)
 
 
 class TestParamStoreLayout:
