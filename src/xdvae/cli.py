@@ -185,14 +185,16 @@ def _training_view(bundle, split, config):
 
 
 def cmd_train(args):
+    fields = dict(variant=args.variant, aux_attach=args.aux_attach,
+                  cold_fraction=args.cold_fraction)
+    # the flags are checked before the bundle is read; aux_dim, the one field
+    # the bundle sets, stands in as 1 until then
+    config = _model_config(args, **fields, aux_dim=1 if args.variant == "aux" else None)
     bundle, split = data.load_bundle(args.bundle)
-    aux_dim = None
     if args.variant == "aux":
         if bundle.aux_vectors is None:
             raise data.DataError("the aux variant needs a bundle with aux vectors")
-        aux_dim = bundle.aux_vectors.shape[1]
-    config = _model_config(args, variant=args.variant, aux_dim=aux_dim,
-                           aux_attach=args.aux_attach, cold_fraction=args.cold_fraction)
+        config = _model_config(args, **fields, aux_dim=bundle.aux_vectors.shape[1])
     view = _training_view(bundle, split, config)
     model, history = training.train(view, config, early_stop=args.early_stop)
     training.save_checkpoint(model, args.out)
@@ -274,28 +276,31 @@ def cmd_eval(args):
 
 def cmd_ablate(args):
     ks = _parse_ks(args.ks)
-    bundle, split = data.load_bundle(args.bundle)
-    if split is None:
-        raise data.DataError("bundle carries no leave-one-out split")
-    view = data.training_bundle(bundle, split)
     base = _model_config(args)
-
-    reports = []
     if args.beta_sweep:
         betas = _parse_float_list(args.beta_sweep, "--beta-sweep")
-        for beta in betas:
-            model, _ = training.train(view, _model_config(args, beta=beta))
-            report = evaluate.evaluate(model, view, split, ks=ks)
-            report.variant = f"generic-b{beta:g}"
-            report.protocol = "beta-sweep"
-            report.extra = {"beta": beta}
-            reports.append(report)
+        sweep = [(beta, _model_config(args, beta=beta)) for beta in betas]
     else:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         known = {"generic", "single", "single0", "merged", "merged0", "no-mmd"}
         bad = [v for v in variants if v.lower() not in known]
         if bad:
             raise CliError(f"unknown ablation variants: {bad}")
+    bundle, split = data.load_bundle(args.bundle)
+    if split is None:
+        raise data.DataError("bundle carries no leave-one-out split")
+    view = data.training_bundle(bundle, split)
+
+    reports = []
+    if args.beta_sweep:
+        for beta, config in sweep:
+            model, _ = training.train(view, config)
+            report = evaluate.evaluate(model, view, split, ks=ks)
+            report.variant = f"generic-b{beta:g}"
+            report.protocol = "beta-sweep"
+            report.extra = {"beta": beta}
+            reports.append(report)
+    else:
         results = training.run_variant_suite(view, base, variants)
         for name, (model, _) in results.items():
             report = evaluate.evaluate(model, view, split, ks=ks)

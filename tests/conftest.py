@@ -8,11 +8,17 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from xdvae import nn
 from xdvae.data import DatasetBundle, DomainMatrix
 from xdvae.model import LinkedVAE, ModelConfig
 from xdvae.nn import DenseLayer, ParamStore, bind_layers
+
+# CI runs tier-1 with --hypothesis-profile=ci. Property tests that take their
+# example count from the profile (no max_examples of their own) search five
+# times the default 100 examples there; a local run keeps the default.
+settings.register_profile("ci", max_examples=500)
 
 
 def make_toy_bundle(m=8, n_source=6, n_target=8, seed=123, min_target=3, aux_dim=None):

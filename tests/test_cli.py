@@ -313,6 +313,17 @@ BAD_MODEL_FLAGS = {
     "seed-negative": ["--seed", "-1"],
 }
 
+# train and ablate flags that used to end as a file-not-found data error (exit 2)
+# when the bundle was missing too; they are checked before the bundle is read
+FLAGS_BEFORE_BUNDLE = {
+    "train-beta": ("train", ["--beta", "nan"], "--beta must be finite and >= 0"),
+    "ablate-beta": ("ablate", ["--beta", "nan"], "--beta must be finite and >= 0"),
+    "train-batch-size": ("train", ["--batch-size", "0"], "--batch-size must be >= 1"),
+    "ablate-dims": ("ablate", ["--dims", "0"], "--dims widths must be >= 1"),
+    "ablate-beta-sweep": ("ablate", ["--beta-sweep", "4,nan"], "--beta must be finite"),
+    "ablate-variants": ("ablate", ["--variants", "generic,bogus"], "unknown ablation variants"),
+}
+
 
 class TestModelFlags:
     @pytest.mark.parametrize("case", sorted(BAD_MODEL_FLAGS))
@@ -326,6 +337,14 @@ class TestModelFlags:
         assert code == 1
         assert f"xdvae: error: {flags[0]} " in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("case", sorted(FLAGS_BEFORE_BUNDLE))
+    def test_checked_before_the_bundle_is_read(self, tmp_path, capsys, case):
+        command, flags, message = FLAGS_BEFORE_BUNDLE[case]
+        missing = tmp_path / "missing.xdb"
+        code = main([command, "--bundle", str(missing), *flags, "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert f"xdvae: error: {message}" in capsys.readouterr().err
 
     def test_cold_fraction_outside_unit_interval_exit_one(self, prepared, tmp_path, capsys):
         code = main(["train", "--bundle", str(prepared), "--variant", "cold-start",

@@ -1,6 +1,7 @@
 """Ingestion, domain routing, filtering, splits and bundle round trips."""
 
 import struct
+from string import ascii_letters, digits
 from unittest.mock import patch
 
 import numpy as np
@@ -112,24 +113,26 @@ class TestLoadRatings:
 
 
 class TestChunkBoundaries:
-    """A log longer than data.CHUNK, so its lines are parsed in several chunks."""
+    """A log longer than data.BLOCK bytes, so its lines are parsed in several blocks."""
 
     filler = "zz::s9::1::0"  # below threshold, so it adds no positive
+    # lines wholly within the first block
+    per_block = data.BLOCK // len(filler + "\n")
 
     def log(self, edits):
-        lines = [self.filler] * (data.CHUNK + 50)
+        lines = [self.filler] * (self.per_block + 50)
         for line_number, text in edits.items():
             lines[line_number - 1] = text
         return "\n".join(lines) + "\n"
 
     def test_bad_rating_in_second_chunk_reports_its_line(self, tmp_path):
-        bad = data.CHUNK + 7
+        bad = self.per_block + 7
         path = write(tmp_path, "r.dat", self.log({bad: "u1::t1::x::5", bad + 3: "u1"}))
         with pytest.raises(DataError, match=rf"r\.dat:{bad}: bad rating 'x'$"):
             data.load_ratings(path, "movielens-dat")
 
     def test_later_chunk_wins_duplicates_and_new_ids_sort_into_place(self, tmp_path):
-        later = data.CHUNK + 5
+        later = self.per_block + 5
         path = write(tmp_path, "r.dat", self.log({
             1: "u1::t1::5::100", 2: "u1::s1::5::1", 3: "u1::t2::4::1",
             later: "u1::t1::5::200",
@@ -149,9 +152,10 @@ class TestChunkBoundaries:
 
 
 class TestLineBreaks:
-    """The log is read CHUNK physical lines at a time, but lines and line numbers
+    """The log is read in blocks of data.BLOCK bytes, but lines and line numbers
     are those of splitlines() on the whole text, which also breaks at \\x0b,
-    \\x0c, \\x1c-\\x1e and \\x85 (and sees \\r\\n and \\r as \\n)."""
+    \\x0c, \\x1c-\\x1e and \\x85 (and sees \\r\\n and \\r as \\n). Block sizes
+    run from one byte per read to more than the whole log."""
 
     text = ("u1::s1::5::1\x0cu1::t1::5::2\r\nu1::t2::4::3\x1c\x85u2::s1::5::4\n"
             "u2::t1::5::5\x0bu2::t2::5::6\ru3::t2::5::7\x1d\x1eu3::s1::5::8\n")
@@ -161,20 +165,20 @@ class TestLineBreaks:
         path.write_bytes(text.encode("latin-1"))
         return str(path)
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, data.CHUNK])
-    def test_lines_as_whole_text_splitlines(self, tmp_path, chunk):
+    @pytest.mark.parametrize("block", [1, 2, 3, 4096])
+    def test_lines_as_whole_text_splitlines(self, tmp_path, block):
         path = self.log(tmp_path, self.text)
-        with patch.object(data, "CHUNK", chunk):
+        with patch.object(data, "BLOCK", block):
             ratings = data.load_ratings(path, "movielens-dat")
         with open(path, encoding="latin-1") as fh:
             lines = [line.split("::") for line in fh.read().splitlines() if line]
         assert rows_of(ratings) == [(u, i, int(r), int(t)) for u, i, r, t in lines]
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, data.CHUNK])
-    def test_error_line_numbers_count_every_break(self, tmp_path, chunk):
+    @pytest.mark.parametrize("block", [1, 2, 3, 4096])
+    def test_error_line_numbers_count_every_break(self, tmp_path, block):
         path = self.log(tmp_path, self.text + "u4::t1::x::9\n")
         # 10 lines above it: 8 ratings and the empty lines in \x1c\x85 and \x1d\x1e
-        with patch.object(data, "CHUNK", chunk), \
+        with patch.object(data, "BLOCK", block), \
                 pytest.raises(DataError, match=r"r\.dat:11: bad rating 'x'$"):
             data.load_ratings(path, "movielens-dat")
 
@@ -291,9 +295,8 @@ class TestBinarizeAndFilter:
         assert "both0" not in items and "none0" not in items
 
 
-def reference_bundle(path, fmt, item_labels, source_labels, target_labels,
-                     threshold=4, min_target_positives=2):
-    """The per-line parser and dict-of-dicts filter the columnar pipeline replaced."""
+def reference_log(path, fmt):
+    """The per-line parser the columnar ingestion replaced: (user, item, rating, ts or None)."""
     with open(path, "r", encoding="latin-1") as fh:
         lines = fh.read().splitlines()
     start = 0
@@ -326,7 +329,13 @@ def reference_bundle(path, fmt, item_labels, source_labels, target_labels,
         log.append((parts[0].strip(), parts[1].strip(), rating, timestamp))
     if not log:
         raise DataError(f"{path}: no interactions")
+    return log
 
+
+def reference_bundle(path, fmt, item_labels, source_labels, target_labels,
+                     threshold=4, min_target_positives=2):
+    """The per-line parser and dict-of-dicts filter the columnar pipeline replaced."""
+    log = reference_log(path, fmt)
     unknown = sorted({x[1] for x in log if x[1] not in item_labels})
     if unknown:
         more = f" (+{len(unknown) - 10} more)" if len(unknown) > 10 else ""
@@ -448,34 +457,158 @@ def scratch_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("oracle")
 
 
+def assert_same_outcome(got, want, scratch_dir):
+    """Two outcome() results agree: the same error, or equal bundles saved to equal bytes."""
+    assert got[0] == want[0], (got, want)
+    if want[0] == "error":
+        assert got[1] == want[1]
+        return
+    a, b = got[1], want[1]
+    for x, y in ((a.source, b.source), (a.target, b.target)):
+        assert x.user_index == y.user_index and x.item_index == y.item_index
+        assert [r.tolist() for r in row_list(x)] == [r.tolist() for r in row_list(y)]
+        assert (x.ts is None) == (y.ts is None)
+        if x.ts is not None:
+            assert [t.tolist() for t in row_list(x, x.ts)] == \
+                [t.tolist() for t in row_list(y, y.ts)]
+    data.save_bundle(a, scratch_dir / "a.xdb")
+    data.save_bundle(b, scratch_dir / "b.xdb")
+    assert (scratch_dir / "a.xdb").read_bytes() == (scratch_dir / "b.xdb").read_bytes()
+
+
 class TestIngestionOracle:
     @given(log=rating_logs(), threshold=st.sampled_from([1, 4, 4, 5]),
-           min_target=st.sampled_from([0, 1, 2, 2, 3]), chunk=st.sampled_from([1, 2, 3, data.CHUNK]))
+           min_target=st.sampled_from([0, 1, 2, 2, 3]),
+           block=st.sampled_from([1, 2, 3, 7, 64, data.BLOCK]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_per_line_reference(self, scratch_dir, log, threshold, min_target, chunk):
+    def test_matches_per_line_reference(self, scratch_dir, log, threshold, min_target, block):
         fmt, text, labels = log
         path = scratch_dir / "r.log"
         path.write_text(text, encoding="latin-1")
         args = (str(path), fmt, labels, {"S"}, {"T"})
         kwargs = dict(threshold=threshold, min_target_positives=min_target)
         want = outcome(reference_bundle, *args, **kwargs)
-        with patch.object(data, "CHUNK", chunk):
+        with patch.object(data, "BLOCK", block):
             got = outcome(columnar_bundle, *args, **kwargs)
-        assert got[0] == want[0], (got, want)
-        if want[0] == "error":
-            assert got[1] == want[1]
-            return
-        a, b = got[1], want[1]
-        for x, y in ((a.source, b.source), (a.target, b.target)):
-            assert x.user_index == y.user_index and x.item_index == y.item_index
-            assert [r.tolist() for r in row_list(x)] == [r.tolist() for r in row_list(y)]
-            assert (x.ts is None) == (y.ts is None)
-            if x.ts is not None:
-                assert [t.tolist() for t in row_list(x, x.ts)] == \
-                    [t.tolist() for t in row_list(y, y.ts)]
-        data.save_bundle(a, scratch_dir / "a.xdb")
-        data.save_bundle(b, scratch_dir / "b.xdb")
-        assert (scratch_dir / "a.xdb").read_bytes() == (scratch_dir / "b.xdb").read_bytes()
+        assert_same_outcome(got, want, scratch_dir)
+
+
+# canonical ids: "9" and "10" sort one way as strings and the other as numbers
+CANONICAL_IDS = st.one_of(st.sampled_from(["9", "10", "09", "x" * 16]),
+                          st.text(ascii_letters + digits + "_.-", min_size=1, max_size=16))
+
+
+@st.composite
+def canonical_logs(draw):
+    """(format, text, item labels) of a log whose every line is canonical."""
+    fmt = draw(st.sampled_from(["movielens-dat", "csv"]))
+    sep = "::" if fmt == "movielens-dat" else ","
+    users = draw(st.lists(CANONICAL_IDS, min_size=1, max_size=6, unique=True))
+    items = draw(st.lists(CANONICAL_IDS, min_size=2, max_size=8, unique=True))
+    # timestamps of 0 (left empty) to 18 digits, leading zeros included
+    line = st.tuples(st.sampled_from(users), st.sampled_from(items), st.sampled_from("12345"),
+                     st.text(digits, max_size=18)).map(sep.join)
+    lines = draw(st.lists(line, min_size=1, max_size=40))
+    if fmt == "csv":
+        lines.insert(0, "user,item,rating,timestamp")
+    labels = {item: draw(st.sampled_from([{"S"}, {"T"}, {"T"}])) for item in items}
+    return fmt, "\n".join(lines) + draw(st.sampled_from(["", "\n"])), labels
+
+
+class TestCanonicalBlocks:
+    @given(log=canonical_logs(), block=st.sampled_from([1, 5, 16, 64, 256, data.BLOCK]))
+    @settings(deadline=None)  # the example count comes from the active profile
+    def test_parsed_as_arrays_like_the_per_line_reference(self, scratch_dir, log, block):
+        fmt, text, labels = log
+        path = scratch_dir / "c.log"
+        path.write_text(text, encoding="latin-1")
+        args = (str(path), fmt, labels, {"S"}, {"T"})
+        with patch.object(data, "BLOCK", block), \
+                patch.object(data, "_parse_chunk", wraps=data._parse_chunk) as general:
+            rows = rows_of(data.load_ratings(str(path), fmt))
+            got = outcome(columnar_bundle, *args)
+        assert not general.called
+        assert rows == reference_log(str(path), fmt)
+        assert_same_outcome(got, outcome(reference_bundle, *args), scratch_dir)
+
+    @pytest.mark.parametrize("fmt", ["movielens-dat", "csv"])
+    def test_benchmark_shaped_logs_never_reach_the_general_parser(self, tmp_path, fmt):
+        # ML-1M: numeric ids and 9-10 digit timestamps, grouped by user; Amazon:
+        # 10-byte ids in random order, one timestamp in ten left empty
+        rng = np.random.default_rng(0)
+        n = 50_000
+        user, item = rng.integers(1, 6041, n), rng.integers(1, 3953, n)
+        rating, ts = rng.integers(1, 6, n), rng.integers(956_703_932, 1_046_454_590, n)
+        if fmt == "movielens-dat":
+            user.sort()
+            lines = [f"{u}::{i}::{r}::{t}" for u, i, r, t in zip(user, item, rating, ts)]
+        else:
+            stamps = np.where(rng.random(n) < 0.1, "", ts.astype(str))
+            lines = ["user,item,rating,timestamp"] + [
+                f"A{u:09X},B{i:09X},{r},{t}" for u, i, r, t in zip(user, item, rating, stamps)]
+        path = write(tmp_path, "r.log", "\n".join(lines) + "\n")
+        with patch.object(data, "_parse_chunk", wraps=data._parse_chunk) as general:
+            rows = rows_of(data.load_ratings(path, fmt))
+        assert not general.called
+        assert rows == reference_log(path, fmt)
+
+    # the file's own size; unknown (0), as for a pipe; a file read past its size
+    @pytest.mark.parametrize("size", [None, 0, 100])
+    def test_columns_hold_no_unused_room(self, tmp_path, size):
+        # the later lines are longer, so the room sized from the first blocks falls short
+        lines = [f"u{k}::i{k % 7}::{1 + k % 5}::{k}" for k in range(300)]
+        lines += [f"u{k:015d}::i{k % 7:015d}::{1 + k % 5}::{10 ** 17 + k}" for k in range(300)]
+        path = write(tmp_path, "r.dat", "\n".join(lines) + "\n")
+        stat = type("Stat", (), {"st_size": size})
+        sized = data.os.fstat if size is None else (lambda fd: stat)
+        with patch.object(data, "BLOCK", 256), patch.object(data.os, "fstat", sized):
+            ratings = data.load_ratings(path, "movielens-dat")
+        assert rows_of(ratings) == reference_log(path, "movielens-dat")
+        for col in (ratings.user, ratings.item, ratings.rating, ratings.ts, ratings.has_ts):
+            assert col.base is None and col.size == len(lines)
+
+
+# canonical lines around the one under test; at BLOCK = 64 they fill several blocks
+MIXED_LEAD = [f"u{k % 3}::{'st'[k % 2]}{k % 4}::{1 + k % 5}::{100 + k}" for k in range(12)]
+MIXED_TAIL = ["u1::t1::5::900", "u2::s0::4::901"]
+
+
+class TestMixedBlocks:
+    """One non-canonical line in a later block: its block alone goes through the
+    general parser, and the log reads as the per-line reference reads it."""
+
+    @pytest.mark.parametrize("line", [
+        "u9::t1::4::7\r",                      # a CRLF line end
+        "u9\t::t1::4::7", "\xa0u9::t1::4::7",  # padding that strip() removes
+        "u9::t1::4::7\x85u8::t2::5::8",        # a line break of splitlines()
+        "",                                   # a blank line
+        "u9::t1::+4::7", "u9::t1::4::1_0",    # forms int() reads
+        "u" + "9" * 16 + "::t1::4::7",        # a 17-byte id
+        "u9::t1::4::1000000000000000000",     # a 19-digit timestamp
+        "u9::t1::4::7:", "u9::t1::x::7", "u9::t1::6::7",  # bad lines
+        "u9:t1:::4::7",                       # six ":" that do not pair into "::"
+    ])
+    @pytest.mark.parametrize("fault_after", [False, True])
+    @pytest.mark.parametrize("fmt", ["movielens-dat", "csv"])
+    def test_matches_per_line_reference(self, tmp_path, fmt, line, fault_after):
+        lines = [*MIXED_LEAD, line, *MIXED_TAIL, *["u3::t3::x::1"] * fault_after]
+        if fmt == "csv":
+            lines = ["user,item,rating,timestamp"] + [x.replace("::", ",") for x in lines]
+        path = tmp_path / "r.log"
+        path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
+        with patch.object(data, "BLOCK", 64), \
+                patch.object(data, "_parse_chunk", wraps=data._parse_chunk) as general:
+            got = outcome(lambda p: rows_of(data.load_ratings(p, fmt)), str(path))
+        assert got == outcome(reference_log, str(path), fmt)
+        # a fault after it may sit in a block of its own
+        assert general.call_count == 1 or fault_after and general.call_count == 2
+
+    def test_timestamp_beyond_int64_is_bad(self, tmp_path):
+        lines = [*MIXED_LEAD, "u9::t1::4::" + "9" * 20, *MIXED_TAIL]
+        path = write(tmp_path, "r.dat", "\n".join(lines) + "\n")
+        with patch.object(data, "BLOCK", 64), \
+                pytest.raises(DataError, match=rf"r\.dat:13: bad timestamp '{'9' * 20}'$"):
+            data.load_ratings(path, "movielens-dat")
 
 
 class TestLooSplit:
