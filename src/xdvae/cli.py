@@ -113,6 +113,8 @@ def cmd_prepare(args):
     _check("--min-target-positives", args.min_target_positives,
            args.min_target_positives >= 1, ">= 1")
     _check("--seed", args.seed, args.seed >= 0, ">= 0")
+    _check("--min-rating", args.min_rating, 1 <= args.min_rating <= 5, "in 1..5")
+    _check("--aux-dim", args.aux_dim, args.aux_dim >= 1, ">= 1")
     source_labels = _parse_labels(args.source_labels)
     target_labels = _parse_labels(args.target_labels)
     if not source_labels or not target_labels:

@@ -601,11 +601,17 @@ def restrict_users(bundle, user_positions):
 
 
 def cold_start_split(bundle, fraction=0.1, seed=0):
-    """Uniform user partition into train/test; test gets round(fraction * m) users."""
+    """Uniform user partition into train/test; test gets round(fraction * m) users.
+
+    A split that leaves either side without users is a DataError.
+    """
     if not 0.0 < fraction < 1.0:
         raise DataError(f"fraction must be in (0, 1), got {fraction}")
     m = bundle.m
     n_test = int(fraction * m + 0.5)
+    if not 0 < n_test < m:
+        raise DataError(f"cold-start fraction {fraction} of {m} users leaves "
+                        f"{m - n_test} training and {n_test} test users")
     perm = named_rng(seed, "cold-split").permutation(m)
     test = np.sort(perm[:n_test])
     train = np.sort(perm[n_test:])

@@ -2,7 +2,7 @@
 
 All data-dependent terms are averaged over the batch so that the weighting
 constants (beta, lambda_reg) keep their meaning across batch sizes.
-Predictions are clamped away from {0, 1} before any log.
+Reconstructions are scored from decoder logits, so no log ever sees 0.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .nn import BLOCK, blocks
-
-CLAMP = 1e-7
 
 VARIANTS = ("generic", "single", "merged", "no-mmd", "cold-start", "aux")
 
@@ -47,37 +45,37 @@ class LossBreakdown:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _clamped(r_hat):
-    return np.clip(r_hat, CLAMP, 1.0 - CLAMP)
-
-
 def _as_batch(x):
     x = np.asarray(x, dtype=float)
     return x.reshape(1, -1) if x.ndim == 1 else x
 
 
-def masked_recon(r, r_hat, beta) -> float:
-    """Reconstruction error with an extra beta-weighted penalty on positives.
+def masked_recon(r, a, beta) -> float:
+    """Cross-entropy of targets r under logits a, plus beta times that of the positives.
 
-    The Hadamard-masked entropy term keeps only the positions where r is 1,
-    so it reduces to -beta * sum(log r_hat) over the positives.
+    With p = sigmoid(a), -r log p - (1 - r) log(1 - p) - beta r log p is
+    softplus(a) - r a + beta r softplus(-a) per cell, exact at any logit.
     """
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     r = _as_batch(r)
-    p = _clamped(_as_batch(r_hat))
-    if r.shape != p.shape:
-        raise ValueError(f"shape mismatch {r.shape} vs {p.shape}")
-    # r * log(p) is shared by both sums; p is clip's own copy, so the
-    # (1 - r) * log1p(-p) term is built in it in place
-    pos = np.log(p)
-    pos *= r
-    neg = np.log1p(np.negative(p, out=p), out=p)
-    neg *= 1.0 - r
-    neg += pos
-    base = -neg.sum(axis=1)
-    positives = -pos.sum(axis=1)
-    return float((base + beta * positives).mean())
+    a = _as_batch(a)
+    if r.shape != a.shape:
+        raise ValueError(f"shape mismatch {r.shape} vs {a.shape}")
+    # softplus(+-a) = max(+-a, 0) + log1p(exp(-|a|)), so neither overflows;
+    # the r terms are taken only where r is nonzero
+    t = np.abs(a)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    at = np.flatnonzero(r != 0)
+    a_pos = a.ravel()[at]
+    pos = np.maximum(np.negative(a_pos), 0.0)
+    pos += t.ravel()[at]
+    pos *= beta
+    pos -= a_pos
+    pos *= r.ravel()[at]
+    return float((np.maximum(a, 0.0).sum() + t.sum() + pos.sum()) / a.shape[0])
 
 
 def kl_divergence(mu, logvar) -> float:

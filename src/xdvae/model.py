@@ -7,8 +7,9 @@ transfer). Ablations drop pieces of that design; the cold-start variant routes
 the target decoder through a learned source->target latent mapping; the aux
 variant fuses a per-user feature vector into the encoders via a sub-encoder.
 
-Backpropagation is hand-derived per variant (see loss_and_grads); the sigmoid
-output layer is fused with the cross-entropy terms for stability.
+Backpropagation is hand-derived per variant (see loss_and_grads). Decoders
+end in an identity layer: they output logits, the reconstruction loss is
+computed from them, and scores are logits too.
 """
 
 from __future__ import annotations
@@ -100,14 +101,18 @@ def merge_latents(z_source, z_target):
     return np.concatenate([z_source, z_target], axis=-1)
 
 
-def _recon_preact_grad(p, r, beta, batch):
-    # d(masked recon)/d(pre-sigmoid activation), batch-averaged:
-    # ((p - r) - beta * r * (1 - p)) / batch, evaluated in that order.
-    pos = np.multiply(beta, r)
-    g = np.subtract(1.0, p)
-    pos *= g
-    np.subtract(p, r, out=g)
-    g -= pos
+def _recon_preact_grad(a, r, beta, batch):
+    # d(masked recon)/d(logits a), batch-averaged: with p = 1 / (1 + exp(-a)),
+    # ((p - r) - beta * r * (1 - p)) / batch, each evaluated in that order.
+    # Where r is 0 the bracket is exactly p, so only r's nonzeros are computed.
+    g = np.negative(a)
+    np.exp(g, out=g)
+    g += 1.0
+    np.divide(1.0, g, out=g)
+    at = np.flatnonzero(r != 0)
+    flat = g.reshape(-1)
+    p, r_pos = flat[at], r.ravel()[at]
+    flat[at] = (p - r_pos) - (beta * r_pos) * (1.0 - p)
     g /= batch
     return g
 
@@ -176,7 +181,7 @@ class _Encoder:
 
 def _make_decoder(input_dim, hidden_dims, output_dim):
     dims = [input_dim] + list(hidden_dims) + [output_dim]
-    activations = ["tanh"] * len(hidden_dims) + ["sigmoid"]
+    activations = ["tanh"] * len(hidden_dims) + ["identity"]
     return DenseStack.create(dims, activations)
 
 
@@ -276,17 +281,17 @@ class LinkedVAE(_ModelBase):
         sub_s, sub_t, sub_caches = self._sub_outputs(aux)
         st_s, cache_s = self.enc_s.forward(r_s, eps_s, sub_s)
         st_t, cache_t = self.enc_t.forward(r_t, eps_t, sub_t)
-        p_s, dec_s_caches = self.dec_s.forward(st_s.z)
+        a_s, dec_s_caches = self.dec_s.forward(st_s.z)
         if self.use_map:
             z_prime, map_cache = self.map_layer.forward(st_s.z)
         else:
             z_prime, map_cache = merge_latents(st_s.z, st_t.z), None
-        p_t, dec_t_caches = self.dec_t.forward(z_prime)
+        a_t, dec_t_caches = self.dec_t.forward(z_prime)
         return {
             "r_s": r_s, "r_t": r_t,
             "state_s": st_s, "state_t": st_t,
             "cache_s": cache_s, "cache_t": cache_t,
-            "p_s": p_s, "p_t": p_t,
+            "a_s": a_s, "a_t": a_t,
             "dec_s_caches": dec_s_caches, "dec_t_caches": dec_t_caches,
             "z_prime": z_prime, "map_cache": map_cache,
             "sub_caches": sub_caches,
@@ -296,8 +301,8 @@ class LinkedVAE(_ModelBase):
         cfg = self.config
         st_s, st_t = fwd["state_s"], fwd["state_t"]
         parts = {
-            "recon_source": losses.masked_recon(fwd["r_s"], fwd["p_s"], cfg.beta),
-            "recon_target": losses.masked_recon(fwd["r_t"], fwd["p_t"], cfg.beta),
+            "recon_source": losses.masked_recon(fwd["r_s"], fwd["a_s"], cfg.beta),
+            "recon_target": losses.masked_recon(fwd["r_t"], fwd["a_t"], cfg.beta),
             "kl_source": losses.kl_divergence(st_s.mu, st_s.logvar),
             "kl_target": losses.kl_divergence(st_t.mu, st_t.logvar),
             "reg": losses.l2_reg(self._params, cfg.lambda_reg),
@@ -316,10 +321,10 @@ class LinkedVAE(_ModelBase):
         batch = fwd["r_s"].shape[0]
         L = cfg.latent_dim
 
-        g_out_s = _recon_preact_grad(fwd["p_s"], fwd["r_s"], cfg.beta, batch)
-        g_z_s = self.dec_s.backward(g_out_s, fwd["dec_s_caches"], final_preact=True)
-        g_out_t = _recon_preact_grad(fwd["p_t"], fwd["r_t"], cfg.beta, batch)
-        g_dec_t_in = self.dec_t.backward(g_out_t, fwd["dec_t_caches"], final_preact=True)
+        g_out_s = _recon_preact_grad(fwd["a_s"], fwd["r_s"], cfg.beta, batch)
+        g_z_s = self.dec_s.backward(g_out_s, fwd["dec_s_caches"])
+        g_out_t = _recon_preact_grad(fwd["a_t"], fwd["r_t"], cfg.beta, batch)
+        g_dec_t_in = self.dec_t.backward(g_out_t, fwd["dec_t_caches"])
 
         if self.use_map:
             z_prime = fwd["z_prime"]
@@ -352,7 +357,7 @@ class LinkedVAE(_ModelBase):
     # -- prediction ----------------------------------------------------------
 
     def predict_scores(self, r_s, r_t, aux=None):
-        """Ranking scores over target items from the posterior means (z = mu).
+        """Target-item logits from the posterior means (z = mu), the ranking scores.
 
         The cold-start variant never reads r_t: its scores depend on the
         source row alone, through the mapped source latent.
@@ -396,14 +401,14 @@ class SingleVAE(_ModelBase):
         (eps_x,) = eps
         x = self._input(r_s, r_t)
         state, cache = self.enc.forward(x, eps_x)
-        p, dec_caches = self.dec.forward(state.z)
-        return {"x": x, "state": state, "cache": cache, "p": p, "dec_caches": dec_caches}
+        a, dec_caches = self.dec.forward(state.z)
+        return {"x": x, "state": state, "cache": cache, "a": a, "dec_caches": dec_caches}
 
     def loss_breakdown(self, fwd):
         cfg = self.config
         return losses.compose_total(
             cfg.variant,
-            recon_target=losses.masked_recon(fwd["x"], fwd["p"], cfg.beta),
+            recon_target=losses.masked_recon(fwd["x"], fwd["a"], cfg.beta),
             kl_target=losses.kl_divergence(fwd["state"].mu, fwd["state"].logvar),
             reg=losses.l2_reg(self._params, cfg.lambda_reg),
         )
@@ -411,17 +416,17 @@ class SingleVAE(_ModelBase):
     def backward(self, fwd):
         cfg = self.config
         batch = fwd["x"].shape[0]
-        g_out = _recon_preact_grad(fwd["p"], fwd["x"], cfg.beta, batch)
-        g_z = self.dec.backward(g_out, fwd["dec_caches"], final_preact=True)
+        g_out = _recon_preact_grad(fwd["a"], fwd["x"], cfg.beta, batch)
+        g_z = self.dec.backward(g_out, fwd["dec_caches"])
         g_mu, g_lv = _kl_grads(fwd["state"], batch)
         self.enc.backward(g_z, g_mu, g_lv, fwd["state"], fwd["cache"])
         losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
         return self._grads
 
     def predict_scores(self, r_s, r_t, aux=None):
-        """Ranking scores over target items from the posterior mean (z = mu)."""
-        p, _ = self.dec.forward(self.enc.mean(self._input(r_s, r_t)))
-        return p[:, self.n_source:] if self.config.variant == "merged" else p
+        """Target-item logits from the posterior mean (z = mu), the ranking scores."""
+        a, _ = self.dec.forward(self.enc.mean(self._input(r_s, r_t)))
+        return a[:, self.n_source:] if self.config.variant == "merged" else a
 
 
 def build_model(config, n_source, n_target, rng=None):

@@ -49,31 +49,19 @@ def init_weights(params, rng):
 
 
 def _act_forward(name, a):
-    """Apply the activation to a in place and return it."""
+    """Apply the activation (DenseLayer checked its name) to a in place and return it."""
     if name == "tanh":
         np.tanh(a, out=a)
-    elif name == "sigmoid":
-        # 1 / (1 + exp(-a)), one pass per operation, in that order
-        np.negative(a, out=a)
-        np.exp(a, out=a)
-        a += 1.0
-        np.divide(1.0, a, out=a)
-    elif name != "identity":
-        raise ValueError(f"unknown activation {name!r}")
     return a
 
 
 def _act_backward(name, grad_y, y):
-    # Derivatives expressed through the activation output.
-    if name == "tanh":
-        d = y * y
-        np.subtract(1.0, d, out=d)
-        return np.multiply(grad_y, d, out=d)
-    if name == "sigmoid":
-        return grad_y * y * (1.0 - y)
+    # the tanh derivative is expressed through its output
     if name == "identity":
         return grad_y
-    raise ValueError(f"unknown activation {name!r}")
+    d = y * y
+    np.subtract(1.0, d, out=d)
+    return np.multiply(grad_y, d, out=d)
 
 
 def blocks(n):
@@ -128,7 +116,7 @@ class DenseLayer:
     def __init__(self, in_dim, out_dim, activation):
         if in_dim < 1 or out_dim < 1:
             raise ValueError(f"bad layer sizes ({in_dim}, {out_dim})")
-        if activation not in ("tanh", "sigmoid", "identity"):
+        if activation not in ("tanh", "identity"):
             raise ValueError(f"unknown activation {activation!r}")
         self.shape = (out_dim, in_dim)
         self.activation = activation
@@ -194,22 +182,15 @@ class DenseStack:
             caches.append(cache)
         return x, caches
 
-    def backward(self, grad_y, caches, final_preact=False, input_grad=True):
+    def backward(self, grad_y, caches, input_grad=True):
         """Backprop through the stack; returns the gradient w.r.t. its input.
 
-        When final_preact is set, grad_y is taken w.r.t. the last layer's
-        pre-activation (used to fuse sigmoid with cross-entropy). Without
-        input_grad the first layer writes only its weight gradients and the
-        result is None.
+        Without input_grad the first layer writes only its weight gradients
+        and the result is None.
         """
         grad = grad_y
-        last = len(self.layers) - 1
-        for k in range(last, -1, -1):
-            layer = self.layers[k]
-            if final_preact and k == last:
-                grad = layer.backward_from_preact(grad, caches[k])
-            else:
-                grad = layer.backward(grad, caches[k], input_grad=input_grad or k > 0)
+        for k in range(len(self.layers) - 1, -1, -1):
+            grad = self.layers[k].backward(grad, caches[k], input_grad=input_grad or k > 0)
         return grad
 
     def named_layers(self, prefix):

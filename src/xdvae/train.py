@@ -71,6 +71,8 @@ def train(bundle, config: ModelConfig, early_stop=False):
     variant the bundle must carry aux_vectors.
     """
     config.validate()
+    if bundle.m == 0:
+        raise DataError("the training bundle has no users")
     n_s, n_t = bundle.source.n_items, bundle.target.n_items
     if config.variant == "aux":
         if bundle.aux_vectors is None:
@@ -108,14 +110,16 @@ def train(bundle, config: ModelConfig, early_stop=False):
                 if config.variant == "aux" else None
             )
             eps = rng_eps.standard_normal((model.n_latents, b, config.latent_dim))
-            breakdown, grads = model.loss_and_grads(r_s, r_t, eps, aux)
-            if not np.isfinite(breakdown.total):
-                raise NumericError(
-                    f"non-finite loss at epoch {epoch}, batch offset {at}"
-                )
-            # the update checks grads as it sweeps them and names a non-finite tensor
-            adam.step(model.params(), grads,
-                      context=f"grads, epoch {epoch}, batch offset {at}")
+            # a diverging step is reported by the loss check and by the update,
+            # which checks grads as it sweeps them, not by numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                breakdown, grads = model.loss_and_grads(r_s, r_t, eps, aux)
+                if not np.isfinite(breakdown.total):
+                    raise NumericError(
+                        f"non-finite loss at epoch {epoch}, batch offset {at}"
+                    )
+                adam.step(model.params(), grads,
+                          context=f"grads, epoch {epoch}, batch offset {at}")
             for key, value in breakdown.as_dict().items():
                 acc[key] = acc.get(key, 0.0) + value * b
             seen += b

@@ -73,14 +73,29 @@ class TestPrepare:
         ])
         assert code == 1
 
-    def test_impossible_threshold_exit_two(self, synthetic_corpus, tmp_path):
+    def test_impossible_threshold_exit_two(self, synthetic_corpus, tmp_path, capsys):
+        # a rating threshold outside 1..5 is a usage error; thresholds no user
+        # meets are found in the data
         code = main([
             "prepare", "--ratings", synthetic_corpus["ratings"],
             "--items", synthetic_corpus["movies"],
             "--source-labels", "Action", "--target-labels", "Comedy,Drama",
-            "--min-rating", "6", "--out", str(tmp_path / "x.xdb"),
+            "--min-rating", "5", "--min-target-positives", "1000",
+            "--out", str(tmp_path / "x.xdb"),
         ])
         assert code == 2
+        assert "no users survive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [["--aux-dim", "-1"], ["--min-rating", "0"]])
+    def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, flags):
+        code = main([
+            "prepare", "--ratings", str(tmp_path / "missing.dat"),
+            "--items", str(tmp_path / "missing-items.dat"),
+            "--source-labels", "Action", "--target-labels", "Comedy",
+            *flags, "--out", str(tmp_path / "x.xdb"),
+        ])
+        assert code == 1
+        assert f"xdvae: error: {flags[0]} must be " in capsys.readouterr().err
 
     def test_determinism_byte_identical_bundles(self, prepared, synthetic_corpus, tmp_path):
         out = tmp_path / "again.xdb"
@@ -137,6 +152,32 @@ class TestTrain:
             "--epochs", "1", "--out", str(out), *TRAIN_FLAGS,
         ])
         assert code == 0
+
+    @pytest.mark.parametrize("fraction, left", [("0.9999", "0 training and 140 test"),
+                                                ("0.001", "140 training and 0 test")])
+    def test_cold_start_split_without_users_exit_two(self, prepared, tmp_path, capsys,
+                                                     fraction, left):
+        # 140 users: 0.9999 used to train on no one and exit 0
+        code = main([
+            "train", "--bundle", str(prepared), "--variant", "cold-start",
+            "--cold-fraction", fraction, "--epochs", "1",
+            "--out", str(tmp_path / "cold.xdv"), *TRAIN_FLAGS,
+        ])
+        assert code == 2
+        assert f"leaves {left} users" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_diverging_training_exit_three_without_warnings(self, prepared, tmp_path, capsys):
+        code = main([
+            "train", "--bundle", str(prepared), "--variant", "generic",
+            "--epochs", "1", "--out", str(tmp_path / "big.xdv"), *TRAIN_FLAGS,
+            "--lr", "1e300",
+        ])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numeric failure: non-finite loss at epoch 0, batch offset 32" in err
+        assert "Warning" not in err
+        assert not list(tmp_path.iterdir())
 
 
 HEADER_DEFECTS = {
@@ -290,6 +331,18 @@ class TestEval:
         payload = json.loads((tmp_path / "cs.json").read_text())
         assert payload["reports"][0]["protocol"] == "coldstart"
 
+    def test_coldstart_split_without_training_users_exit_two(self, prepared, trained,
+                                                             tmp_path, capsys):
+        # a checkpoint whose cold fraction leaves this bundle no training user
+        model = tmp_path / "cold.xdv"
+        rewrite_header(trained, model, lambda h: h["config"].update(cold_fraction=0.9999))
+        code = main([
+            "eval", "--model", str(model), "--bundle", str(prepared),
+            "--protocol", "coldstart", "--out", str(tmp_path / "cs"),
+        ])
+        assert code == 2
+        assert "leaves 0 training and 140 test users" in capsys.readouterr().err
+
     def test_bad_k_exit_one(self, prepared, trained, tmp_path):
         code = main([
             "eval", "--model", str(trained), "--bundle", str(prepared),
@@ -373,6 +426,9 @@ class TestModelFlags:
 BAD_RUN_FLAGS = {
     "prepare-min-target-positives": ("prepare", ["--min-target-positives", "-4"]),
     "prepare-seed": ("prepare", ["--seed", "-1"]),
+    "prepare-aux-dim": ("prepare", ["--aux-dim", "-1"]),
+    "prepare-min-rating-zero": ("prepare", ["--min-rating", "0"]),
+    "prepare-min-rating-six": ("prepare", ["--min-rating", "6"]),
     "eval-seed": ("eval", ["--protocol", "degrade", "--seed", "-1"]),
     "eval-fraction-above-one": ("eval", ["--protocol", "degrade", "--fractions", "1,1.5"]),
     "eval-fraction-negative": ("eval", ["--protocol", "degrade", "--fractions", "-0.25"]),

@@ -714,6 +714,16 @@ class TestColdStartSplit:
         with pytest.raises(DataError):
             data.cold_start_split(toy_bundle, 1.5, seed=0)
 
+    @pytest.mark.parametrize("fraction, left", [(0.95, "0 training and 8 test"),
+                                                (0.05, "8 training and 0 test")])
+    def test_split_leaving_a_side_without_users_rejected(self, fraction, left):
+        bundle = make_toy_bundle(m=8)
+        with pytest.raises(DataError, match=f"leaves {left} users"):
+            data.cold_start_split(bundle, fraction, seed=0)
+        # the nearest fractions that leave a user on both sides
+        assert len(data.cold_start_split(bundle, 0.9, seed=0).train_users) == 1
+        assert len(data.cold_start_split(bundle, 0.1, seed=0).test_users) == 1
+
 
 def target_matrix(rows):
     return make_matrix("target", [f"u{k}" for k in range(len(rows))],

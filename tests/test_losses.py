@@ -21,9 +21,15 @@ def vec(draw_len=8):
     )
 
 
-def bce(r, p):
-    """Binary cross-entropy as masked_recon computes it at beta 0."""
-    return losses.masked_recon(r, p, 0.0)
+def bce(r, a):
+    """Binary cross-entropy of logits a, as masked_recon computes it at beta 0."""
+    return losses.masked_recon(r, a, 0.0)
+
+
+def logit(p):
+    """Inverse sigmoid, so a test can state its predictions as probabilities."""
+    p = np.asarray(p, dtype=float)
+    return np.log(p) - np.log1p(-p)
 
 
 def reference_bce(r, p):
@@ -32,57 +38,64 @@ def reference_bce(r, p):
 
 
 class TestBce:
-    """masked_recon at beta 0 is plain binary cross-entropy."""
+    """masked_recon at beta 0 is plain binary cross-entropy of the logits."""
 
     def test_half_predictions(self):
-        assert bce([1, 0], [0.5, 0.5]) == pytest.approx(2 * math.log(2))
+        assert bce([1, 0], [0.0, 0.0]) == pytest.approx(2 * math.log(2))
 
     def test_perfect_reconstruction_is_near_zero(self):
-        assert bce([1.0, 0.0], [1.0, 0.0]) == pytest.approx(0.0, abs=1e-5)
+        assert bce([1.0, 0.0], [40.0, -40.0]) == pytest.approx(0.0, abs=1e-5)
 
     def test_quarter_prediction(self):
-        assert bce([1], [0.25]) == pytest.approx(math.log(4))
+        assert bce([1], logit([0.25])) == pytest.approx(math.log(4))
 
     def test_batch_average(self):
-        one = bce([1, 0], [0.5, 0.5])
-        assert bce([[1, 0], [1, 0]], [[0.5, 0.5], [0.5, 0.5]]) == pytest.approx(one)
+        one = bce([1, 0], [0.0, 0.0])
+        assert bce([[1, 0], [1, 0]], [[0.0, 0.0], [0.0, 0.0]]) == pytest.approx(one)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            bce([1, 0], [0.5])
+            bce([1, 0], [0.0])
 
 
 class TestMaskedRecon:
     def test_beta_zero_equals_bce(self):
         r = np.array([1.0, 0, 1, 0, 0])
         p = np.array([0.7, 0.2, 0.4, 0.9, 0.5])
-        assert losses.masked_recon(r, p, 0.0) == pytest.approx(reference_bce(r, p))
+        assert losses.masked_recon(r, logit(p), 0.0) == pytest.approx(reference_bce(r, p))
 
     def test_hand_value_three_log_two(self):
-        assert losses.masked_recon([1, 0], [0.5, 0.5], 1.0) == pytest.approx(3 * math.log(2))
+        assert losses.masked_recon([1, 0], [0.0, 0.0], 1.0) == pytest.approx(3 * math.log(2))
 
     def test_all_zero_rows_ignore_beta(self):
         r = np.zeros(6)
-        p = np.full(6, 0.3)
-        assert losses.masked_recon(r, p, 7.0) == pytest.approx(bce(r, p))
+        a = logit(np.full(6, 0.3))
+        assert losses.masked_recon(r, a, 7.0) == pytest.approx(bce(r, a))
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError):
-            losses.masked_recon([1.0], [0.5], -0.1)
+            losses.masked_recon([1.0], [0.0], -0.1)
 
     def test_value_pinned_to_the_two_sum_formula(self):
-        # r * log(p) is computed once and shared; the value must be the
-        # formula's to the last bit, and the caller's predictions untouched
+        # sum of softplus(a) - r a + beta r softplus(-a) over all cells, per
+        # row, then the batch mean; no clamp, so saturated logits count in
+        # full, and the caller's logits are untouched
         rng = np.random.default_rng(21)
         r = (rng.random((16, 40)) < 0.2).astype(float)
-        p = rng.random((16, 40))
-        p[0, :3] = (0.0, 1.0, 1e-9)
-        p_before = p.copy()
-        q = np.clip(p, losses.CLAMP, 1.0 - losses.CLAMP)
-        base = -(r * np.log(q) + (1.0 - r) * np.log1p(-q)).sum(axis=1)
-        positives = -(r * np.log(q)).sum(axis=1)
-        assert losses.masked_recon(r, p, 15.0) == float((base + 15.0 * positives).mean())
-        assert np.array_equal(p, p_before)
+        a = 4.0 * rng.standard_normal((16, 40))
+        a[0, :6] = (0.0, 40.0, -40.0, 800.0, -800.0, 1e-9)
+        r[0, :6] = (1.0, 0.0, 1.0, 0.0, 1.0, 1.0)
+        a_before = a.copy()
+        cells = np.logaddexp(0.0, a) - r * a + 15.0 * r * np.logaddexp(0.0, -a)
+        assert losses.masked_recon(r, a, 15.0) == pytest.approx(
+            float(cells.sum(axis=1).mean()), rel=1e-13)
+        assert np.array_equal(a, a_before)
+
+    def test_saturated_logits_are_not_clamped(self):
+        # a wrong logit of 40 costs 40, a wrong -40 costs (1 + beta) * 40
+        assert losses.masked_recon([0.0], [40.0], 15.0) == pytest.approx(40.0)
+        assert losses.masked_recon([1.0], [-40.0], 15.0) == pytest.approx(16 * 40.0)
+        assert losses.masked_recon([1.0, 0.0], [800.0, -800.0], 15.0) == 0.0
 
     @given(
         r=hnp.arrays(int, 6, elements=st.integers(0, 1)),
@@ -91,11 +104,11 @@ class TestMaskedRecon:
     )
     @settings(max_examples=60, deadline=None)
     def test_dominates_bce_and_monotone_in_beta(self, r, beta, seed):
-        p = np.random.default_rng(seed).uniform(0.05, 0.95, size=6)
-        base = bce(r, p)
-        value = losses.masked_recon(r, p, beta)
+        a = logit(np.random.default_rng(seed).uniform(0.05, 0.95, size=6))
+        base = bce(r, a)
+        value = losses.masked_recon(r, a, beta)
         assert value >= base - 1e-12
-        assert losses.masked_recon(r, p, beta + 1.0) >= value - 1e-12
+        assert losses.masked_recon(r, a, beta + 1.0) >= value - 1e-12
         if beta > 0 and r.sum() > 0:
             assert value > base
 

@@ -4,7 +4,7 @@ differences on toy instances with frozen reparametrization noise."""
 import numpy as np
 import pytest
 
-from xdvae import nn
+from xdvae import losses, nn
 from xdvae.model import (
     LinkedVAE, ModelConfig, _recon_preact_grad, build_model, merge_latents,
 )
@@ -67,11 +67,15 @@ class TestEncode:
 
 
 class TestDecoders:
-    def test_source_outputs_in_unit_interval(self):
+    def test_source_outputs_are_logits(self):
+        # the last decoder layer is the identity: its output is h @ W.T + b
         model = build_toy_model("generic")
-        out, _ = model.dec_s.forward(np.random.default_rng(0).standard_normal((5, 3)))
+        z = np.random.default_rng(0).standard_normal((5, 3))
+        out, caches = model.dec_s.forward(z)
+        last = model.dec_s.layers[-1]
         assert out.shape == (5, 6)
-        assert np.all(out > 0) and np.all(out < 1)
+        assert np.array_equal(out, caches[-1][0] @ last.w.T + last.b)
+        assert (out < 0).any()
 
     def test_target_generic_width_is_two_latents(self):
         model = build_toy_model("generic")
@@ -121,7 +125,7 @@ class TestAsymmetry:
         r_s, r_t, eps, _ = toy_batch("generic")
         fwd_a = model.forward(r_s, r_t, eps)
         fwd_b = model.forward(r_s, 1.0 - r_t, eps)
-        assert np.array_equal(fwd_a["p_s"], fwd_b["p_s"])
+        assert np.array_equal(fwd_a["a_s"], fwd_b["a_s"])
         assert np.array_equal(fwd_a["state_s"].z, fwd_b["state_s"].z)
 
     def test_target_scores_depend_on_target_row_for_generic(self):
@@ -184,8 +188,9 @@ class TestPredictScores:
         r_s, r_t, *_ = toy_batch(variant)
         a = model.predict_scores(r_s, r_t)
         b = model.predict_scores(r_s, r_t)
+        # scores are logits: finite, and not squashed into (0, 1)
         assert np.array_equal(a, b)
-        assert np.all(a > 0) and np.all(a < 1)
+        assert np.all(np.isfinite(a)) and (a < 0).any()
 
     @pytest.mark.parametrize("variant, attach", [
         ("generic", "both"), ("no-mmd", "both"), ("single", "both"), ("merged", "both"),
@@ -199,9 +204,9 @@ class TestPredictScores:
         aux = aux if variant == "aux" else None
         fwd = model.forward(r_s, r_t, np.zeros_like(eps[:model.n_latents]), aux)
         if variant in ("single", "merged"):
-            want = fwd["p"][:, model.n_source:] if variant == "merged" else fwd["p"]
+            want = fwd["a"][:, model.n_source:] if variant == "merged" else fwd["a"]
         else:
-            want = fwd["p_t"]
+            want = fwd["a_t"]
         assert np.array_equal(model.predict_scores(r_s, r_t, aux), want)
 
 
@@ -249,11 +254,41 @@ class TestGradients:
 
     def test_output_grad_matches_the_closed_form_bit_for_bit(self):
         rng = np.random.default_rng(9)
-        p, r = rng.random((6, 11)), (rng.random((6, 11)) < 0.3).astype(float)
-        p_before = p.copy()
-        g = _recon_preact_grad(p, r, 15.0, 6)
+        a, r = 4.0 * rng.standard_normal((6, 11)), (rng.random((6, 11)) < 0.3).astype(float)
+        a[0, :2] = (40.0, -40.0)
+        a_before = a.copy()
+        g = _recon_preact_grad(a, r, 15.0, 6)
+        p = 1.0 / (1.0 + np.exp(-a))
         assert np.array_equal(g, ((p - r) - 15.0 * r * (1.0 - p)) / 6)
-        assert np.array_equal(p, p_before)
+        assert np.array_equal(a, a_before)
+
+    @pytest.mark.parametrize("a", [40.0, -40.0])
+    @pytest.mark.parametrize("r", [0.0, 1.0])
+    def test_output_grad_is_the_slope_of_the_loss_at_saturation(self, a, r):
+        # one function: the analytic slope of masked_recon at |a| = 40 is its
+        # central difference (about 1 at a = 40, r = 0; -16 at a = -40, r = 1)
+        logits, target, h = np.array([[a]]), np.array([[r]]), 1e-6
+        numeric = (losses.masked_recon(target, logits + h, 15.0)
+                   - losses.masked_recon(target, logits - h, 15.0)) / (2.0 * h)
+        analytic = _recon_preact_grad(logits, target, 15.0, 1)[0, 0]
+        assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-6)
+
+    def test_saturated_decoder_matches_finite_differences(self):
+        # every decoder output starts near logit 40: far from the data where
+        # r is 0, saturated where it is 1; the loss is still differentiated exactly
+        model = build_toy_model("generic")
+        for name in ("dec_S.1.b", "dec_T.1.b"):
+            model.params()[name][...] = 40.0
+        r_s, r_t, eps, _ = toy_batch("generic")
+        eps = eps[:model.n_latents]
+        fwd = model.forward(r_s, r_t, eps)
+        assert np.abs(fwd["a_s"]).min() > 36.0 and np.abs(fwd["a_t"]).min() > 36.0
+
+        def loss():
+            return model.loss_breakdown(model.forward(r_s, r_t, eps)).total
+
+        _, grads = model.loss_and_grads(r_s, r_t, eps)
+        assert finite_diff_check(loss, model.params(), grads) < GRAD_TOLERANCE
 
     def test_cold_start_stop_gradient_only_detaches_target_encoder(self):
         # With the stop-gradient option the mapping loss no longer backprops

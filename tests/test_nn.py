@@ -60,21 +60,10 @@ class TestDenseForward:
         y, _ = layer.forward(np.zeros((1, 2)))
         assert np.allclose(y, 0.0)
 
-    def test_sigmoid_of_zero_is_half(self):
-        layer = make_layer([[1.0]], [0.0], "sigmoid")
-        y, _ = layer.forward(np.array([[0.0]]))
-        assert np.allclose(y, 0.5)
-
     def test_shape_mismatch_raises(self):
         layer = make_layer(np.ones((3, 2)), np.zeros(3), "tanh")
         with pytest.raises(ValueError):
             layer.forward(np.zeros((1, 4)))
-
-    def test_sigmoid_output_strictly_inside_unit_interval(self):
-        rng = np.random.default_rng(3)
-        layer = make_layer(glorot_init(6, 4, rng), np.zeros(4), "sigmoid")
-        y, _ = layer.forward(rng.standard_normal((10, 6)))
-        assert np.all(y > 0.0) and np.all(y < 1.0)
 
     def test_tanh_output_strictly_inside_pm_one(self):
         rng = np.random.default_rng(4)
@@ -89,7 +78,6 @@ class TestDenseInPlace:
 
     REFERENCE = {
         "tanh": np.tanh,
-        "sigmoid": lambda a: 1.0 / (1.0 + np.exp(-a)),
         "identity": lambda a: a,
     }
 
@@ -142,7 +130,7 @@ class TestDenseBackward:
 
     def test_stack_matches_finite_differences(self):
         rng = np.random.default_rng(2)
-        stack, params, grads = make_stack([4, 5, 3], ["tanh", "sigmoid"], rng)
+        stack, params, grads = make_stack([4, 5, 3], ["tanh", "identity"], rng)
         x = rng.standard_normal((6, 4))
         t = rng.random((6, 3))
 
@@ -174,7 +162,7 @@ class TestParamStore:
             store["a"] = np.zeros(2)
 
     def test_bind_moves_weights_into_store(self):
-        stack = DenseStack.create([3, 4, 2], ["tanh", "sigmoid"])
+        stack = DenseStack.create([3, 4, 2], ["tanh", "identity"])
         assert all(layer.w is None for layer in stack.layers)
         params, grads = bind_layers(stack.named_layers("net"))
         assert list(params) == ["net.0.W", "net.0.b", "net.1.W", "net.1.b"]
@@ -187,7 +175,7 @@ class TestParamStore:
             assert np.shares_memory(layer.gw, grads.flat)
 
     def test_init_weights_matches_per_layer_glorot_in_store_order(self):
-        stack = DenseStack.create([5, 4, 3, 2], ["tanh", "tanh", "sigmoid"])
+        stack = DenseStack.create([5, 4, 3, 2], ["tanh", "tanh", "identity"])
         params, _ = bind_layers(stack.named_layers("net"))
         init_weights(params, np.random.default_rng(8))
         rng = np.random.default_rng(8)
@@ -199,6 +187,12 @@ class TestParamStore:
         for sizes in ((0, 3), (3, 0), (-2, 3)):
             with pytest.raises(ValueError, match="bad layer sizes"):
                 DenseLayer(*sizes, "tanh")
+
+    def test_layer_rejects_unknown_activations(self):
+        # decoders output logits, so no layer has a sigmoid
+        for activation in ("sigmoid", "relu"):
+            with pytest.raises(ValueError, match="unknown activation"):
+                DenseLayer(3, 3, activation)
 
 
 class TestAdam:

@@ -116,6 +116,14 @@ def offset(view, flat):
     return (view.__array_interface__["data"][0] - flat.__array_interface__["data"][0]) // 8
 
 
+class TestNoUsers:
+    def test_bundle_without_users_rejected(self, trainable_bundle):
+        # it used to train no step and return an untrained model
+        empty = data.restrict_users(trainable_bundle, [])
+        with pytest.raises(DataError, match="no users"):
+            train(empty, make_toy_config("generic", epochs=2))
+
+
 class TestNonFiniteGradient:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_named_with_epoch_and_batch_offset(self, trainable_bundle, monkeypatch, bad):
