@@ -14,7 +14,7 @@ import json
 import sys
 
 from . import __version__, data, evaluate, train as training
-from .model import ModelConfig
+from .model import ABLATION_VARIANTS, VARIANTS, ModelConfig
 from .nn import NumericError
 
 SEED_LABELS = ("init", "shuffle", "eps", "loo-split", "cold-split", "cold-negatives")
@@ -284,8 +284,7 @@ def cmd_ablate(args):
         sweep = [(beta, _model_config(args, beta=beta)) for beta in betas]
     else:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        known = {"generic", "single", "single0", "merged", "merged0", "no-mmd"}
-        bad = [v for v in variants if v.lower() not in known]
+        bad = [v for v in variants if v.lower() not in ABLATION_VARIANTS]
         if bad:
             raise CliError(f"unknown ablation variants: {bad}")
     bundle, split = data.load_bundle(args.bundle)
@@ -367,8 +366,7 @@ def build_parser():
 
     p = sub.add_parser("train", parents=[model_flags], help="train one model variant")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--variant", default="generic",
-                   choices=("generic", "single", "merged", "no-mmd", "cold-start", "aux"))
+    p.add_argument("--variant", default="generic", choices=VARIANTS)
     p.add_argument("--aux-attach", choices=("both", "source", "target"), default="both")
     p.add_argument("--cold-fraction", type=float, default=0.1)
     p.add_argument("--early-stop", action="store_true")
@@ -391,7 +389,7 @@ def build_parser():
     p = sub.add_parser("ablate", parents=[model_flags],
                        help="train and compare ablation variants")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--variants", default="generic,single,single0,merged,merged0,no-mmd")
+    p.add_argument("--variants", default=",".join(ABLATION_VARIANTS))
     p.add_argument("--beta-sweep", default=None, help="comma-separated betas")
     p.add_argument("--ks", default="5,10,20,50")
     p.add_argument("--out", required=True, help="output prefix")

@@ -12,9 +12,9 @@ import json
 import os
 import struct
 from collections import defaultdict
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import partial
-from itertools import repeat
 from string import ascii_letters, digits
 
 import numpy as np
@@ -194,8 +194,8 @@ def load_ratings(path, format="movielens-dat"):
     only ID_CHARS, the separator and "\n", and each of its lines is two ids of
     1..ID_BYTES bytes, a rating digit 1..5 and 0..TS_DIGITS timestamp digits,
     joined by three separators. Any other block is split into lines as text and
-    parsed by _parse_chunk; only a block that fails there is scanned line by
-    line, for the first bad line's message.
+    parsed line by line by _parse_lines, whose DataError names the first bad
+    line and its line number in the file.
     """
     if format not in ("movielens-dat", "csv"):
         raise DataError(f"unknown ratings format {format!r}")
@@ -224,10 +224,7 @@ def load_ratings(path, format="movielens-dat"):
                 # latin-1 maps bytes to characters one to one, and splitlines
                 # breaks at "\r\n" and "\r" as text mode's newline translation does
                 lines = block.decode("latin-1").splitlines()
-                try:
-                    parsed = _parse_chunk(lines, sep, users.first_seen, items.first_seen)
-                except (ValueError, OverflowError):
-                    raise _first_bad_line(path, lines, first, sep) from None
+                parsed = _parse_lines(path, lines, first, sep, users.first_seen, items.first_seen)
                 first += len(lines)
             else:
                 first += len(parsed[0])
@@ -385,50 +382,39 @@ def _with_room(column, n, size):
     return out
 
 
-def _parse_chunk(chunk, sep, user_ids, item_ids):
-    """Columns (user, item, rating, ts, has_ts); ValueError or OverflowError if a line is bad."""
-    fields = np.fromiter(map(str.count, chunk, repeat(sep)), np.int64, len(chunk)) + 1
-    # a line without a separator is blank (skipped) or malformed
-    blank = np.flatnonzero(fields == 1)
-    if not np.isin(fields, (1, 3, 4)).all() or any(chunk[k].strip() for k in blank):
-        raise ValueError("malformed line")
-    lines = np.array(chunk, dtype=object)[fields > 1]
-    lines[fields[fields > 1] == 3] += sep  # empty timestamp field
-    # splitlines leaves no "\n" inside a line, so no separator can span two lines
-    # (joining on a "::" separator would misread a line that ends in ":")
-    tokens = "\n".join(lines.tolist()).replace(sep, "\n").split("\n")
-    n = len(lines)
-    rating = np.fromiter(map(int, tokens[2::4]), np.int64, n)
-    if ((rating < 1) | (rating > 5)).any():
-        raise ValueError("rating outside 1..5")
-    ts_text = list(map(str.strip, tokens[3::4]))
-    has_ts = np.fromiter(map(bool, ts_text), bool, n)
-    ts = np.fromiter((int(t) if t else -1 for t in ts_text), np.int64, n)
-    user = np.fromiter(map(user_ids.__getitem__, map(str.strip, tokens[0::4])), np.int64, n)
-    item = np.fromiter(map(item_ids.__getitem__, map(str.strip, tokens[1::4])), np.int64, n)
-    return user, item, rating, ts, has_ts
-
-
-def _first_bad_line(path, chunk, first, sep):
-    """DataError for the first bad line of a chunk whose bulk parse failed."""
-    for n, line in enumerate(chunk, start=first):
-        if not line.strip():
-            continue
+def _parse_lines(path, lines, first, sep, user_ids, item_ids):
+    """Columns (user, item, rating, ts, has_ts) of text lines, the first numbered
+    `first`; DataError naming the first bad line. Blank lines are skipped."""
+    user, item, rating, ts, has_ts = [], [], [], [], []
+    for n, line in enumerate(lines, start=first):
         parts = line.split(sep)
-        if len(parts) not in (3, 4):
-            return DataError(f"{path}:{n}: malformed line {line!r}")
+        if len(parts) == 3:
+            parts.append("")  # no timestamp field
+        elif len(parts) != 4:
+            if not line.strip():
+                continue
+            raise DataError(f"{path}:{n}: malformed line {line!r}")
+        u, i, r, t = parts
         try:
-            rating = int(parts[2].strip())
+            stars = int(r.strip())
         except ValueError:
-            return DataError(f"{path}:{n}: bad rating {parts[2]!r}")
-        if rating < 1 or rating > 5:
-            return DataError(f"{path}:{n}: rating {rating} outside 1..5")
-        if len(parts) == 4 and parts[3].strip():
-            try:
-                np.int64(int(parts[3].strip()))
-            except (ValueError, OverflowError):
-                return DataError(f"{path}:{n}: bad timestamp {parts[3]!r}")
-    raise AssertionError("chunk failed but no line is bad")
+            raise DataError(f"{path}:{n}: bad rating {r!r}") from None
+        if stars < 1 or stars > 5:
+            raise DataError(f"{path}:{n}: rating {stars} outside 1..5")
+        stamp = t.strip()
+        try:
+            value = int(stamp) if stamp else -1
+        except ValueError:
+            value = None
+        if value is None or not -(1 << 63) <= value < 1 << 63:
+            raise DataError(f"{path}:{n}: bad timestamp {t!r}")
+        user.append(user_ids[u.strip()])
+        item.append(item_ids[i.strip()])
+        rating.append(stars)
+        ts.append(value)
+        has_ts.append(stamp != "")
+    return (np.array(user, np.int64), np.array(item, np.int64), np.array(rating, np.int64),
+            np.array(ts, np.int64), np.array(has_ts, bool))
 
 
 def _in_string_order(ids, codes):
@@ -681,13 +667,43 @@ def attach_aux(bundle, vectors, expected_dim=None):
 
 
 # ---------------------------------------------------------------------------
-# Bundle persistence: XDB1 = magic, u32 header length, canonical-JSON header,
-# then the declared little-endian binary blobs back to back. Writing the same
-# bundle twice yields byte-identical files.
+# Containers: XDB1 bundles and XDV1 checkpoints share one layout, a 4-byte
+# magic, the u32 little-endian length of a canonical-JSON header object, then
+# the little-endian binary blobs the header declares, back to back. Writing
+# the same object twice yields byte-identical files.
 
 
-def _canonical_json(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+@contextmanager
+def write_container(path, magic, header):
+    """Open path, write magic, header length and header as canonical JSON, and
+    yield the file for the caller to write the declared blobs to."""
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(magic)
+        fh.write(struct.pack("<I", len(head)))
+        fh.write(head)
+        yield fh
+
+
+def read_container(path, magic, what):
+    """(file bytes, header object, offset of the first blob) of a container.
+
+    `what` names the kind of file when the magic is not `magic`.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if raw[:4] != magic:
+        raise DataError(f"{path}: not {what} (bad magic)")
+    if len(raw) < 8:
+        raise DataError(f"{path}: truncated header")
+    (head_len,) = struct.unpack("<I", raw[4:8])
+    try:
+        header = json.loads(raw[8:8 + head_len].decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"{path}: corrupt header ({e})") from None
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: corrupt header (not a JSON object)")
+    return raw, header, 8 + head_len
 
 
 def save_bundle(bundle, path, split=None):
@@ -730,11 +746,7 @@ def save_bundle(bundle, path, split=None):
         header["aux_dim"] = int(bundle.aux_vectors.shape[1])
         add_blob("aux", bundle.aux_vectors, "<f4")
 
-    head = _canonical_json(header)
-    with open(path, "wb") as fh:
-        fh.write(BUNDLE_MAGIC)
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
+    with write_container(path, BUNDLE_MAGIC, header) as fh:
         for blob in blobs:
             fh.write(blob)
 
@@ -759,25 +771,13 @@ def _check_split(held_out, negatives, target):
 
 def load_bundle(path):
     """Inverse of save_bundle; returns (bundle, split-or-None)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != BUNDLE_MAGIC:
-        raise DataError(f"{path}: not a bundle file (bad magic)")
-    if len(raw) < 8:
-        raise DataError(f"{path}: truncated header")
-    (head_len,) = struct.unpack("<I", raw[4:8])
-    try:
-        header = json.loads(raw[8:8 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: corrupt header ({e})") from None
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: corrupt header (not a JSON object)")
+    raw, header, at = read_container(path, BUNDLE_MAGIC, "a bundle file")
     if header.get("version") != BUNDLE_VERSION:
         raise DataError(f"{path}: unsupported bundle version {header.get('version')}")
     # Header fields come from outside the program: a missing key, a wrong type
     # or a bad value anywhere in the decoding is a malformed file, not a crash.
     try:
-        return _decode_bundle(raw, 8 + head_len, header)
+        return _decode_bundle(raw, at, header)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
     except (KeyError, TypeError, ValueError, OverflowError) as e:

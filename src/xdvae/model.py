@@ -24,7 +24,8 @@ from .nn import DenseLayer, DenseStack, bind_layers, init_weights
 
 VARIANTS = losses.VARIANTS
 LINKED_VARIANTS = ("generic", "no-mmd", "cold-start", "aux")
-ABLATION_VARIANTS = ("generic", "single", "merged", "no-mmd")
+# the ablation runs; the "0" suffix forces beta to zero
+ABLATION_VARIANTS = ("generic", "single", "single0", "merged", "merged0", "no-mmd")
 
 
 @dataclass

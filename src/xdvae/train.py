@@ -8,13 +8,12 @@ noise, so identical inputs give bit-identical parameters.
 from __future__ import annotations
 
 import json
-import struct
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError
+from .data import DataError, read_container, write_container
 from .losses import LossBreakdown
 from .model import ABLATION_VARIANTS, ModelConfig, build_model
 from .nn import Adam, NumericError, assert_all_finite, named_rng
@@ -141,10 +140,10 @@ def train(bundle, config: ModelConfig, early_stop=False):
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: XDV1 = magic, u32 header length, canonical-JSON header naming
-# every tensor and its shape, then the tensors as little-endian float32 in
-# declared order, which is the order of the model's ParamStore buffer. Round
-# trips are bit-exact at storage precision.
+# Checkpoints: XDV1 containers (see data.write_container) whose header names
+# every tensor and its shape, followed by one blob, the tensors as
+# little-endian float32 in declared order, which is the order of the model's
+# ParamStore buffer. Round trips are bit-exact at storage precision.
 
 
 def save_checkpoint(model, path):
@@ -157,29 +156,13 @@ def save_checkpoint(model, path):
         "seed": model.config.seed,
         "tensors": [{"name": name, "shape": list(a.shape)} for name, a in params.items()],
     }
-    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", len(head)))
-        fh.write(head)
+    with write_container(path, CHECKPOINT_MAGIC, header) as fh:
         fh.write(params.flat.astype("<f4"))
 
 
 def load_checkpoint(path):
     """Rebuild (model, config) from an XDV1 file; rejects any mismatch."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != CHECKPOINT_MAGIC:
-        raise DataError(f"{path}: not a checkpoint (bad magic)")
-    if len(raw) < 8:
-        raise DataError(f"{path}: truncated header")
-    (head_len,) = struct.unpack("<I", raw[4:8])
-    try:
-        header = json.loads(raw[8:8 + head_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: corrupt header ({e})") from None
-    if not isinstance(header, dict):
-        raise DataError(f"{path}: corrupt header (not a JSON object)")
+    raw, header, at = read_container(path, CHECKPOINT_MAGIC, "a checkpoint")
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"
@@ -207,7 +190,6 @@ def load_checkpoint(path):
             f"{path}: tensor list mismatch for variant {config.variant!r} "
             f"(missing {missing}, unexpected {extra}, or a shape or order conflict)"
         )
-    at = 8 + head_len
     have, want = len(raw) - at, 4 * params.flat.size
     if have != want:
         problem = "truncated tensor data" if have < want else "trailing bytes after tensors"
@@ -233,10 +215,10 @@ def ablation_config(base: ModelConfig, name: str) -> ModelConfig:
     architecture; the "...0" names force beta to zero.
     """
     name = name.lower()
+    if name not in ABLATION_VARIANTS:
+        raise ValueError(f"unknown ablation variant {name!r}")
     beta0 = name.endswith("0")
     stem = name[:-1] if beta0 else name
-    if stem not in ABLATION_VARIANTS:
-        raise ValueError(f"unknown ablation variant {name!r}")
     cfg = ModelConfig.from_dict(base.to_dict())
     cfg.variant = stem
     if beta0:

@@ -1,10 +1,16 @@
 """End-to-end CLI runs over the synthetic corpus, including exit codes,
 manifests and byte-level determinism of artifacts."""
 
+import contextlib
 import gc
+import io
 import json
+import warnings
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from xdvae import data
 from xdvae.cli import main
@@ -106,6 +112,85 @@ class TestPrepare:
             "--seed", "5", "--out", str(out),
         ])
         assert out.read_bytes() == prepared.read_bytes()
+
+
+SEP = {"movielens-dat": "::", "csv": ","}
+
+
+def canonical_log(fmt):
+    """A log that prepares: three users rate one source item and 50 target items
+    each, so every user keeps the 99 non-positives its negatives are drawn from."""
+    lines = [f"u{k // 50}{SEP[fmt]}t{k}{SEP[fmt]}5{SEP[fmt]}{1000 + k}" for k in range(150)]
+    lines += [f"u{u}{SEP[fmt]}s0{SEP[fmt]}4{SEP[fmt]}" for u in range(3)]
+    head = ["user,item,rating,timestamp"] if fmt == "csv" else []
+    return "\n".join(head + lines).encode() + b"\n"
+
+
+@pytest.fixture(scope="module")
+def log_dir(tmp_path_factory):
+    root = tmp_path_factory.mktemp("log-bytes")
+    items = ["s0", *(f"t{k}" for k in range(150))]
+    genres = ["Action"] + ["Comedy"] * 150
+    (root / "movielens-dat.items").write_text(
+        "".join(f"{i}::{i}::{g}\n" for i, g in zip(items, genres)))
+    (root / "csv.items").write_text(
+        "item,labels\n" + "".join(f"{i},{g}\n" for i, g in zip(items, genres)))
+    return root
+
+
+# bytes of both formats' lines, line breaks of splitlines() and padding that
+# strip() removes, besides any byte at all
+LOG_BYTES = st.one_of(st.sampled_from(list(b"::,\n\r\x0b\x85\xa0 \t-+_u s059")),
+                      st.integers(0, 255))
+
+
+class TestRatingLogBytes:
+    """prepare --ratings on arbitrary bytes and on one-byte edits of a canonical
+    log: exit 0, or exit 2 with one data error on stderr, and never a traceback
+    or a numpy warning."""
+
+    def prepare(self, root, fmt, raw, block):
+        (root / "r.log").write_bytes(raw)
+        err = io.StringIO()
+        with patch.object(data, "BLOCK", block), contextlib.redirect_stderr(err), \
+                contextlib.redirect_stdout(io.StringIO()), \
+                warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main([
+                "prepare", "--ratings", str(root / "r.log"), "--format", fmt,
+                "--items", str(root / f"{fmt}.items"),
+                "--source-labels", "Action", "--target-labels", "Comedy",
+                "--out", str(root / "r.xdb"),
+            ])
+        assert not caught, [str(w.message) for w in caught]
+        assert code in (0, 2)
+        assert err.getvalue() == "" if code == 0 else \
+            err.getvalue().startswith("xdvae: data error: ")
+        return code
+
+    @pytest.mark.parametrize("fmt", sorted(SEP))
+    def test_canonical_log_prepares(self, log_dir, fmt):
+        assert self.prepare(log_dir, fmt, canonical_log(fmt), data.BLOCK) == 0
+
+    @given(fmt=st.sampled_from(sorted(SEP)), raw=st.lists(LOG_BYTES, max_size=200).map(bytes),
+           block=st.sampled_from([1, 7, 64, data.BLOCK]))
+    @settings(deadline=None)
+    def test_arbitrary_bytes(self, log_dir, fmt, raw, block):
+        self.prepare(log_dir, fmt, raw, block)
+
+    @given(fmt=st.sampled_from(sorted(SEP)), edit=st.sampled_from(["replace", "insert", "delete"]),
+           where=st.integers(0, 10**6), byte=LOG_BYTES, block=st.sampled_from([7, 64, data.BLOCK]))
+    @settings(deadline=None)
+    def test_one_byte_edit_of_canonical_log(self, log_dir, fmt, edit, where, byte, block):
+        raw = canonical_log(fmt)
+        at = where % len(raw)
+        if edit == "replace":
+            raw = raw[:at] + bytes([byte]) + raw[at + 1:]
+        elif edit == "insert":
+            raw = raw[:at] + bytes([byte]) + raw[at:]
+        else:
+            raw = raw[:at] + raw[at + 1:]
+        self.prepare(log_dir, fmt, raw, block)
 
 
 class TestTrain:

@@ -398,7 +398,7 @@ def outcome(build, path, *args, **kwargs):
 # unless a draw reroutes them.
 USERS = ["9", "10", "a:"]
 ITEMS = {"1": {"S"}, "9": {"S"}, "10": {"T"}, "a:": {"T"}, "B": {"T"}}
-PAD = st.sampled_from(["", " ", "\t", "\xa0"])
+PAD = st.sampled_from(["", " ", "\t", "\xa0", "\x1f"])
 
 
 @st.composite
@@ -524,7 +524,7 @@ class TestCanonicalBlocks:
         path.write_text(text, encoding="latin-1")
         args = (str(path), fmt, labels, {"S"}, {"T"})
         with patch.object(data, "BLOCK", block), \
-                patch.object(data, "_parse_chunk", wraps=data._parse_chunk) as general:
+                patch.object(data, "_parse_lines", wraps=data._parse_lines) as general:
             rows = rows_of(data.load_ratings(str(path), fmt))
             got = outcome(columnar_bundle, *args)
         assert not general.called
@@ -547,7 +547,7 @@ class TestCanonicalBlocks:
             lines = ["user,item,rating,timestamp"] + [
                 f"A{u:09X},B{i:09X},{r},{t}" for u, i, r, t in zip(user, item, rating, stamps)]
         path = write(tmp_path, "r.log", "\n".join(lines) + "\n")
-        with patch.object(data, "_parse_chunk", wraps=data._parse_chunk) as general:
+        with patch.object(data, "_parse_lines", wraps=data._parse_lines) as general:
             rows = rows_of(data.load_ratings(path, fmt))
         assert not general.called
         assert rows == reference_log(path, fmt)
@@ -580,6 +580,7 @@ class TestMixedBlocks:
     @pytest.mark.parametrize("line", [
         "u9::t1::4::7\r",                      # a CRLF line end
         "u9\t::t1::4::7", "\xa0u9::t1::4::7",  # padding that strip() removes
+        "u9::t1::\x1f4\x1f::7",                # padding that strip() removes, int() not
         "u9::t1::4::7\x85u8::t2::5::8",        # a line break of splitlines()
         "",                                   # a blank line
         "u9::t1::+4::7", "u9::t1::4::1_0",    # forms int() reads
@@ -597,7 +598,7 @@ class TestMixedBlocks:
         path = tmp_path / "r.log"
         path.write_bytes(("\n".join(lines) + "\n").encode("latin-1"))
         with patch.object(data, "BLOCK", 64), \
-                patch.object(data, "_parse_chunk", wraps=data._parse_chunk) as general:
+                patch.object(data, "_parse_lines", wraps=data._parse_lines) as general:
             got = outcome(lambda p: rows_of(data.load_ratings(p, fmt)), str(path))
         assert got == outcome(reference_log, str(path), fmt)
         # a fault after it may sit in a block of its own

@@ -2,6 +2,9 @@
 single-bit flip must end in DataError or in an object that passes the
 structural checks, never in another exception."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +79,7 @@ def check_checkpoint(path):
 
 
 CHECKS = {"bundle": check_bundle, "checkpoint": check_checkpoint}
+LOADERS = {"bundle": data.load_bundle, "checkpoint": load_checkpoint}
 
 # float32 with an all-ones exponent, quiet bit clear and a nonzero payload;
 # casting it to float64 raises numpy's "invalid value" flag
@@ -155,3 +159,44 @@ class TestFoundByFuzzing:
         save_checkpoint(model, path)
         with pytest.raises(DataError, match="non-finite tensor data"):
             load_checkpoint(path)
+
+
+MAGIC = {"bundle": b"XDB1", "checkpoint": b"XDV1"}
+VERSION_KEY = {"bundle": "version", "checkpoint": "format_version"}
+
+
+def _header(head):
+    """Damage that replaces the whole file by its magic and a header of bytes head."""
+    return lambda kind, raw: MAGIC[kind] + struct.pack("<I", len(head)) + head
+
+
+def _bumped_version(kind, raw):
+    (head_len,) = struct.unpack("<I", raw[4:8])
+    header = json.loads(raw[8:8 + head_len])
+    header[VERSION_KEY[kind]] = 2
+    return _header(json.dumps(header).encode())(kind, raw)
+
+
+# fault: (damage to the original file, the loader's exact message after "<path>: ")
+CONTAINER_FAULTS = {
+    "bad-magic": (lambda kind, raw: b"NOPE" + raw[4:], "not {what} (bad magic)"),
+    "shorter-than-8-bytes": (lambda kind, raw: raw[:7], "truncated header"),
+    "header-not-utf8": (_header(b"\xff{}"), "corrupt header ('utf-8' codec can't decode "
+                                            "byte 0xff in position 0: invalid start byte)"),
+    "header-not-json": (_header(b"{x}"), "corrupt header (Expecting property name enclosed "
+                                         "in double quotes: line 1 column 2 (char 1))"),
+    "header-not-an-object": (_header(b"[1]"), "corrupt header (not a JSON object)"),
+    "unsupported-version": (_bumped_version, "unsupported {kind} version 2"),
+}
+
+
+@pytest.mark.parametrize("fault", CONTAINER_FAULTS)
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_container_fault_message(originals, tmp_path, kind, fault):
+    damage, message = CONTAINER_FAULTS[fault]
+    path = tmp_path / f"t.{kind}"
+    path.write_bytes(damage(kind, originals[kind]))
+    with pytest.raises(DataError) as err:
+        LOADERS[kind](path)
+    what = {"bundle": "a bundle file", "checkpoint": "a checkpoint"}[kind]
+    assert str(err.value) == f"{path}: " + message.format(what=what, kind=kind)

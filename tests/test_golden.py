@@ -1,6 +1,7 @@
-"""Golden bundle bytes: `xdvae prepare` on two small seeded logs must write
-exactly the files recorded below, so a change of the in-memory row layout
-cannot move a single byte of the XDB1 output."""
+"""Golden artifact bytes: `xdvae prepare` on two small seeded logs, and one
+seeded `xdvae train` epoch per checkpoint kind, must write exactly the files
+recorded below, so a change of the in-memory row layout or of the container
+code cannot move a single byte of the XDB1 or XDV1 output."""
 
 import hashlib
 
@@ -15,6 +16,13 @@ from conftest import make_synthetic_interactions
 GOLDEN = {
     "movielens-dat": "1581c4d935fa377a94764846c12d23d214878e17f2ce884bb35772ae49b5f0df",
     "csv": "1f543e4dab91deeababc6d3ea0253d7d920f32f5b668b52857ebfb6dfbc7dd89",
+}
+
+# sha256 of the checkpoints one seeded epoch writes on the movielens-dat golden
+# bundle; the XDV1 bytes must not depend on how the container is written
+GOLDEN_CHECKPOINT = {
+    "generic": "8aff7d2557aa108929309b5513aafe109a2d3bebd2a2f67950015722f79247bc",
+    "cold-start": "d683840dd5d3755d11e3c77c7d8a734af09f72c6a3bf707172a0b7b91a9da765",
 }
 
 
@@ -41,15 +49,33 @@ def _csv_inputs(root):
             "--aux", str(root / "aux.csv"), "--aux-dim", "3"]
 
 
-@pytest.mark.parametrize("fmt, inputs", [("movielens-dat", _dat_inputs), ("csv", _csv_inputs)])
-def test_prepare_writes_golden_bundle(tmp_path, fmt, inputs):
-    flags = inputs(tmp_path)
-    out = tmp_path / "golden.xdb"
+def _prepare(root, inputs):
+    """Path of the bundle `xdvae prepare` writes from inputs(root)."""
+    flags = inputs(root)
+    out = root / "golden.xdb"
     code = main([
-        "prepare", "--ratings", str(tmp_path / "ratings.dat"),
-        "--items", str(tmp_path / "movies.dat"),
+        "prepare", "--ratings", str(root / "ratings.dat"),
+        "--items", str(root / "movies.dat"),
         "--source-labels", "Action", "--target-labels", "Comedy,Drama",
         "--seed", "9", "--out", str(out), *flags,
     ])
     assert code == 0
+    return out
+
+
+@pytest.mark.parametrize("fmt, inputs", [("movielens-dat", _dat_inputs), ("csv", _csv_inputs)])
+def test_prepare_writes_golden_bundle(tmp_path, fmt, inputs):
+    out = _prepare(tmp_path, inputs)
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[fmt]
+
+
+@pytest.mark.parametrize("variant", ["generic", "cold-start"])
+def test_train_writes_golden_checkpoint(tmp_path, variant):
+    bundle = _prepare(tmp_path, _dat_inputs)
+    out = tmp_path / "golden.xdv"
+    assert main([
+        "train", "--bundle", str(bundle), "--variant", variant, "--epochs", "1",
+        "--dims", "16", "--latent-dim", "8", "--batch-size", "8", "--seed", "5",
+        "--cold-fraction", "0.25", "--out", str(out),
+    ]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT[variant]

@@ -251,6 +251,12 @@ class TestAblationSuite:
         with pytest.raises(ValueError):
             ablation_config(make_toy_config("generic"), "bogus")
 
+    @pytest.mark.parametrize("name", ["generic0", "no-mmd0"])
+    def test_zero_suffix_only_on_single_and_merged(self, name):
+        # the CLI and README know only single0 and merged0
+        with pytest.raises(ValueError, match="unknown ablation variant"):
+            ablation_config(make_toy_config("generic"), name)
+
     def test_suite_trains_each_variant(self, trainable_bundle):
         base = make_toy_config("generic", epochs=2)
         results = run_variant_suite(trainable_bundle, base, ["generic", "single0", "no-mmd"])
