@@ -282,11 +282,17 @@ def cmd_ablate(args):
     if args.beta_sweep:
         betas = _parse_float_list(args.beta_sweep, "--beta-sweep")
         sweep = [(beta, _model_config(args, beta=beta)) for beta in betas]
+        # a repeat would train the same model again and report it twice
+        _check("--beta-sweep", args.beta_sweep, len(set(betas)) == len(betas),
+               "distinct values")
     else:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
         bad = [v for v in variants if v.lower() not in ABLATION_VARIANTS]
         if bad:
             raise CliError(f"unknown ablation variants: {bad}")
+        _check("--variants", args.variants,
+               len({v.lower() for v in variants}) == len(variants),
+               "distinct names, ignoring case")
     bundle, split = data.load_bundle(args.bundle)
     if split is None:
         raise data.DataError("bundle carries no leave-one-out split")

@@ -82,19 +82,29 @@ class DomainMatrix:
 
     def to_dense(self, user_positions=None):
         """Dense float64 matrix for the given user positions (default: all)."""
+        at = self.positives(user_positions)
+        m = len(self.indptr) - 1 if user_positions is None else len(user_positions)
+        out = np.zeros((m, self.n_items))
+        out.reshape(-1)[at] = 1.0
+        return out
+
+    def positives(self, user_positions=None, width=None, offset=0):
+        """Flat positions of the ones of to_dense(user_positions), row-major ascending.
+
+        With width, rows are width cells apart and item i sits in column
+        offset + i, as in a block of a wider matrix.
+        """
         indptr, at = self.indptr, slice(None)
         if user_positions is not None:
             indptr, at = gather_rows(self.indptr, user_positions)
-        out = np.zeros((len(indptr) - 1, self.n_items))
-        out.reshape(-1)[row_ids(indptr) * self.n_items + self.indices[at]] = 1.0
-        return out
+        return row_ids(indptr) * (width or self.n_items) + (self.indices[at] + offset)
 
     def contains(self, users, items):
         """Whether items[k] is a positive of user users[k], elementwise after broadcasting."""
         # rows rise strictly, so the packed keys u * n_items + item rise strictly;
         # the sentinel m * n_items sits above every key and equals no query
         n = self.n_items
-        keys = np.append(row_ids(self.indptr) * n + self.indices, (len(self.indptr) - 1) * n)
+        keys = np.append(self.positives(), (len(self.indptr) - 1) * n)
         queries = np.asarray(users, dtype=np.int64) * n + items
         return keys[np.searchsorted(keys, queries)] == queries
 
@@ -623,8 +633,8 @@ def degrade_target_rows(mat, fraction_kept, seed):
 
 
 def load_aux_vectors(path, expected_dim=256):
-    """Dense per-user auxiliary vectors from csv rows ``user,v1,...,vd``."""
-    vectors = {}
+    """Dense per-user auxiliary vectors from csv rows ``user,v1,...,vd``; one row per user."""
+    vectors, first_line = {}, {}
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     start = 1 if lines and lines[0].split(",")[0].strip().lower() == "user" else 0
@@ -638,10 +648,15 @@ def load_aux_vectors(path, expected_dim=256):
             raise DataError(
                 f"{path}:{n}: expected {expected_dim} values, got {len(values)}"
             )
-        vec = np.array([float(v) for v in values])
+        if user in first_line:
+            raise DataError(f"{path}:{n}: user {user!r} already listed on line {first_line[user]}")
+        try:
+            vec = np.array([float(v) for v in values])
+        except ValueError as e:
+            raise DataError(f"{path}:{n}: {e}") from None
         if not np.all(np.isfinite(vec)):
             raise DataError(f"{path}:{n}: non-finite auxiliary value")
-        vectors[user] = vec
+        vectors[user], first_line[user] = vec, n
     if not vectors:
         raise DataError(f"{path}: no auxiliary vectors")
     return vectors

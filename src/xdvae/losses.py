@@ -1,4 +1,4 @@
-"""Scalar training objectives and their composition per model variant.
+"""Training objectives, the reconstruction's gradient, and their sum.
 
 All data-dependent terms are averaged over the batch so that the weighting
 constants (beta, lambda_reg) keep their meaning across batch sizes.
@@ -15,26 +15,14 @@ from .nn import BLOCK, blocks
 
 VARIANTS = ("generic", "single", "merged", "no-mmd", "cold-start", "aux")
 
-# Components entering each variant's total (absent ones are forced to zero).
-_VARIANT_TERMS = {
-    "generic": ("recon_source", "kl_source", "recon_target", "kl_target", "reg", "mmd"),
-    "no-mmd": ("recon_source", "kl_source", "recon_target", "kl_target", "reg"),
-    "single": ("recon_target", "kl_target", "reg"),
-    "merged": ("recon_target", "kl_target", "reg"),
-    "cold-start": (
-        "recon_source", "kl_source", "recon_target", "kl_target", "reg", "mmd", "map_loss",
-    ),
-    "aux": ("recon_source", "kl_source", "recon_target", "kl_target", "reg", "mmd"),
-}
-
 
 @dataclass
 class LossBreakdown:
     """One scalar per loss component; total is always the sum of all fields."""
 
     recon_source: float = 0.0
-    recon_target: float = 0.0
     kl_source: float = 0.0
+    recon_target: float = 0.0
     kl_target: float = 0.0
     reg: float = 0.0
     mmd: float = 0.0
@@ -45,51 +33,49 @@ class LossBreakdown:
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
-def _as_batch(x):
-    x = np.asarray(x, dtype=float)
-    return x.reshape(1, -1) if x.ndim == 1 else x
+def masked_recon(a, pos, beta, batch):
+    """(value, d value / d a) of the masked reconstruction of binary rows from logits a.
 
-
-def masked_recon(r, a, beta) -> float:
-    """Cross-entropy of targets r under logits a, plus beta times that of the positives.
-
-    With p = sigmoid(a), -r log p - (1 - r) log(1 - p) - beta r log p is
-    softplus(a) - r a + beta r softplus(-a) per cell, exact at any logit.
+    pos holds the flat positions of the rows' ones in a, row-major ascending;
+    every other cell is 0. With p = sigmoid(a), each cell costs
+    -r log p - (1 - r) log(1 - p) - beta r log p, which is
+    softplus(a) - r a + beta r softplus(-a), exact at any logit; its slope is
+    (p - r) - beta r (1 - p). Both are averaged over the batch rows.
     """
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
-    r = _as_batch(r)
-    a = _as_batch(a)
-    if r.shape != a.shape:
-        raise ValueError(f"shape mismatch {r.shape} vs {a.shape}")
     # softplus(+-a) = max(+-a, 0) + log1p(exp(-|a|)), so neither overflows;
-    # the r terms are taken only where r is nonzero
+    # the r terms are taken only at the ones, where r is exactly 1
     t = np.abs(a)
     np.negative(t, out=t)
     np.exp(t, out=t)
     np.log1p(t, out=t)
-    at = np.flatnonzero(r != 0)
-    a_pos = a.ravel()[at]
-    pos = np.maximum(np.negative(a_pos), 0.0)
-    pos += t.ravel()[at]
-    pos *= beta
-    pos -= a_pos
-    pos *= r.ravel()[at]
-    return float((np.maximum(a, 0.0).sum() + t.sum() + pos.sum()) / a.shape[0])
+    a_pos = a.ravel()[pos]
+    ones = np.maximum(np.negative(a_pos), 0.0)
+    ones += t.ravel()[pos]
+    ones *= beta
+    ones -= a_pos
+    value = float((np.maximum(a, 0.0).sum() + t.sum() + ones.sum()) / batch)
+    # p = 1 / (1 + exp(-a)) in t's buffer, exactly 0 where exp overflows;
+    # where r is 0 the slope is exactly p
+    g = np.negative(a, out=t)
+    with np.errstate(over="ignore"):
+        np.exp(g, out=g)
+    g += 1.0
+    np.divide(1.0, g, out=g)
+    flat = g.reshape(-1)
+    p = flat[pos]
+    flat[pos] = (p - 1.0) - beta * (1.0 - p)
+    g /= batch
+    return value, g
 
 
 def kl_divergence(mu, logvar) -> float:
     """KL(N(mu, exp(logvar)) || N(0, I)), summed over dims, averaged over the batch."""
-    mu = _as_batch(mu)
-    logvar = _as_batch(logvar)
     per_row = 0.5 * (np.exp(logvar) + mu * mu - 1.0 - logvar).sum(axis=1)
     return float(per_row.mean())
 
 
 def l2_reg(params, lambda_reg) -> float:
     """lambda_reg * sum of squares over every entry of a ParamStore."""
-    if lambda_reg < 0:
-        raise ValueError(f"lambda_reg must be >= 0, got {lambda_reg}")
     if lambda_reg == 0.0:
         return 0.0
     # einsum reduces in place and never calls BLAS, whose threaded dot would
@@ -108,39 +94,18 @@ def add_l2_grad(params, grads, lambda_reg):
 
 def mmd_linear(z_source, z_target) -> float:
     """Squared distance between the two batches' latent means."""
-    z_source = _as_batch(z_source)
-    z_target = _as_batch(z_target)
-    if z_source.shape[1] != z_target.shape[1]:
-        raise ValueError(
-            f"latent dim mismatch {z_source.shape[1]} vs {z_target.shape[1]}"
-        )
     diff = z_source.mean(axis=0) - z_target.mean(axis=0)
     return float(diff @ diff)
 
 
 def mapping_loss(z_mapped, z_target) -> float:
     """Mean squared difference between mapped and encoded target latents."""
-    z_mapped = _as_batch(z_mapped)
-    z_target = _as_batch(z_target)
-    if z_mapped.shape != z_target.shape:
-        raise ValueError(f"shape mismatch {z_mapped.shape} vs {z_target.shape}")
     d = z_mapped - z_target
     return float((d * d).mean(axis=1).mean())
 
 
-def compose_total(variant: str, **components) -> LossBreakdown:
-    """Assemble a LossBreakdown for a variant; unused components are zeroed.
-
-    Raises if a component the variant needs is missing.
-    """
-    if variant not in _VARIANT_TERMS:
-        raise ValueError(f"unknown variant {variant!r}")
-    terms = _VARIANT_TERMS[variant]
-    missing = [t for t in terms if t not in components]
-    if missing:
-        raise ValueError(f"variant {variant!r} missing components: {missing}")
-    out = LossBreakdown()
-    for t in terms:
-        setattr(out, t, float(components[t]))
-    out.total = sum(getattr(out, t) for t in terms)
+def compose_total(**components) -> LossBreakdown:
+    """LossBreakdown of the given components, the others 0; total sums them in field order."""
+    out = LossBreakdown(**{name: float(v) for name, v in components.items()})
+    out.total = sum(getattr(out, f.name) for f in fields(out) if f.name in components)
     return out

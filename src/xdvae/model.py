@@ -20,7 +20,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import losses
-from .nn import DenseLayer, DenseStack, bind_layers, init_weights
+from .nn import DenseLayer, DenseStack, bind_layers, init_weights, tensor_shapes
 
 VARIANTS = losses.VARIANTS
 LINKED_VARIANTS = ("generic", "no-mmd", "cold-start", "aux")
@@ -95,27 +95,7 @@ class ModelConfig:
 
 def merge_latents(z_source, z_target):
     """Concatenate latent vectors, source half first (fixed order everywhere)."""
-    if z_source.shape[-1] != z_target.shape[-1]:
-        raise ValueError(
-            f"latent dims differ: {z_source.shape[-1]} vs {z_target.shape[-1]}"
-        )
     return np.concatenate([z_source, z_target], axis=-1)
-
-
-def _recon_preact_grad(a, r, beta, batch):
-    # d(masked recon)/d(logits a), batch-averaged: with p = 1 / (1 + exp(-a)),
-    # ((p - r) - beta * r * (1 - p)) / batch, each evaluated in that order.
-    # Where r is 0 the bracket is exactly p, so only r's nonzeros are computed.
-    g = np.negative(a)
-    np.exp(g, out=g)
-    g += 1.0
-    np.divide(1.0, g, out=g)
-    at = np.flatnonzero(r != 0)
-    flat = g.reshape(-1)
-    p, r_pos = flat[at], r.ravel()[at]
-    flat[at] = (p - r_pos) - (beta * r_pos) * (1.0 - p)
-    g /= batch
-    return g
 
 
 def _kl_grads(state, batch):
@@ -197,16 +177,28 @@ class _ModelBase:
         self.n_source = n_source
         self.n_target = n_target
 
+    def tensor_shapes(self):
+        """(name, shape) of every tensor in store order; allocates nothing."""
+        return tensor_shapes(self._layers)
+
+    def bind(self):
+        """Allocate the zeroed parameter store and its gradient twin; returns self."""
+        self._params, self._grads = bind_layers(self._layers)
+        return self
+
     def params(self):
         """ParamStore of every tensor; the layers hold views into it."""
         return self._params
 
-    def loss_and_grads(self, r_s, r_t, eps, aux=None):
-        """(LossBreakdown, grads) for one batch; eps is (n_latents, batch, L) noise.
+    def loss_and_grads(self, r_s, r_t, pos, eps, aux=None):
+        """(LossBreakdown, grads) for one batch.
 
-        grads is the model's own ParamStore, overwritten by the next call.
+        pos holds, per decoder, the flat positions of the ones of the rows it
+        reconstructs (train._batch_inputs builds them); eps is
+        (n_latents, batch, L) noise. grads is the model's own ParamStore,
+        overwritten by the next call.
         """
-        fwd = self.forward(r_s, r_t, eps, aux)
+        fwd = self.forward(r_s, r_t, pos, eps, aux)
         return self.loss_breakdown(fwd), self.backward(fwd)
 
 
@@ -262,7 +254,7 @@ class LinkedVAE(_ModelBase):
             named.append(("map", self.map_layer))
         if self.sub_encoder is not None:
             named += self.sub_encoder.named_layers("sub")
-        self._params, self._grads = bind_layers(named)
+        self._layers = named
 
     # -- forward pieces ----------------------------------------------------
 
@@ -276,8 +268,9 @@ class LinkedVAE(_ModelBase):
         return (out if "S" in self.aux_attached else None,
                 out if "T" in self.aux_attached else None, caches)
 
-    def forward(self, r_s, r_t, eps, aux=None):
-        """Full training forward pass; returns a state dict for backward()."""
+    def forward(self, r_s, r_t, pos, eps, aux=None):
+        """Training forward pass through both reconstructions; returns a state dict for backward()."""
+        pos_s, pos_t = pos
         eps_s, eps_t = eps
         sub_s, sub_t, sub_caches = self._sub_outputs(aux)
         st_s, cache_s = self.enc_s.forward(r_s, eps_s, sub_s)
@@ -288,11 +281,13 @@ class LinkedVAE(_ModelBase):
         else:
             z_prime, map_cache = merge_latents(st_s.z, st_t.z), None
         a_t, dec_t_caches = self.dec_t.forward(z_prime)
+        batch, beta = r_s.shape[0], self.config.beta
         return {
-            "r_s": r_s, "r_t": r_t,
             "state_s": st_s, "state_t": st_t,
             "cache_s": cache_s, "cache_t": cache_t,
             "a_s": a_s, "a_t": a_t,
+            "recon_s": losses.masked_recon(a_s, pos_s, beta, batch),
+            "recon_t": losses.masked_recon(a_t, pos_t, beta, batch),
             "dec_s_caches": dec_s_caches, "dec_t_caches": dec_t_caches,
             "z_prime": z_prime, "map_cache": map_cache,
             "sub_caches": sub_caches,
@@ -302,9 +297,9 @@ class LinkedVAE(_ModelBase):
         cfg = self.config
         st_s, st_t = fwd["state_s"], fwd["state_t"]
         parts = {
-            "recon_source": losses.masked_recon(fwd["r_s"], fwd["a_s"], cfg.beta),
-            "recon_target": losses.masked_recon(fwd["r_t"], fwd["a_t"], cfg.beta),
+            "recon_source": fwd["recon_s"][0],
             "kl_source": losses.kl_divergence(st_s.mu, st_s.logvar),
+            "recon_target": fwd["recon_t"][0],
             "kl_target": losses.kl_divergence(st_t.mu, st_t.logvar),
             "reg": losses.l2_reg(self._params, cfg.lambda_reg),
         }
@@ -312,20 +307,18 @@ class LinkedVAE(_ModelBase):
             parts["mmd"] = losses.mmd_linear(st_s.z, st_t.z)
         if self.use_map:
             parts["map_loss"] = losses.mapping_loss(fwd["z_prime"], st_t.z)
-        return losses.compose_total(cfg.variant, **parts)
+        return losses.compose_total(**parts)
 
     # -- backward ----------------------------------------------------------
 
     def backward(self, fwd):
         cfg = self.config
         st_s, st_t = fwd["state_s"], fwd["state_t"]
-        batch = fwd["r_s"].shape[0]
+        batch = st_s.z.shape[0]
         L = cfg.latent_dim
 
-        g_out_s = _recon_preact_grad(fwd["a_s"], fwd["r_s"], cfg.beta, batch)
-        g_z_s = self.dec_s.backward(g_out_s, fwd["dec_s_caches"])
-        g_out_t = _recon_preact_grad(fwd["a_t"], fwd["r_t"], cfg.beta, batch)
-        g_dec_t_in = self.dec_t.backward(g_out_t, fwd["dec_t_caches"])
+        g_z_s = self.dec_s.backward(fwd["recon_s"][1], fwd["dec_s_caches"])
+        g_dec_t_in = self.dec_t.backward(fwd["recon_t"][1], fwd["dec_t_caches"])
 
         if self.use_map:
             z_prime = fwd["z_prime"]
@@ -389,36 +382,34 @@ class SingleVAE(_ModelBase):
         L = config.latent_dim
         self.enc = _Encoder(self.input_dim, config.enc_dims_target, L)
         self.dec = _make_decoder(L, list(reversed(config.enc_dims_target)), self.input_dim)
-        self._params, self._grads = bind_layers(
-            [*self.enc.named_layers("enc"), *self.dec.named_layers("dec")]
-        )
+        self._layers = [*self.enc.named_layers("enc"), *self.dec.named_layers("dec")]
 
     def _input(self, r_s, r_t):
         if self.config.variant == "single":
             return r_t
         return np.concatenate([r_s, r_t], axis=1)
 
-    def forward(self, r_s, r_t, eps, aux=None):
+    def forward(self, r_s, r_t, pos, eps, aux=None):
+        (pos_x,) = pos
         (eps_x,) = eps
         x = self._input(r_s, r_t)
         state, cache = self.enc.forward(x, eps_x)
         a, dec_caches = self.dec.forward(state.z)
-        return {"x": x, "state": state, "cache": cache, "a": a, "dec_caches": dec_caches}
+        return {"state": state, "cache": cache, "a": a, "dec_caches": dec_caches,
+                "recon": losses.masked_recon(a, pos_x, self.config.beta, x.shape[0])}
 
     def loss_breakdown(self, fwd):
         cfg = self.config
         return losses.compose_total(
-            cfg.variant,
-            recon_target=losses.masked_recon(fwd["x"], fwd["a"], cfg.beta),
+            recon_target=fwd["recon"][0],
             kl_target=losses.kl_divergence(fwd["state"].mu, fwd["state"].logvar),
             reg=losses.l2_reg(self._params, cfg.lambda_reg),
         )
 
     def backward(self, fwd):
         cfg = self.config
-        batch = fwd["x"].shape[0]
-        g_out = _recon_preact_grad(fwd["a"], fwd["x"], cfg.beta, batch)
-        g_z = self.dec.backward(g_out, fwd["dec_caches"])
+        batch = fwd["state"].z.shape[0]
+        g_z = self.dec.backward(fwd["recon"][1], fwd["dec_caches"])
         g_mu, g_lv = _kl_grads(fwd["state"], batch)
         self.enc.backward(g_z, g_mu, g_lv, fwd["state"], fwd["cache"])
         losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
@@ -430,15 +421,20 @@ class SingleVAE(_ModelBase):
         return a[:, self.n_source:] if self.config.variant == "merged" else a
 
 
+def architecture(config, n_source, n_target):
+    """The model for config.variant with its layers unbound: shapes only, nothing allocated."""
+    config.validate()
+    host = LinkedVAE if config.variant in LINKED_VARIANTS else SingleVAE
+    return host(config, n_source, n_target)
+
+
 def build_model(config, n_source, n_target, rng=None):
     """Instantiate the right architecture for config.variant.
 
     With rng, the weight matrices are Glorot-drawn in store order and biases
     are zero; without, every parameter stays zero for a checkpoint to fill.
     """
-    config.validate()
-    host = LinkedVAE if config.variant in LINKED_VARIANTS else SingleVAE
-    model = host(config, n_source, n_target)
+    model = architecture(config, n_source, n_target).bind()
     if rng is not None:
         init_weights(model.params(), rng)
     return model

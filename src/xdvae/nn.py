@@ -91,14 +91,19 @@ class ParamStore(Mapping):
         return len(self._views)
 
 
+def tensor_shapes(named_layers):
+    """(name, shape) of the "<prefix>.W" and "<prefix>.b" tensors of (prefix, DenseLayer) pairs."""
+    return [(f"{p}.{t}", shape) for p, layer in named_layers
+            for t, shape in (("W", layer.shape), ("b", layer.shape[:1]))]
+
+
 def bind_layers(named_layers):
     """(params, grads) stores over a list of (prefix, DenseLayer) pairs.
 
-    Tensors are named "<prefix>.W" and "<prefix>.b" and start at zero; each
-    layer's w and b become views of params, and its gw and gb views of grads.
+    Tensors are named as tensor_shapes says and start at zero; each layer's
+    w and b become views of params, and its gw and gb views of grads.
     """
-    shapes = [(f"{p}.{t}", shape) for p, layer in named_layers
-              for t, shape in (("W", layer.shape), ("b", layer.shape[:1]))]
+    shapes = tensor_shapes(named_layers)
     params, grads = ParamStore(shapes), ParamStore(shapes)
     for p, layer in named_layers:
         layer.w, layer.b = params[f"{p}.W"], params[f"{p}.b"]

@@ -8,6 +8,7 @@ noise, so identical inputs give bit-identical parameters.
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -15,7 +16,7 @@ import numpy as np
 
 from .data import DataError, read_container, write_container
 from .losses import LossBreakdown
-from .model import ABLATION_VARIANTS, ModelConfig, build_model
+from .model import ABLATION_VARIANTS, ModelConfig, architecture, build_model
 from .nn import Adam, NumericError, assert_all_finite, named_rng
 
 CHECKPOINT_MAGIC = b"XDV1"
@@ -56,10 +57,19 @@ class TrainHistory:
             fh.write("\n")
 
 
-def _batch_inputs(bundle, positions, need_source, need_target):
-    r_s = bundle.source.to_dense(positions) if need_source else None
-    r_t = bundle.target.to_dense(positions) if need_target else None
-    return r_s, r_t
+def _batch_inputs(bundle, users, variant):
+    """(r_s, r_t, pos) of a batch: its dense rows (r_s is None for "single") and, per
+    decoder, the flat positions of the ones of the rows it reconstructs, row-major
+    ascending. The merged decoder reconstructs [r_s ; r_t]."""
+    src, tgt = bundle.source, bundle.target
+    if variant == "single":
+        return None, tgt.to_dense(users), (tgt.positives(users),)
+    r_s, r_t = src.to_dense(users), tgt.to_dense(users)
+    if variant != "merged":
+        return r_s, r_t, (src.positives(users), tgt.positives(users))
+    width = src.n_items + tgt.n_items
+    both = np.concatenate([src.positives(users, width), tgt.positives(users, width, src.n_items)])
+    return r_s, r_t, (np.sort(both),)
 
 
 def train(bundle, config: ModelConfig, early_stop=False):
@@ -99,11 +109,7 @@ def train(bundle, config: ModelConfig, early_stop=False):
         for at in range(0, m, config.batch_size):
             positions = order[at:at + config.batch_size]
             b = len(positions)
-            r_s, r_t = _batch_inputs(
-                bundle, positions,
-                need_source=(config.variant != "single"),
-                need_target=True,
-            )
+            r_s, r_t, pos = _batch_inputs(bundle, positions, config.variant)
             aux = (
                 bundle.aux_vectors[positions]
                 if config.variant == "aux" else None
@@ -112,7 +118,7 @@ def train(bundle, config: ModelConfig, early_stop=False):
             # a diverging step is reported by the loss check and by the update,
             # which checks grads as it sweeps them, not by numpy warnings
             with np.errstate(over="ignore", invalid="ignore"):
-                breakdown, grads = model.loss_and_grads(r_s, r_t, eps, aux)
+                breakdown, grads = model.loss_and_grads(r_s, r_t, pos, eps, aux)
                 if not np.isfinite(breakdown.total):
                     raise NumericError(
                         f"non-finite loss at epoch {epoch}, batch offset {at}"
@@ -173,7 +179,7 @@ def load_checkpoint(path):
         config = ModelConfig.from_dict(header["config"])
         variant = header["variant"]
         dims = header["dims"]
-        model = build_model(config, dims["n_source"], dims["n_target"])
+        model = architecture(config, dims["n_source"], dims["n_target"])
         declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(
@@ -181,8 +187,9 @@ def load_checkpoint(path):
         ) from None
     if config.variant != variant:
         raise DataError(f"{path}: variant mismatch between header fields")
-    params = model.params()
-    expected = [(name, p.shape) for name, p in params.items()]
+    # the header and the body size are checked before the store is allocated,
+    # so a forged size is a data error, not an allocation attempt
+    expected = model.tensor_shapes()
     if declared != expected:
         missing = sorted({n for n, _ in expected} - {n for n, _ in declared})
         extra = sorted({n for n, _ in declared} - {n for n, _ in expected})
@@ -190,10 +197,11 @@ def load_checkpoint(path):
             f"{path}: tensor list mismatch for variant {config.variant!r} "
             f"(missing {missing}, unexpected {extra}, or a shape or order conflict)"
         )
-    have, want = len(raw) - at, 4 * params.flat.size
+    have, want = len(raw) - at, 4 * sum(math.prod(shape) for _, shape in expected)
     if have != want:
         problem = "truncated tensor data" if have < want else "trailing bytes after tensors"
         raise DataError(f"{path}: {problem} ({have} bytes, expected {want})")
+    params = model.bind().params()
     # a signalling NaN would warn in the cast; the finite check below rejects it
     with np.errstate(invalid="ignore"):
         params.flat[...] = np.frombuffer(raw, dtype="<f4", offset=at)

@@ -20,7 +20,7 @@ from xdvae.evaluate import hit_ratio, ndcg, rank_first
 from xdvae.cli import main as cli_main
 from xdvae.model import ModelConfig, build_model
 from xdvae.nn import named_rng
-from xdvae.train import ablation_config, load_checkpoint, save_checkpoint, train
+from xdvae.train import _batch_inputs, ablation_config, load_checkpoint, save_checkpoint, train
 
 from conftest import finite_diff_check, make_toy_bundle, make_toy_config
 
@@ -116,11 +116,11 @@ class TestCriterion02Gradients:
         bundle = make_toy_bundle(**self.TOY, seed=5, aux_dim=4)
         model = build_model(config, 6, 8, named_rng(4, "init"))
         rng = np.random.default_rng(17)
-        r_s, r_t = bundle.source.to_dense(), bundle.target.to_dense()
+        r_s, r_t, pos = _batch_inputs(bundle, np.arange(bundle.m), variant)
         eps = rng.standard_normal((2, 8, 3))[:model.n_latents]
         aux = bundle.aux_vectors if variant == "aux" else None
-        loss = lambda: model.loss_breakdown(model.forward(r_s, r_t, eps, aux)).total
-        _, grads = model.loss_and_grads(r_s, r_t, eps, aux)
+        loss = lambda: model.loss_breakdown(model.forward(r_s, r_t, pos, eps, aux)).total
+        _, grads = model.loss_and_grads(r_s, r_t, pos, eps, aux)
         return finite_diff_check(loss, model.params(), grads)
 
     def test_criterion_02_gradient_checks(self):

@@ -314,6 +314,30 @@ class TestEval:
         assert code == 2
         assert "malformed checkpoint header" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("declared, message", [
+        ("original", "tensor list mismatch"),
+        ("forged", "truncated tensor data"),
+    ])
+    def test_forged_petabyte_model_exit_two(self, prepared, trained, tmp_path, capsys,
+                                            declared, message):
+        # a header asking for about a PiB of parameters is checked against the
+        # tensor list and the body size before anything is allocated
+        def forge(header):
+            header["config"]["latent_dim"] = 10**12
+            if declared == "forged":
+                from xdvae.model import ModelConfig, architecture
+
+                model = architecture(ModelConfig.from_dict(header["config"]), **header["dims"])
+                header["tensors"] = [{"name": name, "shape": list(shape)}
+                                     for name, shape in model.tensor_shapes()]
+
+        bad = tmp_path / "bad.xdv"
+        rewrite_header(trained, bad, forge)
+        code = main(["eval", "--model", str(bad), "--bundle", str(prepared),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_sampled_inference_checkpoint_names_the_field(self, prepared, trained, tmp_path,
                                                            capsys):
         bad = tmp_path / "bad.xdv"
@@ -460,6 +484,10 @@ FLAGS_BEFORE_BUNDLE = {
     "ablate-dims": ("ablate", ["--dims", "0"], "--dims widths must be >= 1"),
     "ablate-beta-sweep": ("ablate", ["--beta-sweep", "4,nan"], "--beta must be finite"),
     "ablate-variants": ("ablate", ["--variants", "generic,bogus"], "unknown ablation variants"),
+    "ablate-variants-repeated": ("ablate", ["--variants", "single0,Single0"],
+                                 "--variants must be distinct"),
+    "ablate-beta-sweep-repeated": ("ablate", ["--beta-sweep", "2,2"],
+                                   "--beta-sweep must be distinct"),
 }
 
 
@@ -520,6 +548,10 @@ BAD_RUN_FLAGS = {
     "eval-fraction-nan": ("eval", ["--protocol", "degrade", "--fractions", "0.5,nan"]),
     "eval-ks": ("eval", ["--ks", "10,500"]),
     "ablate-ks": ("ablate", ["--ks", "0,500"]),
+    # repeats used to train the same model again and report it under two names
+    "ablate-variants-repeated": ("ablate", ["--variants", "generic,single,generic"]),
+    "ablate-variants-case": ("ablate", ["--variants", "generic,Generic"]),
+    "ablate-beta-sweep-repeated": ("ablate", ["--beta-sweep", "0,1,1.0"]),
 }
 
 

@@ -1,5 +1,6 @@
 """Ingestion, domain routing, filtering, splits and bundle round trips."""
 
+import re
 import struct
 from string import ascii_letters, digits
 from unittest.mock import patch
@@ -778,6 +779,18 @@ class TestAuxVectors:
     def test_non_finite_rejected(self, tmp_path):
         path = write(tmp_path, "aux.csv", "u1,0.5,inf\n")
         with pytest.raises(DataError, match="non-finite"):
+            data.load_aux_vectors(path, expected_dim=2)
+
+    def test_bad_value_names_path_and_line(self, tmp_path):
+        path = write(tmp_path, "aux.csv", "user,a,b\nu1,0.5,1\nu2,x,1\n")
+        message = f"{path}:3: could not convert string to float: 'x'"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            data.load_aux_vectors(path, expected_dim=2)
+
+    def test_repeated_user_names_both_lines(self, tmp_path):
+        path = write(tmp_path, "aux.csv", "u1,0.5,1\n\nu2,1,2\nu1,0.5,1\n")
+        message = f"{path}:4: user 'u1' already listed on line 1"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             data.load_aux_vectors(path, expected_dim=2)
 
     def test_missing_user_gets_zero_vector(self, toy_bundle, tmp_path):

@@ -5,10 +5,9 @@ import numpy as np
 import pytest
 
 from xdvae import losses, nn
-from xdvae.model import (
-    LinkedVAE, ModelConfig, _recon_preact_grad, build_model, merge_latents,
-)
+from xdvae.model import LinkedVAE, ModelConfig, build_model, merge_latents
 from xdvae.nn import named_rng
+from xdvae.train import _batch_inputs
 
 from conftest import finite_diff_check, make_toy_bundle, make_toy_config
 
@@ -16,16 +15,16 @@ TOY = dict(m=8, n_source=6, n_target=8)
 
 
 def toy_batch(variant, seed=3, aux_dim=4):
-    """Dense toy inputs plus frozen eps, shaped (2, m, L), for gradient checking.
+    """Dense toy inputs, the variant's positives, frozen eps shaped (2, m, L), aux.
 
     Linked variants read both noise blocks, single and merged the first.
     """
     bundle = make_toy_bundle(**TOY, seed=seed, aux_dim=aux_dim)
     rng = np.random.default_rng(seed + 1)
     r_s = bundle.source.to_dense()
-    r_t = bundle.target.to_dense()
+    _, r_t, pos = _batch_inputs(bundle, np.arange(TOY["m"]), variant)
     eps = np.stack([rng.standard_normal((TOY["m"], 3)), rng.standard_normal((TOY["m"], 3))])
-    return r_s, r_t, eps, bundle.aux_vectors
+    return r_s, r_t, pos, eps, bundle.aux_vectors
 
 
 def build_toy_model(variant, seed=11, **overrides):
@@ -86,10 +85,6 @@ class TestDecoders:
         z = merge_latents(np.array([[1.0, 2.0]]), np.array([[3.0, 4.0]]))
         assert np.array_equal(z, [[1.0, 2.0, 3.0, 4.0]])
 
-    def test_merge_rejects_width_mismatch(self):
-        with pytest.raises(ValueError):
-            merge_latents(np.zeros((1, 2)), np.zeros((1, 3)))
-
     def test_perturbing_source_half_changes_target_output(self):
         model = build_toy_model("generic")
         rng = np.random.default_rng(4)
@@ -122,9 +117,9 @@ class TestColdStartPaths:
 class TestAsymmetry:
     def test_source_reconstruction_blind_to_target_row(self):
         model = build_toy_model("generic")
-        r_s, r_t, eps, _ = toy_batch("generic")
-        fwd_a = model.forward(r_s, r_t, eps)
-        fwd_b = model.forward(r_s, 1.0 - r_t, eps)
+        r_s, r_t, pos, eps, _ = toy_batch("generic")
+        fwd_a = model.forward(r_s, r_t, pos, eps)
+        fwd_b = model.forward(r_s, 1.0 - r_t, pos, eps)
         assert np.array_equal(fwd_a["a_s"], fwd_b["a_s"])
         assert np.array_equal(fwd_a["state_s"].z, fwd_b["state_s"].z)
 
@@ -144,11 +139,11 @@ class TestAuxVariant:
 
     def test_zeroed_aux_columns_make_aux_irrelevant(self):
         model = build_toy_model("aux")
-        r_s, r_t, eps, aux = toy_batch("aux")
+        r_s, r_t, pos, eps, aux = toy_batch("aux")
         for head in (model.enc_s.mu_head, model.enc_s.logvar_head):
             head.w[:, 5:] = 0.0
-        a = model.forward(r_s, r_t, eps, aux)["state_s"]
-        b = model.forward(r_s, r_t, eps, np.zeros_like(aux))["state_s"]
+        a = model.forward(r_s, r_t, pos, eps, aux)["state_s"]
+        b = model.forward(r_s, r_t, pos, eps, np.zeros_like(aux))["state_s"]
         assert np.array_equal(a.z, b.z)
 
     def test_aux_required(self):
@@ -200,9 +195,9 @@ class TestPredictScores:
         # prediction runs the mu heads only; the training forward pass with
         # eps = 0 has z = mu, so both must give the same target outputs
         model = build_toy_model(variant, aux_attach=attach)
-        r_s, r_t, eps, aux = toy_batch(variant)
+        r_s, r_t, pos, eps, aux = toy_batch(variant)
         aux = aux if variant == "aux" else None
-        fwd = model.forward(r_s, r_t, np.zeros_like(eps[:model.n_latents]), aux)
+        fwd = model.forward(r_s, r_t, pos, np.zeros_like(eps[:model.n_latents]), aux)
         if variant in ("single", "merged"):
             want = fwd["a"][:, model.n_source:] if variant == "merged" else fwd["a"]
         else:
@@ -220,9 +215,9 @@ class TestVariantSharing:
     def test_breakdown_total_matches_field_sum(self):
         for variant in ("generic", "no-mmd", "single", "merged", "cold-start", "aux"):
             model = build_toy_model(variant)
-            r_s, r_t, eps, aux = toy_batch(variant)
+            r_s, r_t, pos, eps, aux = toy_batch(variant)
             breakdown, _ = model.loss_and_grads(
-                r_s, r_t, eps[:model.n_latents], aux if variant == "aux" else None
+                r_s, r_t, pos, eps[:model.n_latents], aux if variant == "aux" else None
             )
             parts = breakdown.as_dict()
             total = parts.pop("total")
@@ -234,14 +229,14 @@ GRAD_TOLERANCE = 1e-4
 
 def run_gradient_check(variant, **overrides):
     model = build_toy_model(variant, **overrides)
-    r_s, r_t, eps, aux = toy_batch(variant)
+    r_s, r_t, pos, eps, aux = toy_batch(variant)
     eps = eps[:model.n_latents]
     aux = aux if variant == "aux" else None
 
     def loss():
-        return model.loss_breakdown(model.forward(r_s, r_t, eps, aux)).total
+        return model.loss_breakdown(model.forward(r_s, r_t, pos, eps, aux)).total
 
-    _, grads = model.loss_and_grads(r_s, r_t, eps, aux)
+    _, grads = model.loss_and_grads(r_s, r_t, pos, eps, aux)
     return finite_diff_check(loss, model.params(), grads)
 
 
@@ -257,7 +252,7 @@ class TestGradients:
         a, r = 4.0 * rng.standard_normal((6, 11)), (rng.random((6, 11)) < 0.3).astype(float)
         a[0, :2] = (40.0, -40.0)
         a_before = a.copy()
-        g = _recon_preact_grad(a, r, 15.0, 6)
+        _, g = losses.masked_recon(a, np.flatnonzero(r), 15.0, 6)
         p = 1.0 / (1.0 + np.exp(-a))
         assert np.array_equal(g, ((p - r) - 15.0 * r * (1.0 - p)) / 6)
         assert np.array_equal(a, a_before)
@@ -267,10 +262,10 @@ class TestGradients:
     def test_output_grad_is_the_slope_of_the_loss_at_saturation(self, a, r):
         # one function: the analytic slope of masked_recon at |a| = 40 is its
         # central difference (about 1 at a = 40, r = 0; -16 at a = -40, r = 1)
-        logits, target, h = np.array([[a]]), np.array([[r]]), 1e-6
-        numeric = (losses.masked_recon(target, logits + h, 15.0)
-                   - losses.masked_recon(target, logits - h, 15.0)) / (2.0 * h)
-        analytic = _recon_preact_grad(logits, target, 15.0, 1)[0, 0]
+        logits, pos, h = np.array([[a]]), np.flatnonzero([r]), 1e-6
+        numeric = (losses.masked_recon(logits + h, pos, 15.0, 1)[0]
+                   - losses.masked_recon(logits - h, pos, 15.0, 1)[0]) / (2.0 * h)
+        analytic = losses.masked_recon(logits, pos, 15.0, 1)[1][0, 0]
         assert analytic == pytest.approx(numeric, rel=1e-6, abs=1e-6)
 
     def test_saturated_decoder_matches_finite_differences(self):
@@ -279,15 +274,15 @@ class TestGradients:
         model = build_toy_model("generic")
         for name in ("dec_S.1.b", "dec_T.1.b"):
             model.params()[name][...] = 40.0
-        r_s, r_t, eps, _ = toy_batch("generic")
+        r_s, r_t, pos, eps, _ = toy_batch("generic")
         eps = eps[:model.n_latents]
-        fwd = model.forward(r_s, r_t, eps)
+        fwd = model.forward(r_s, r_t, pos, eps)
         assert np.abs(fwd["a_s"]).min() > 36.0 and np.abs(fwd["a_t"]).min() > 36.0
 
         def loss():
-            return model.loss_breakdown(model.forward(r_s, r_t, eps)).total
+            return model.loss_breakdown(model.forward(r_s, r_t, pos, eps)).total
 
-        _, grads = model.loss_and_grads(r_s, r_t, eps)
+        _, grads = model.loss_and_grads(r_s, r_t, pos, eps)
         assert finite_diff_check(loss, model.params(), grads) < GRAD_TOLERANCE
 
     def test_cold_start_stop_gradient_only_detaches_target_encoder(self):
@@ -295,18 +290,18 @@ class TestGradients:
         # into z_T, so enc_T grads intentionally deviate from the true
         # derivative; everything else must still match finite differences.
         model = build_toy_model("cold-start", map_stop_gradient=True)
-        r_s, r_t, eps, _ = toy_batch("cold-start")
+        r_s, r_t, pos, eps, _ = toy_batch("cold-start")
 
         def loss():
-            return model.loss_breakdown(model.forward(r_s, r_t, eps)).total
+            return model.loss_breakdown(model.forward(r_s, r_t, pos, eps)).total
 
-        _, grads = model.loss_and_grads(r_s, r_t, eps)
+        _, grads = model.loss_and_grads(r_s, r_t, pos, eps)
         kept = {n: p for n, p in model.params().items() if not n.startswith("enc_T")}
         kept_grads = {n: grads[n] for n in kept}
         assert finite_diff_check(loss, kept, kept_grads) < GRAD_TOLERANCE
 
         flow = build_toy_model("cold-start", map_stop_gradient=False)
-        _, flow_grads = flow.loss_and_grads(r_s, r_t, eps)
+        _, flow_grads = flow.loss_and_grads(r_s, r_t, pos, eps)
         assert np.allclose(grads["map.W"], flow_grads["map.W"])
         enc_t_keys = [n for n in grads if n.startswith("enc_T")]
         assert any(not np.allclose(grads[n], flow_grads[n]) for n in enc_t_keys)

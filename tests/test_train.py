@@ -4,12 +4,16 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from xdvae import data, nn
-from xdvae.data import DataError
+from xdvae import data, losses, nn
+from xdvae.data import DataError, DatasetBundle
 from xdvae.model import VARIANTS
 from xdvae.nn import DenseLayer, DenseStack
 from xdvae.train import (
+    _batch_inputs,
     ablation_config,
     load_checkpoint,
     run_variant_suite,
@@ -17,7 +21,7 @@ from xdvae.train import (
     train,
 )
 
-from conftest import make_toy_bundle, make_toy_config, poison_last_grad
+from conftest import make_matrix, make_toy_bundle, make_toy_config, poison_last_grad
 
 
 @pytest.fixture()
@@ -142,7 +146,8 @@ class TestParamStoreLayout:
         b = trainable_bundle
         eps = np.zeros((model.n_latents, b.m, model.config.latent_dim))
         aux = b.aux_vectors if variant == "aux" else None
-        _, grads = model.loss_and_grads(b.source.to_dense(), b.target.to_dense(), eps, aux)
+        r_s, r_t, pos = _batch_inputs(b, np.arange(b.m), variant)
+        _, grads = model.loss_and_grads(r_s, r_t, pos, eps, aux)
         params = model.params()
         assert list(grads) == list(params)
         for store in (params, grads):
@@ -272,3 +277,80 @@ class TestAblationSuite:
         params_b = results["no-mmd"][0].params()
         for name, p in params_a.items():
             assert np.array_equal(p, params_b[name])
+
+
+# The reconstruction's value and logit gradient as the two functions they were
+# before one function computed both; each finds the ones of r by scanning it.
+def two_pass_value(r, a, beta):
+    t = np.abs(a)
+    np.negative(t, out=t)
+    np.exp(t, out=t)
+    np.log1p(t, out=t)
+    at = np.flatnonzero(r != 0)
+    a_pos = a.ravel()[at]
+    pos = np.maximum(np.negative(a_pos), 0.0)
+    pos += t.ravel()[at]
+    pos *= beta
+    pos -= a_pos
+    pos *= r.ravel()[at]
+    return float((np.maximum(a, 0.0).sum() + t.sum() + pos.sum()) / a.shape[0])
+
+
+def two_pass_grad(a, r, beta, batch):
+    g = np.negative(a)
+    np.exp(g, out=g)
+    g += 1.0
+    np.divide(1.0, g, out=g)
+    at = np.flatnonzero(r != 0)
+    flat = g.reshape(-1)
+    p, r_pos = flat[at], r.ravel()[at]
+    flat[at] = (p - r_pos) - (beta * r_pos) * (1.0 - p)
+    g /= batch
+    return g
+
+
+@st.composite
+def csr_batches(draw):
+    """(bundle, batch user positions, dense source rows, dense target rows); rows may be empty."""
+    m, n_s, n_t = draw(st.integers(1, 6)), draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    users = [f"u{u}" for u in range(m)]
+    dense = []
+    for domain, n in (("source", n_s), ("target", n_t)):
+        rows = [sorted(draw(st.sets(st.integers(0, n - 1)))) for _ in range(m)]
+        dense.append((make_matrix(domain, users, [f"{domain[0]}{j}" for j in range(n)], rows),
+                      rows))
+    (src, rows_s), (tgt, rows_t) = dense
+    batch = draw(st.permutations(range(m)))[:draw(st.integers(1, m))]
+
+    def to_dense(rows, n):
+        out = np.zeros((len(batch), n))
+        for i, u in enumerate(batch):
+            out[i, rows[u]] = 1.0
+        return out
+
+    return (DatasetBundle(source=src, target=tgt), np.array(batch),
+            to_dense(rows_s, n_s), to_dense(rows_t, n_t))
+
+
+class TestBatchPositives:
+    @given(case=csr_batches(), beta=st.sampled_from([0.0, 1.5, 15.0]), draw=st.data())
+    @settings(deadline=None)
+    def test_positions_are_the_ones_each_variant_reconstructs(self, case, beta, draw):
+        bundle, batch, dense_s, dense_t = case
+        for variant in VARIANTS:
+            r_s, r_t, pos = _batch_inputs(bundle, batch, variant)
+            assert np.array_equal(r_t, dense_t)
+            assert r_s is None if variant == "single" else np.array_equal(r_s, dense_s)
+            recon = {"single": [dense_t],
+                     "merged": [np.concatenate([dense_s, dense_t], axis=1)]}.get(
+                         variant, [dense_s, dense_t])
+            assert len(pos) == len(recon)
+            for at, r in zip(pos, recon):
+                assert np.array_equal(at, np.flatnonzero(r != 0))
+                # the one function gives the two old ones' bytes, at any logit
+                a = draw.draw(hnp.arrays(float, r.shape, elements=st.floats(-800, 800)))
+                value, grad = losses.masked_recon(a, at, beta, len(batch))
+                with np.errstate(over="ignore"):
+                    want = two_pass_grad(a, r, beta, len(batch))
+                assert value.hex() == two_pass_value(r, a, beta).hex()
+                assert grad.tobytes() == want.tobytes()
