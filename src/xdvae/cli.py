@@ -411,6 +411,9 @@ def main(argv=None):
     except CliError as e:
         print(f"xdvae: error: {e}", file=sys.stderr)
         return 1
+    except training.ModelTooLarge as e:  # only train and ablate build a model to fill
+        print(f"xdvae: error: --dims/--latent-dim give {e}", file=sys.stderr)
+        return 1
     except (OSError, ValueError) as e:  # DataError is a ValueError
         print(f"xdvae: data error: {e}", file=sys.stderr)
         return 2

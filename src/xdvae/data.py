@@ -435,8 +435,9 @@ def _in_string_order(ids, codes):
 
 
 def load_item_labels(path, format="movielens-dat"):
-    """Item -> label set map from movies.dat (``id::title::g1|g2``) or ``item,labels`` csv."""
-    labels = {}
+    """Item -> label set map from movies.dat (``id::title::g1|g2``) or ``item,labels`` csv;
+    one line per item."""
+    labels, first_line = {}, {}
     with open(path, "r", encoding="latin-1") as fh:
         lines = fh.read().splitlines()
     start = 0
@@ -450,6 +451,9 @@ def load_item_labels(path, format="movielens-dat"):
         if len(parts) != width:
             raise DataError(f"{path}:{n}: malformed line {line!r}")
         item, genre_field = parts[0].strip(), parts[-1]
+        if item in first_line:
+            raise DataError(f"{path}:{n}: item {item!r} already listed on line {first_line[item]}")
+        first_line[item] = n
         labels[item] = {g.strip() for g in genre_field.split("|") if g.strip()}
     if not labels:
         raise DataError(f"{path}: no items")
@@ -622,14 +626,18 @@ def degrade_target_rows(mat, fraction_kept, seed):
     if fraction_kept == 1.0:
         return mat
     rng = named_rng(seed, f"degrade-{fraction_kept}")
-    indptr = _indptr(np.ceil(fraction_kept * np.diff(mat.indptr)).astype(np.int64))
-    indices = np.empty(indptr[-1], dtype=np.int64)
-    # a row that keeps nothing draws nothing
-    for u in np.flatnonzero(np.diff(indptr)).tolist():
-        row = mat.indices[mat.indptr[u]:mat.indptr[u + 1]]
-        indices[indptr[u]:indptr[u + 1]] = np.sort(
-            rng.choice(row, size=indptr[u + 1] - indptr[u], replace=False))
-    return DomainMatrix(mat.domain, mat.user_index, mat.item_index, indptr, indices)
+    lengths = np.diff(mat.indptr)
+    keep = np.ceil(fraction_kept * lengths).astype(np.int64)
+    indptr = _indptr(keep)
+    # choice(len(row), k) draws the stream choice(row, k) draws and picks the
+    # same positions; a row that keeps nothing draws nothing
+    users = np.flatnonzero(keep)
+    picks = [start + rng.choice(n, size=k, replace=False) for start, n, k in zip(
+        mat.indptr[users].tolist(), lengths[users].tolist(), keep[users].tolist())]
+    # rows rise strictly and sit in ascending ranges of mat.indices, so one
+    # sort of the kept entry positions sorts every row
+    at = np.sort(np.concatenate(picks)) if picks else np.empty(0, dtype=np.int64)
+    return DomainMatrix(mat.domain, mat.user_index, mat.item_index, indptr, mat.indices[at])
 
 
 def load_aux_vectors(path, expected_dim=256):

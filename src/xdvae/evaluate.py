@@ -107,8 +107,9 @@ def evaluate(model, bundle, split, ks=DEFAULT_KS, protocol="standard"):
 def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS):
     """Re-run evaluation with the target input rows degraded at prediction time.
 
-    Source rows are untouched; scoring-side target rows keep the given
-    fraction of their training positives. Returns one report per fraction.
+    Source rows are untouched and encoded once; scoring-side target rows
+    keep the given fraction of their training positives, and a fraction that
+    keeps none is scored from r_t None. Returns one report per fraction.
     """
     if model.config.variant not in ("generic", "no-mmd", "aux"):
         raise DataError(
@@ -116,10 +117,12 @@ def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS):
             f"{model.config.variant!r}"
         )
     r_s = bundle.source.to_dense()
+    source = model.encode_source(r_s, bundle.aux_vectors)
     reports = []
     for fraction in fractions:
-        r_t = degrade_target_rows(bundle.target, fraction, seed).to_dense()
-        scores = model.predict_scores(r_s, r_t, aux=bundle.aux_vectors)
+        kept = degrade_target_rows(bundle.target, fraction, seed)
+        r_t = kept.to_dense() if kept.n_interactions else None
+        scores = model.predict_scores(r_s, r_t, source=source)
         ranks = _candidate_ranks(scores, split)
         reports.append(
             _aggregate(

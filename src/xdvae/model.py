@@ -108,15 +108,25 @@ class _Encoder:
     """Tanh hidden stack with parallel identity mu / logvar heads."""
 
     def __init__(self, input_dim, hidden_dims, latent_dim, extra_head_input=0):
+        self.input_dim = input_dim
         dims = [input_dim] + list(hidden_dims)
         self.hidden = DenseStack.create(dims, ["tanh"] * (len(dims) - 1))
         head_in = dims[-1] + extra_head_input
         self.mu_head = DenseLayer(head_in, latent_dim, "identity")
         self.logvar_head = DenseLayer(head_in, latent_dim, "identity")
 
-    def mean(self, r, sub_out=None):
-        """Posterior mean mu: the hidden stack and the mu head only."""
-        h, _ = self.hidden.forward(r)
+    def mean(self, r, sub_out=None, rows=0):
+        """Posterior mean mu: the hidden stack and the mu head only.
+
+        r None stands for `rows` all-zero input rows, whose first hidden
+        layer runs no matmul.
+        """
+        if r is not None:
+            h, _ = self.hidden.forward(r)
+        elif self.hidden.layers:
+            h = self.hidden.forward_zeros(rows)
+        else:  # no hidden layer: the heads read the zero rows themselves
+            h = np.zeros((rows, self.input_dim))
         h_comb = h if sub_out is None else np.concatenate([h, sub_out], axis=1)
         return self.mu_head.forward(h_comb)[0]
 
@@ -350,18 +360,24 @@ class LinkedVAE(_ModelBase):
 
     # -- prediction ----------------------------------------------------------
 
-    def predict_scores(self, r_s, r_t, aux=None):
+    def encode_source(self, r_s, aux=None):
+        """The source side of a prediction: (z_S = mu_S, sub-encoder output for enc_T or None)."""
+        sub_s, sub_t, _ = self._sub_outputs(aux)
+        return self.enc_s.mean(r_s, sub_s), sub_t
+
+    def predict_scores(self, r_s, r_t, aux=None, source=None):
         """Target-item logits from the posterior means (z = mu), the ranking scores.
 
-        The cold-start variant never reads r_t: its scores depend on the
-        source row alone, through the mapped source latent.
+        source is encode_source(r_s, aux), computed here when absent; r_s and
+        aux are then not read. r_t None stands for rows with no target
+        positive. The cold-start variant never reads r_t: its scores depend
+        on the source row alone, through the mapped source latent.
         """
-        sub_s, sub_t, _ = self._sub_outputs(aux)
-        z_s = self.enc_s.mean(r_s, sub_s)
+        z_s, sub_t = self.encode_source(r_s, aux) if source is None else source
         if self.use_map:
             z_prime, _ = self.map_layer.forward(z_s)
         else:
-            z_prime = merge_latents(z_s, self.enc_t.mean(r_t, sub_t))
+            z_prime = merge_latents(z_s, self.enc_t.mean(r_t, sub_t, rows=len(z_s)))
         scores, _ = self.dec_t.forward(z_prime)
         return scores
 

@@ -127,12 +127,8 @@ class DenseLayer:
         self.activation = activation
         self.w = self.b = self.gw = self.gb = None
 
-    @property
-    def in_dim(self):
-        return self.shape[1]
-
     def forward(self, x):
-        """Returns (y, cache); x has shape (batch, in_dim)."""
+        """Returns (y, cache); x has shape (batch, shape[1])."""
         if x.shape[1] != self.w.shape[1]:
             raise ValueError(
                 f"input dim {x.shape[1]} != layer in_dim {self.w.shape[1]}"
@@ -142,6 +138,16 @@ class DenseLayer:
         a += self.b
         y = _act_forward(self.activation, a)
         return y, (x, y)
+
+    def forward_zeros(self, rows):
+        """forward()'s y for `rows` all-zero input rows, without the matmul.
+
+        A zero row times W.T is +0 in every cell, so each row is act(+0 + b),
+        computed here over the same (rows, out) layout forward() uses.
+        """
+        a = np.zeros((rows, self.shape[0]))
+        a += self.b
+        return _act_forward(self.activation, a)
 
     def backward(self, grad_y, cache, input_grad=True):
         """Gradient w.r.t. output -> grad_x; overwrites gw and gb.
@@ -186,6 +192,14 @@ class DenseStack:
             x, cache = layer.forward(x)
             caches.append(cache)
         return x, caches
+
+    def forward_zeros(self, rows):
+        """forward()'s output for `rows` all-zero input rows; the first layer runs no matmul."""
+        first, *rest = self.layers
+        x = first.forward_zeros(rows)
+        for layer in rest:
+            x, _ = layer.forward(x)
+        return x
 
     def backward(self, grad_y, caches, input_grad=True):
         """Backprop through the stack; returns the gradient w.r.t. its input.

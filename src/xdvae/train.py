@@ -27,6 +27,10 @@ PLATEAU_PATIENCE = 10
 PLATEAU_MIN_DELTA = 1e-4
 
 
+class ModelTooLarge(MemoryError):
+    """The parameter store of a config, with its optimizer moments, cannot be allocated."""
+
+
 @dataclass
 class TrainHistory:
     epochs: list = field(default_factory=list)       # per-epoch LossBreakdown
@@ -91,8 +95,18 @@ def train(bundle, config: ModelConfig, early_stop=False):
                 f"aux_dim {config.aux_dim} != bundle aux width {bundle.aux_vectors.shape[1]}"
             )
 
-    model = build_model(config, n_s, n_t, named_rng(config.seed, "init"))
-    adam = Adam(model.params(), lr=config.lr)
+    n_params = sum(math.prod(shape) for _, shape in
+                   architecture(config, n_s, n_t).tensor_shapes())
+    try:
+        # a store past the address space is refused before numpy is asked
+        if 8 * n_params > np.iinfo(np.intp).max:
+            raise MemoryError
+        model = build_model(config, n_s, n_t, named_rng(config.seed, "init"))
+        adam = Adam(model.params(), lr=config.lr)
+    except MemoryError:
+        raise ModelTooLarge(
+            f"a {config.variant!r} model of {n_params} parameters, too large to allocate"
+        ) from None
     rng_shuffle = named_rng(config.seed, "shuffle")
     rng_eps = named_rng(config.seed, "eps")
     history = TrainHistory(seed=config.seed, config=config.to_dict())

@@ -5,6 +5,7 @@ import contextlib
 import gc
 import io
 import json
+import math
 import warnings
 from unittest.mock import patch
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from xdvae import data
 from xdvae.cli import main
+from xdvae.model import ModelConfig, architecture
 
 from conftest import poison_last_grad, rewrite_header
 
@@ -511,6 +513,29 @@ class TestModelFlags:
         code = main([command, "--bundle", str(missing), *flags, "--out", str(tmp_path / "x")])
         assert code == 1
         assert f"xdvae: error: {message}" in capsys.readouterr().err
+
+    # PiB-scale stores, which numpy refuses at once (a size it could reserve
+    # lazily would be filled by the Glorot draws), and stores past the address
+    # space, which numpy cannot even size
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("flag", ["--dims", "--latent-dim"])
+    @pytest.mark.parametrize("size", [10 ** 12, 10 ** 20])
+    def test_model_too_large_to_allocate_exit_one(self, prepared, tmp_path, capsys, command,
+                                                  flag, size):
+        # used to end in a MemoryError traceback, or in a data error (exit 2)
+        code = main([command, "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1",
+                     flag, str(size), "--out", str(tmp_path / "x")])
+        assert code == 1
+        bundle, _ = data.load_bundle(prepared)
+        # generic is the first model train and ablate build
+        dims, latent = ((size,), 8) if flag == "--dims" else ((16,), size)
+        config = ModelConfig(enc_dims_source=dims, enc_dims_target=dims, latent_dim=latent)
+        shapes = architecture(config, bundle.source.n_items, bundle.target.n_items)
+        n = sum(math.prod(shape) for _, shape in shapes.tensor_shapes())
+        assert capsys.readouterr().err == (
+            f"xdvae: error: --dims/--latent-dim give a 'generic' model of {n} parameters, "
+            "too large to allocate\n")
+        assert not list(tmp_path.iterdir())
 
     def test_cold_fraction_outside_unit_interval_exit_one(self, prepared, tmp_path, capsys):
         code = main(["train", "--bundle", str(prepared), "--variant", "cold-start",

@@ -191,6 +191,18 @@ class TestLoadItemLabels:
         path = write(tmp_path, "h.csv", " Item ,labels\nB1,Books\n")
         assert data.load_item_labels(path, "csv") == {"B1": {"Books"}}
 
+    @pytest.mark.parametrize("fmt, text, line", [
+        ("movielens-dat", "1::A (1999)::Action\n\n2::B (2000)::Drama\n 1 ::A again::Comedy\n", 4),
+        ("csv", "item,labels\n1,Action\n2,Drama\n1 ,Comedy\n", 4),
+    ])
+    def test_repeated_item_names_both_lines(self, tmp_path, fmt, text, line):
+        # a repeat used to keep its last line's labels silently
+        path = write(tmp_path, "items", text)
+        first = 1 if fmt == "movielens-dat" else 2
+        message = f"{path}:{line}: item '1' already listed on line {first}"
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            data.load_item_labels(path, fmt)
+
 
 class TestSplitDomains:
     labels = {
@@ -732,8 +744,37 @@ def target_matrix(rows):
                        [f"t{j}" for j in range(8)], rows)
 
 
+def per_row_degrade(mat, fraction_kept, seed):
+    """(indptr, indices) of the row-by-row degradation: one choice over each
+    row's items and one sort per row."""
+    if fraction_kept == 1.0:
+        return mat.indptr, mat.indices
+    rng = named_rng(seed, f"degrade-{fraction_kept}")
+    indptr = np.zeros(len(mat.indptr), dtype=np.int64)
+    np.cumsum(np.ceil(fraction_kept * np.diff(mat.indptr)).astype(np.int64), out=indptr[1:])
+    indices = np.empty(indptr[-1], dtype=np.int64)
+    for u in np.flatnonzero(np.diff(indptr)).tolist():
+        row = mat.indices[mat.indptr[u]:mat.indptr[u + 1]]
+        indices[indptr[u]:indptr[u + 1]] = np.sort(
+            rng.choice(row, size=indptr[u + 1] - indptr[u], replace=False))
+    return indptr, indices
+
+
 class TestDegradeRows:
     rows = [[0, 2, 5, 7], [1], [3, 4]]
+
+    @settings(deadline=None)
+    @given(rows=st.lists(st.lists(st.integers(0, 29), unique=True).map(sorted), max_size=12),
+           fraction=st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]),
+                              st.floats(0.0, 1.0)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_row_loop(self, rows, fraction, seed):
+        mat = make_matrix("target", [f"u{k}" for k in range(len(rows))],
+                          [f"t{j}" for j in range(30)], rows)
+        out = data.degrade_target_rows(mat, fraction, seed)
+        indptr, indices = per_row_degrade(mat, fraction, seed)
+        for got, want in ((out.indptr, indptr), (out.indices, indices)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     def test_identity_fraction(self):
         out = data.degrade_target_rows(target_matrix(self.rows), 1.0, seed=0)

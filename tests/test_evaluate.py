@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from xdvae import data, evaluate
 from xdvae.data import DataError
 from xdvae.evaluate import hit_ratio, ndcg, rank_first
+from xdvae.model import build_model
 from xdvae.nn import named_rng
 from xdvae.train import train
 
@@ -284,3 +285,69 @@ class TestReportFiles:
         assert lines[0] == "# manifest: m.manifest.json"
         assert lines[1] == "variant,protocol,K,HR,NDCG,m,seed"
         assert len(lines) == 2 + 2  # two K rows
+
+
+LINKED_CASES = [("generic", "both"), ("no-mmd", "both"),
+                ("aux", "both"), ("aux", "source"), ("aux", "target")]
+DEGRADE_FRACTIONS = (1.0, 0.75, 0.5, 0.25, 0.0)
+
+
+@pytest.fixture(scope="module")
+def degrade_view():
+    # a wider catalog than the toy bundles elsewhere, with aux vectors
+    bundle = make_toy_bundle(m=40, n_source=30, n_target=120, seed=4, min_target=4, aux_dim=4)
+    split = data.build_loo_split(bundle, seed=2, n_negatives=5)
+    return data.training_bundle(bundle, split), split
+
+
+def _linked_model(view, variant, attach, trained):
+    config = make_toy_config(variant, aux_attach=attach, enc_dims_source=(48,),
+                             enc_dims_target=(48,), latent_dim=6, epochs=3, batch_size=8)
+    if trained:
+        return train(view, config)[0]
+    # Glorot weights and zero biases, as training starts
+    return build_model(config, view.source.n_items, view.target.n_items,
+                       named_rng(config.seed, "init"))
+
+
+class TestDegradedScoring:
+    """The degradation protocol encodes the source once and scores a fraction
+    that keeps no target positive from r_t None; both give every score byte
+    that predict_scores gives on the dense rows."""
+
+    @pytest.mark.parametrize("trained", [False, True], ids=["untrained", "trained"])
+    @pytest.mark.parametrize("variant, attach", LINKED_CASES)
+    def test_scores_equal_dense_rows_byte_for_byte(self, degrade_view, variant, attach, trained):
+        view, _ = degrade_view
+        model = _linked_model(view, variant, attach, trained)
+        r_s, aux = view.source.to_dense(), view.aux_vectors if variant == "aux" else None
+        source = model.encode_source(r_s, aux)
+        for fraction in DEGRADE_FRACTIONS:
+            kept = data.degrade_target_rows(view.target, fraction, seed=7)
+            r_t = kept.to_dense()
+            want = model.predict_scores(r_s, r_t, aux)
+            got = model.predict_scores(r_s, r_t if kept.n_interactions else None, source=source)
+            assert got.tobytes() == want.tobytes(), fraction
+        assert model.predict_scores(r_s, None, aux).tobytes() == want.tobytes()
+
+    def test_one_source_encoding_and_one_prediction_per_fraction(self, degrade_view,
+                                                                  monkeypatch):
+        view, split = degrade_view
+        model = _linked_model(view, "aux", "both", trained=True)
+        calls = []
+
+        def spy(name):
+            method = getattr(model, name)
+
+            def record(*args, **kwargs):
+                calls.append((name, args))
+                return method(*args, **kwargs)
+            monkeypatch.setattr(model, name, record)
+
+        spy("encode_source")
+        spy("predict_scores")
+        reports = evaluate.evaluate_degraded(model, view, split, DEGRADE_FRACTIONS, seed=7)
+        assert [name for name, _ in calls] == ["encode_source"] + ["predict_scores"] * 5
+        # only the fraction that keeps nothing is scored without target rows
+        assert [args[1] is None for _, args in calls[1:]] == [False] * 4 + [True]
+        assert [r.extra["fraction_kept"] for r in reports] == list(DEGRADE_FRACTIONS)

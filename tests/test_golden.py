@@ -79,3 +79,34 @@ def test_train_writes_golden_checkpoint(tmp_path, variant):
         "--cold-fraction", "0.25", "--out", str(out),
     ]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_CHECKPOINT[variant]
+
+
+# sha256 of the JSON and CSV reports `xdvae eval` writes from the golden
+# checkpoints on the movielens-dat golden bundle; a faster scoring path must
+# not move a metric byte
+GOLDEN_REPORT = {
+    "standard": ("405e969882d0469bcef27b14d147078631a3cb3492d03e283dbcfc6dd1fbf9e0",
+                 "44cd46da8f0f5c114fd08bb4934f1c8406a5f46f4ef4e2c98f3351098123edc7"),
+    "degrade": ("27b1bb58fc43056f09dad540dd470ee1dec95b83ade27eca50521202c3b14747",
+                "76987552af3f27cd0af209b72b92c23bc868a68b7df6c42a418fc70b6a144096"),
+    "coldstart": ("24341dba6d4b41d6e92d0bcad0b4006390a4113e3ef3522516d59bbae9ce3a3a",
+                  "1118c4e3edcff761ffd958e9d249e101812b0a53dd6177a9273ae82c77b21ac3"),
+}
+
+
+@pytest.mark.parametrize("protocol", ["standard", "degrade", "coldstart"])
+def test_eval_writes_golden_reports(tmp_path, monkeypatch, protocol):
+    bundle = _prepare(tmp_path, _dat_inputs)
+    variant = "cold-start" if protocol == "coldstart" else "generic"
+    # relative paths: the reports name their manifest, whose path is in the bytes
+    monkeypatch.chdir(tmp_path)
+    assert main([
+        "train", "--bundle", str(bundle), "--variant", variant, "--epochs", "1",
+        "--dims", "16", "--latent-dim", "8", "--batch-size", "8", "--seed", "5",
+        "--cold-fraction", "0.25", "--out", "golden.xdv",
+    ]) == 0
+    assert main(["eval", "--model", "golden.xdv", "--bundle", str(bundle),
+                 "--protocol", protocol, "--out", "report"]) == 0
+    digests = tuple(hashlib.sha256((tmp_path / f"report.{ext}").read_bytes()).hexdigest()
+                    for ext in ("json", "csv"))
+    assert digests == GOLDEN_REPORT[protocol]

@@ -134,7 +134,7 @@ class TestAsymmetry:
 class TestAuxVariant:
     def test_encoder_heads_read_wider_input(self):
         model = build_toy_model("aux")
-        width = model.enc_s.mu_head.in_dim
+        width = model.enc_s.mu_head.shape[1]
         assert width == 5 + 3  # hidden width + sub-encoder output
 
     def test_zeroed_aux_columns_make_aux_irrelevant(self):
@@ -153,8 +153,8 @@ class TestAuxVariant:
 
     def test_attach_one_side_only(self):
         model = build_toy_model("aux", aux_attach="source")
-        assert model.enc_s.mu_head.in_dim == 8
-        assert model.enc_t.mu_head.in_dim == 5
+        assert model.enc_s.mu_head.shape[1] == 8
+        assert model.enc_t.mu_head.shape[1] == 5
 
 
 class TestSingleAndMerged:
@@ -203,6 +203,14 @@ class TestPredictScores:
         else:
             want = fwd["a_t"]
         assert np.array_equal(model.predict_scores(r_s, r_t, aux), want)
+
+    @pytest.mark.parametrize("dims", [(), (5, 4)])
+    def test_no_target_rows_equal_zero_rows(self, dims):
+        # r_t None stands for rows without positives, with or without hidden layers
+        model = build_toy_model("aux", aux_attach="target", enc_dims_target=dims)
+        r_s, r_t, *_, aux = toy_batch("aux")
+        want = model.predict_scores(r_s, np.zeros_like(r_t), aux)
+        assert model.predict_scores(r_s, None, aux).tobytes() == want.tobytes()
 
 
 class TestVariantSharing:
