@@ -2,7 +2,8 @@
 
 Every command writes a run manifest next to its outputs recording the exact
 flags, input fingerprints and derived seeds, so artifacts can be reproduced
-bit-for-bit. Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
+bit-for-bit. An input's fingerprint is the sha256 of the bytes the command
+read from it. Exit codes: 0 ok, 1 usage, 2 data error, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -11,7 +12,10 @@ import argparse
 import functools
 import hashlib
 import json
+import os
+import queue
 import sys
+import threading
 
 from . import __version__, data, evaluate, train as training
 from .model import ABLATION_VARIANTS, VARIANTS, ModelConfig
@@ -31,21 +35,79 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _sha256(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+class InputHashes:
+    """The sha256 of every input a command reads, from the bytes its loader read.
+
+    A loader hands each run of bytes it reads to the callable that
+    `fingerprint(path)` returns, in file order, and one helper thread hashes
+    them beside the work; hashlib releases the interpreter lock for buffers
+    over 2 KiB. No input is opened twice, so a pipe is fingerprinted by the
+    bytes the command parsed. Used as a context manager, which starts the
+    thread and joins it on exit.
+    """
+
+    def __init__(self):
+        self._sha = {}   # path -> sha256 of the first read of that path
+        # callables the helper runs in order; SimpleQueue.get waits in C, so the
+        # helper runs little Python code that would take the interpreter lock
+        # from the parse beside it
+        self._jobs = queue.SimpleQueue()
+        self._error = None
+        self._thread = threading.Thread(target=self._run, name="xdvae-sha256", daemon=True)
+
+    def __enter__(self):
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def _run(self):
+        for job in iter(self._jobs.get, None):
+            try:
+                job()
+            except Exception as e:  # raised in the command by digests()
+                self._error = self._error or e
+            del job  # the bytes go as soon as they are hashed
+
+    def fingerprint(self, path):
+        """The callable a loader of path hands its bytes to, in file order.
+
+        It is returned once the bytes of every earlier input are hashed and
+        released. A buffer still held while the next input's arrays are
+        allocated would leave a hole in the heap below them, and the process
+        that much larger. A path read twice keeps the fingerprint of its first
+        read.
+        """
+        hashed = threading.Event()
+        self._jobs.put(hashed.set)
+        hashed.wait()
+        sha = hashlib.sha256()
+        self._sha.setdefault(path, sha)
+        return lambda chunk: self._jobs.put(functools.partial(sha.update, chunk))
+
+    def close(self):
+        """Hash what is queued and stop the thread."""
+        if self._thread.is_alive():
+            self._jobs.put(None)
+            self._thread.join()
+
+    def digests(self):
+        """{path: hex sha256} of every input read, once all its bytes are hashed."""
+        self.close()
+        if self._error is not None:
+            raise self._error
+        return {path: sha.hexdigest() for path, sha in self._sha.items()}
 
 
 def _write_manifest(path, command, args, inputs, artifacts, config=None):
+    """Write the manifest; inputs is InputHashes.digests() of the command's inputs."""
     manifest = {
         "tool": "xdvae",
         "version": __version__,
         "command": command,
         "argv": [f"{k}={v}" for k, v in sorted(vars(args).items()) if k != "func"],
-        "inputs": {p: _sha256(p) for p in inputs},
+        "inputs": inputs,
         "config": config,
         "seed": getattr(args, "seed", None),
         "seed_labels": list(SEED_LABELS),
@@ -55,6 +117,19 @@ def _write_manifest(path, command, args, inputs, artifacts, config=None):
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return path
+
+
+def _write_reports(reports, command, args, inputs, config):
+    """Write the JSON and CSV reports of eval or ablate and their manifest beside
+    them, which the reports name by file name; returns the report paths."""
+    json_path, csv_path = f"{args.out}.json", f"{args.out}.csv"
+    manifest_path = f"{args.out}.manifest.json"
+    manifest = os.path.basename(manifest_path)
+    evaluate.write_reports_json(reports, json_path, manifest=manifest)
+    evaluate.write_reports_csv(reports, csv_path, manifest=manifest)
+    _write_manifest(manifest_path, command, args, inputs=inputs.digests(),
+                    artifacts=[json_path, csv_path], config=config.to_dict())
+    return json_path, csv_path
 
 
 def _parse_int_list(text, flag):
@@ -88,6 +163,8 @@ def _parse_ks(text):
     ks = _parse_int_list(text, "--ks")
     for k in ks:
         _check("--ks", k, 1 <= k <= 100, "in 1..100")
+    # a repeat would report the same cutoff twice
+    _check("--ks", text, len(set(ks)) == len(ks), "distinct values")
     return ks
 
 
@@ -109,7 +186,7 @@ def _summary_lines(bundle):
 # prepare
 
 
-def cmd_prepare(args):
+def cmd_prepare(args, inputs):
     _check("--min-target-positives", args.min_target_positives,
            args.min_target_positives >= 1, ">= 1")
     _check("--seed", args.seed, args.seed >= 0, ">= 0")
@@ -123,8 +200,8 @@ def cmd_prepare(args):
     if overlap:
         raise CliError(f"source/target label sets overlap: {sorted(overlap)}")
 
-    ratings = data.load_ratings(args.ratings, args.format)
-    labels = data.load_item_labels(args.items, args.format)
+    ratings = data.load_ratings(args.ratings, args.format, inputs.fingerprint(args.ratings))
+    labels = data.load_item_labels(args.items, args.format, inputs.fingerprint(args.items))
     source, target = data.split_domains(ratings, labels, source_labels, target_labels)
     bundle = data.binarize_and_filter(
         source, target,
@@ -138,12 +215,12 @@ def cmd_prepare(args):
     )
     split = data.build_loo_split(bundle, args.seed, policy=args.policy)
     if args.aux:
-        vectors = data.load_aux_vectors(args.aux, expected_dim=args.aux_dim)
+        vectors = data.load_aux_vectors(args.aux, args.aux_dim, inputs.fingerprint(args.aux))
         data.attach_aux(bundle, vectors, expected_dim=args.aux_dim)
     data.save_bundle(bundle, args.out, split=split)
     manifest = _write_manifest(
         f"{args.out}.manifest.json", "prepare", args,
-        inputs=[args.ratings, args.items] + ([args.aux] if args.aux else []),
+        inputs=inputs.digests(),
         artifacts=[args.out],
     )
     for line in _summary_lines(bundle):
@@ -186,13 +263,13 @@ def _training_view(bundle, split, config):
     return data.training_bundle(bundle, split)
 
 
-def cmd_train(args):
+def cmd_train(args, inputs):
     fields = dict(variant=args.variant, aux_attach=args.aux_attach,
                   cold_fraction=args.cold_fraction)
     # the flags are checked before the bundle is read; aux_dim, the one field
     # the bundle sets, stands in as 1 until then
     config = _model_config(args, **fields, aux_dim=1 if args.variant == "aux" else None)
-    bundle, split = data.load_bundle(args.bundle)
+    bundle, split = data.load_bundle(args.bundle, inputs.fingerprint(args.bundle))
     if args.variant == "aux":
         if bundle.aux_vectors is None:
             raise data.DataError("the aux variant needs a bundle with aux vectors")
@@ -204,7 +281,7 @@ def cmd_train(args):
     history.save(history_path)
     manifest = _write_manifest(
         f"{args.out}.manifest.json", "train", args,
-        inputs=[args.bundle],
+        inputs=inputs.digests(),
         artifacts=[args.out, history_path],
         config=config.to_dict(),
     )
@@ -223,7 +300,7 @@ def cmd_train(args):
 # eval
 
 
-def cmd_eval(args):
+def cmd_eval(args, inputs):
     ks = _parse_ks(args.ks)
     if args.seed is not None:
         _check("--seed", args.seed, args.seed >= 0, ">= 0")
@@ -231,8 +308,11 @@ def cmd_eval(args):
         fractions = _parse_float_list(args.fractions, "--fractions")
         for f in fractions:
             _check("--fractions", f, 0.0 <= f <= 1.0, "in [0, 1]")
-    model, config = training.load_checkpoint(args.model)
-    bundle, split = data.load_bundle(args.bundle)
+        # a repeat would score the same fraction twice
+        _check("--fractions", args.fractions, len(set(fractions)) == len(fractions),
+               "distinct values")
+    model, config = training.load_checkpoint(args.model, inputs.fingerprint(args.model))
+    bundle, split = data.load_bundle(args.bundle, inputs.fingerprint(args.bundle))
     if bundle.source.n_items != model.n_source or bundle.target.n_items != model.n_target:
         raise data.DataError("bundle dimensions do not match the checkpoint")
     seed = args.seed if args.seed is not None else config.seed
@@ -253,16 +333,7 @@ def cmd_eval(args):
     else:  # pragma: no cover - argparse choices guard this
         raise CliError(f"unknown protocol {args.protocol!r}")
 
-    json_path, csv_path = f"{args.out}.json", f"{args.out}.csv"
-    manifest_path = f"{args.out}.manifest.json"
-    evaluate.write_reports_json(reports, json_path, manifest=manifest_path)
-    evaluate.write_reports_csv(reports, csv_path, manifest=manifest_path)
-    _write_manifest(
-        manifest_path, "eval", args,
-        inputs=[args.model, args.bundle],
-        artifacts=[json_path, csv_path],
-        config=config.to_dict(),
-    )
+    json_path, csv_path = _write_reports(reports, "eval", args, inputs, config)
     for r in reports:
         tag = f" {r.extra}" if r.extra else ""
         print(f"[{r.protocol}{tag}] " + "  ".join(
@@ -276,7 +347,7 @@ def cmd_eval(args):
 # ablate
 
 
-def cmd_ablate(args):
+def cmd_ablate(args, inputs):
     ks = _parse_ks(args.ks)
     base = _model_config(args)
     if args.beta_sweep:
@@ -293,7 +364,7 @@ def cmd_ablate(args):
         _check("--variants", args.variants,
                len({v.lower() for v in variants}) == len(variants),
                "distinct names, ignoring case")
-    bundle, split = data.load_bundle(args.bundle)
+    bundle, split = data.load_bundle(args.bundle, inputs.fingerprint(args.bundle))
     if split is None:
         raise data.DataError("bundle carries no leave-one-out split")
     view = data.training_bundle(bundle, split)
@@ -315,16 +386,7 @@ def cmd_ablate(args):
             report.protocol = "ablation"
             reports.append(report)
 
-    json_path, csv_path = f"{args.out}.json", f"{args.out}.csv"
-    manifest_path = f"{args.out}.manifest.json"
-    evaluate.write_reports_json(reports, json_path, manifest=manifest_path)
-    evaluate.write_reports_csv(reports, csv_path, manifest=manifest_path)
-    _write_manifest(
-        manifest_path, "ablate", args,
-        inputs=[args.bundle],
-        artifacts=[json_path, csv_path],
-        config=base.to_dict(),
-    )
+    json_path, csv_path = _write_reports(reports, "ablate", args, inputs, base)
     for r in reports:
         print(f"{r.variant}: " + "  ".join(
             f"HR@{k}={r.hr[k]:.4f} NDCG@{k}={r.ndcg[k]:.4f}" for k in r.ks
@@ -407,7 +469,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with InputHashes() as inputs:
+            return args.func(args, inputs)
     except CliError as e:
         print(f"xdvae: error: {e}", file=sys.stderr)
         return 1

@@ -80,24 +80,24 @@ class DomainMatrix:
         cells = len(self.user_index) * self.n_items
         return 1.0 - self.n_interactions / cells if cells else 1.0
 
-    def to_dense(self, user_positions=None):
-        """Dense float64 matrix for the given user positions (default: all)."""
-        at = self.positives(user_positions)
+    def to_dense(self, user_positions=None, at=None):
+        """Dense float64 matrix for the given user positions (default: all).
+
+        `at` is positives(user_positions) when the caller has it already.
+        """
+        if at is None:
+            at = self.positives(user_positions)
         m = len(self.indptr) - 1 if user_positions is None else len(user_positions)
         out = np.zeros((m, self.n_items))
         out.reshape(-1)[at] = 1.0
         return out
 
-    def positives(self, user_positions=None, width=None, offset=0):
-        """Flat positions of the ones of to_dense(user_positions), row-major ascending.
-
-        With width, rows are width cells apart and item i sits in column
-        offset + i, as in a block of a wider matrix.
-        """
+    def positives(self, user_positions=None):
+        """Flat positions of the ones of to_dense(user_positions), row-major ascending."""
         indptr, at = self.indptr, slice(None)
         if user_positions is not None:
             indptr, at = gather_rows(self.indptr, user_positions)
-        return row_ids(indptr) * (width or self.n_items) + (self.indices[at] + offset)
+        return row_ids(indptr) * self.n_items + self.indices[at]
 
     def contains(self, users, items):
         """Whether items[k] is a positive of user users[k], elementwise after broadcasting."""
@@ -194,7 +194,7 @@ class ColdStartSplit:
     seed: int
 
 
-def load_ratings(path, format="movielens-dat"):
+def load_ratings(path, format="movielens-dat", fingerprint=None):
     """Parse a rating log into columnar Ratings, preserving input order.
 
     movielens-dat lines look like ``user::item::rating::timestamp``; csv files
@@ -206,6 +206,9 @@ def load_ratings(path, format="movielens-dat"):
     joined by three separators. Any other block is split into lines as text and
     parsed line by line by _parse_lines, whose DataError names the first bad
     line and its line number in the file.
+
+    `fingerprint`, when given, is called with every block in file order, before
+    any of it is parsed; the blocks join to the file's bytes.
     """
     if format not in ("movielens-dat", "csv"):
         raise DataError(f"unknown ratings format {format!r}")
@@ -220,6 +223,8 @@ def load_ratings(path, format="movielens-dat"):
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size  # 0 if unknown, as for a pipe
         for block in _blocks(fh):
+            if fingerprint is not None:
+                fingerprint(block)
             read += len(block)
             if format == "csv" and first == 1:
                 head = block.decode("latin-1").splitlines(True)[0]
@@ -434,12 +439,11 @@ def _in_string_order(ids, codes):
     return names, np.argsort([ids[x] for x in names])[codes]
 
 
-def load_item_labels(path, format="movielens-dat"):
+def load_item_labels(path, format="movielens-dat", fingerprint=None):
     """Item -> label set map from movies.dat (``id::title::g1|g2``) or ``item,labels`` csv;
-    one line per item."""
+    one line per item. `fingerprint`, when given, is called with the file's bytes."""
     labels, first_line = {}, {}
-    with open(path, "r", encoding="latin-1") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path, "latin-1", fingerprint)
     start = 0
     sep, width = ("::", 3) if format == "movielens-dat" else (",", 2)
     if format == "csv" and lines and lines[0].split(",")[0].strip().lower() == "item":
@@ -458,6 +462,16 @@ def load_item_labels(path, format="movielens-dat"):
     if not labels:
         raise DataError(f"{path}: no items")
     return labels
+
+
+def _read_lines(path, encoding, fingerprint):
+    """The lines of a text file, read once as bytes and handed to fingerprint if given."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if fingerprint is not None:
+        fingerprint(raw)
+    # splitlines breaks at "\r\n" and "\r" as text mode's newline translation does
+    return raw.decode(encoding).splitlines()
 
 
 def split_domains(ratings, item_labels, source_labels, target_labels):
@@ -640,11 +654,11 @@ def degrade_target_rows(mat, fraction_kept, seed):
     return DomainMatrix(mat.domain, mat.user_index, mat.item_index, indptr, mat.indices[at])
 
 
-def load_aux_vectors(path, expected_dim=256):
-    """Dense per-user auxiliary vectors from csv rows ``user,v1,...,vd``; one row per user."""
+def load_aux_vectors(path, expected_dim=256, fingerprint=None):
+    """Dense per-user auxiliary vectors from csv rows ``user,v1,...,vd``; one row per user.
+    `fingerprint`, when given, is called with the file's bytes."""
     vectors, first_line = {}, {}
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_lines(path, "utf-8", fingerprint)
     start = 1 if lines and lines[0].split(",")[0].strip().lower() == "user" else 0
     for n, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
@@ -708,13 +722,16 @@ def write_container(path, magic, header):
         yield fh
 
 
-def read_container(path, magic, what):
+def read_container(path, magic, what, fingerprint=None):
     """(file bytes, header object, offset of the first blob) of a container.
 
-    `what` names the kind of file when the magic is not `magic`.
+    `what` names the kind of file when the magic is not `magic`. `fingerprint`,
+    when given, is called with the file bytes before they are checked.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
+    if fingerprint is not None:
+        fingerprint(raw)
     if raw[:4] != magic:
         raise DataError(f"{path}: not {what} (bad magic)")
     if len(raw) < 8:
@@ -792,9 +809,10 @@ def _check_split(held_out, negatives, target):
         raise DataError("split negative among its user's target positives")
 
 
-def load_bundle(path):
-    """Inverse of save_bundle; returns (bundle, split-or-None)."""
-    raw, header, at = read_container(path, BUNDLE_MAGIC, "a bundle file")
+def load_bundle(path, fingerprint=None):
+    """Inverse of save_bundle; returns (bundle, split-or-None). `fingerprint`,
+    when given, is called with the file bytes."""
+    raw, header, at = read_container(path, BUNDLE_MAGIC, "a bundle file", fingerprint)
     if header.get("version") != BUNDLE_VERSION:
         raise DataError(f"{path}: unsupported bundle version {header.get('version')}")
     # Header fields come from outside the program: a missing key, a wrong type

@@ -64,15 +64,20 @@ class TrainHistory:
 def _batch_inputs(bundle, users, variant):
     """(r_s, r_t, pos) of a batch: its dense rows (r_s is None for "single") and, per
     decoder, the flat positions of the ones of the rows it reconstructs, row-major
-    ascending. The merged decoder reconstructs [r_s ; r_t]."""
+    ascending. The merged decoder reconstructs [r_s ; r_t]. Each domain's positions
+    are found once and fill its dense rows too."""
     src, tgt = bundle.source, bundle.target
+    pos_t = tgt.positives(users)
+    r_t = tgt.to_dense(users, pos_t)
     if variant == "single":
-        return None, tgt.to_dense(users), (tgt.positives(users),)
-    r_s, r_t = src.to_dense(users), tgt.to_dense(users)
+        return None, r_t, (pos_t,)
+    pos_s = src.positives(users)
+    r_s = src.to_dense(users, pos_s)
     if variant != "merged":
-        return r_s, r_t, (src.positives(users), tgt.positives(users))
-    width = src.n_items + tgt.n_items
-    both = np.concatenate([src.positives(users, width), tgt.positives(users, width, src.n_items)])
+        return r_s, r_t, (pos_s, pos_t)
+    # row u of [r_s ; r_t] starts at u * (n_s + n_t), its target block n_s cells in
+    n_s, n_t = src.n_items, tgt.n_items
+    both = np.concatenate([pos_s + pos_s // n_s * n_t, pos_t + (pos_t // n_t + 1) * n_s])
     return r_s, r_t, (np.sort(both),)
 
 
@@ -180,9 +185,10 @@ def save_checkpoint(model, path):
         fh.write(params.flat.astype("<f4"))
 
 
-def load_checkpoint(path):
-    """Rebuild (model, config) from an XDV1 file; rejects any mismatch."""
-    raw, header, at = read_container(path, CHECKPOINT_MAGIC, "a checkpoint")
+def load_checkpoint(path, fingerprint=None):
+    """Rebuild (model, config) from an XDV1 file; rejects any mismatch. `fingerprint`,
+    when given, is called with the file bytes."""
+    raw, header, at = read_container(path, CHECKPOINT_MAGIC, "a checkpoint", fingerprint)
     if header.get("format_version") != CHECKPOINT_VERSION:
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"

@@ -3,10 +3,16 @@ manifests and byte-level determinism of artifacts."""
 
 import contextlib
 import gc
+import hashlib
 import io
 import json
 import math
+import os
+import random
+import sys
+import threading
 import warnings
+from pathlib import Path
 from unittest.mock import patch
 
 import pytest
@@ -14,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdvae import data
-from xdvae.cli import main
+from xdvae.cli import InputHashes, main
 from xdvae.model import ModelConfig, architecture
 
 from conftest import poison_last_grad, rewrite_header
@@ -490,6 +496,12 @@ FLAGS_BEFORE_BUNDLE = {
                                  "--variants must be distinct"),
     "ablate-beta-sweep-repeated": ("ablate", ["--beta-sweep", "2,2"],
                                    "--beta-sweep must be distinct"),
+    "ablate-ks-repeated": ("ablate", ["--ks", "10,5,10"], "--ks must be distinct values"),
+    "eval-ks-repeated": ("eval", ["--model", "missing.xdv", "--ks", "10,10"],
+                         "--ks must be distinct values"),
+    "eval-fractions-repeated": ("eval", ["--model", "missing.xdv", "--protocol", "degrade",
+                                         "--fractions", "0.5,0.50"],
+                                "--fractions must be distinct values"),
 }
 
 
@@ -577,6 +589,10 @@ BAD_RUN_FLAGS = {
     "ablate-variants-repeated": ("ablate", ["--variants", "generic,single,generic"]),
     "ablate-variants-case": ("ablate", ["--variants", "generic,Generic"]),
     "ablate-beta-sweep-repeated": ("ablate", ["--beta-sweep", "0,1,1.0"]),
+    # a repeated cutoff or fraction used to be scored and reported twice
+    "eval-ks-repeated": ("eval", ["--ks", "10,10"]),
+    "eval-fractions-repeated": ("eval", ["--protocol", "degrade", "--fractions", "0.5,0.5"]),
+    "ablate-ks-repeated": ("ablate", ["--ks", "5,10,5"]),
 }
 
 
@@ -638,3 +654,131 @@ class TestParserReuse:
             assert gc.collect() < 100
         finally:
             gc.enable()
+
+
+def sha256_of(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+class TestManifestInputs:
+    """A manifest's input fingerprint is the sha256 of the bytes the command read."""
+
+    @pytest.mark.parametrize("command", ["prepare", "train", "eval", "ablate"])
+    def test_digest_is_the_sha256_of_the_input_bytes(self, synthetic_corpus, prepared, trained,
+                                                      tmp_path, command):
+        aux = tmp_path / "aux.csv"
+        aux.write_text("user,a,b\n1,0.5,-1\n2,0.25,3\n")
+        argv, inputs = {
+            "prepare": (["prepare", "--ratings", synthetic_corpus["ratings"],
+                         "--items", synthetic_corpus["movies"], "--source-labels", "Action",
+                         "--target-labels", "Comedy,Drama", "--aux", str(aux),
+                         "--aux-dim", "2"],
+                        [synthetic_corpus["ratings"], synthetic_corpus["movies"], str(aux)]),
+            "train": (["train", "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1"],
+                      [str(prepared)]),
+            "eval": (["eval", "--model", str(trained), "--bundle", str(prepared)],
+                     [str(trained), str(prepared)]),
+            "ablate": (["ablate", "--bundle", str(prepared), "--variants", "single",
+                        *TRAIN_FLAGS, "--epochs", "1"], [str(prepared)]),
+        }[command]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out.manifest.json").read_text())
+        assert manifest["inputs"] == {path: sha256_of(path) for path in inputs}
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_piped_ratings_record_the_piped_bytes(self, synthetic_corpus, prepared, tmp_path):
+        # the manifest used to hash the drained pipe again: sha256 of nothing
+        payload = Path(synthetic_corpus["ratings"]).read_bytes()
+        assert len(payload) > 1 << 16  # more than a pipe holds unread
+        read_fd, write_fd = os.pipe()
+
+        def write():
+            with os.fdopen(write_fd, "wb") as fh:
+                fh.write(payload)
+
+        writer = threading.Thread(target=write)
+        writer.start()
+        piped = f"/dev/fd/{read_fd}"
+        out = tmp_path / "piped.xdb"
+        try:
+            code = main(["prepare", "--ratings", piped, "--items", synthetic_corpus["movies"],
+                         "--format", "movielens-dat", "--source-labels", "Action",
+                         "--target-labels", "Comedy,Drama", "--seed", "5", "--out", str(out)])
+        finally:
+            writer.join(timeout=60)
+            os.close(read_fd)
+        assert not writer.is_alive()
+        assert code == 0
+        inputs = json.loads((tmp_path / "piped.xdb.manifest.json").read_text())["inputs"]
+        assert inputs[piped] == hashlib.sha256(payload).hexdigest()
+        assert out.read_bytes() == prepared.read_bytes()
+
+    @pytest.mark.parametrize("code", [0, 1, 2, 3])
+    def test_no_thread_outlives_main(self, prepared, trained, tmp_path, monkeypatch, code):
+        argv = {
+            0: ["eval", "--model", str(trained), "--bundle", str(prepared)],
+            # each failure comes after the bundle or the checkpoint was read
+            1: ["train", "--bundle", str(prepared), *TRAIN_FLAGS, "--dims", str(10 ** 12)],
+            2: ["eval", "--model", str(prepared), "--bundle", str(prepared)],
+            3: ["train", "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "2"],
+        }[code]
+        if code == 3:
+            poison_last_grad(monkeypatch, at_call=2)
+        before = threading.active_count()
+        assert main([*argv, "--out", str(tmp_path / "x")]) == code
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_reports_name_their_manifest_by_file_name(self, prepared, trained, tmp_path,
+                                                      monkeypatch, command):
+        # the reports used to carry --out as typed, so these two runs differed
+        argv = {
+            "eval": ["eval", "--model", str(trained), "--bundle", str(prepared)],
+            "ablate": ["ablate", "--bundle", str(prepared), "--variants", "single",
+                       *TRAIN_FLAGS, "--epochs", "1"],
+        }[command]
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / "b")
+        assert main([*argv, "--out", str(tmp_path / "a" / "r")]) == 0
+        assert main([*argv, "--out", "r"]) == 0
+        for ext in ("json", "csv"):
+            assert (tmp_path / "a" / f"r.{ext}").read_bytes() == \
+                (tmp_path / "b" / f"r.{ext}").read_bytes()
+        assert json.loads((tmp_path / "b" / "r.json").read_text())["manifest"] == \
+            "r.manifest.json"
+
+
+class TestInputHashes:
+    def test_chunks_hash_in_file_order_under_fast_switching(self):
+        rng = random.Random(0)
+        sizes = [0, 1, 100, 2047, 2048, 3000, 70000]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            expected = {}
+            with InputHashes() as inputs:
+                for k in range(6):
+                    feed = inputs.fingerprint(f"in{k}")
+                    chunks = [rng.randbytes(rng.choice(sizes)) for _ in range(60)]
+                    for chunk in chunks:
+                        feed(chunk)
+                    expected[f"in{k}"] = hashlib.sha256(b"".join(chunks)).hexdigest()
+                assert inputs.digests() == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_a_failed_hash_is_raised_by_digests(self):
+        with InputHashes() as inputs:
+            inputs.fingerprint("x")(12)  # not bytes: sha256.update raises TypeError
+            inputs.fingerprint("y")(b"later")  # does not wait forever on the failed job
+            with pytest.raises(TypeError):
+                inputs.digests()
+
+    def test_a_path_read_twice_keeps_its_first_read(self):
+        before = threading.active_count()
+        with InputHashes() as inputs:
+            inputs.fingerprint("x")(b"first")
+            inputs.fingerprint("x")(b"second")
+            assert inputs.digests() == {"x": hashlib.sha256(b"first").hexdigest()}
+        assert threading.active_count() == before

@@ -95,18 +95,18 @@ GOLDEN_REPORT = {
 
 
 @pytest.mark.parametrize("protocol", ["standard", "degrade", "coldstart"])
-def test_eval_writes_golden_reports(tmp_path, monkeypatch, protocol):
+def test_eval_writes_golden_reports(tmp_path, protocol):
     bundle = _prepare(tmp_path, _dat_inputs)
     variant = "cold-start" if protocol == "coldstart" else "generic"
-    # relative paths: the reports name their manifest, whose path is in the bytes
-    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "golden.xdv"
     assert main([
         "train", "--bundle", str(bundle), "--variant", variant, "--epochs", "1",
         "--dims", "16", "--latent-dim", "8", "--batch-size", "8", "--seed", "5",
-        "--cold-fraction", "0.25", "--out", "golden.xdv",
+        "--cold-fraction", "0.25", "--out", str(model),
     ]) == 0
-    assert main(["eval", "--model", "golden.xdv", "--bundle", str(bundle),
-                 "--protocol", protocol, "--out", "report"]) == 0
+    # the reports name their manifest by file name, wherever --out points
+    assert main(["eval", "--model", str(model), "--bundle", str(bundle),
+                 "--protocol", protocol, "--out", str(tmp_path / "report")]) == 0
     digests = tuple(hashlib.sha256((tmp_path / f"report.{ext}").read_bytes()).hexdigest()
                     for ext in ("json", "csv"))
     assert digests == GOLDEN_REPORT[protocol]

@@ -333,6 +333,19 @@ def csr_batches(draw):
 
 
 class TestBatchPositives:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_each_domain_is_gathered_once(self, trainable_bundle, monkeypatch, variant):
+        # to_dense used to find the positions the loss is handed a second time
+        calls, positives = [], data.DomainMatrix.positives
+
+        def counted(mat, *args):
+            calls.append(mat.domain)
+            return positives(mat, *args)
+
+        monkeypatch.setattr(data.DomainMatrix, "positives", counted)
+        _batch_inputs(trainable_bundle, np.array([2, 0]), variant)
+        assert sorted(calls) == (["target"] if variant == "single" else ["source", "target"])
+
     @given(case=csr_batches(), beta=st.sampled_from([0.0, 1.5, 15.0]), draw=st.data())
     @settings(deadline=None)
     def test_positions_are_the_ones_each_variant_reconstructs(self, case, beta, draw):
