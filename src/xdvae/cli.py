@@ -300,6 +300,14 @@ def cmd_train(args, inputs):
 # eval
 
 
+def _loo_view(bundle, split):
+    """The rows eval and ablate score from: the bundle's target rows minus the
+    held-out items of its leave-one-out split."""
+    if split is None:
+        raise data.DataError("bundle carries no leave-one-out split")
+    return data.training_bundle(bundle, split)
+
+
 def cmd_eval(args, inputs):
     ks = _parse_ks(args.ks)
     if args.seed is not None:
@@ -313,25 +321,26 @@ def cmd_eval(args, inputs):
                "distinct values")
     model, config = training.load_checkpoint(args.model, inputs.fingerprint(args.model))
     bundle, split = data.load_bundle(args.bundle, inputs.fingerprint(args.bundle))
-    if bundle.source.n_items != model.n_source or bundle.target.n_items != model.n_target:
-        raise data.DataError("bundle dimensions do not match the checkpoint")
+    aux_width = None if bundle.aux_vectors is None else bundle.aux_vectors.shape[1]
+    have = (bundle.source.n_items, bundle.target.n_items, aux_width)
+    # only the aux variant reads aux vectors
+    want = (model.n_source, model.n_target,
+            config.aux_dim if config.variant == "aux" else aux_width)
+    if have != want:
+        raise data.DataError(
+            f"bundle dimensions do not match the checkpoint: (source items, target "
+            f"items, aux width) are {have} in {args.bundle} and {want} in {args.model}"
+        )
     seed = args.seed if args.seed is not None else config.seed
 
-    if args.protocol == "standard":
-        if split is None:
-            raise data.DataError("bundle carries no leave-one-out split")
-        view = data.training_bundle(bundle, split)
-        reports = [evaluate.evaluate(model, view, split, ks=ks)]
-    elif args.protocol == "degrade":
-        if split is None:
-            raise data.DataError("bundle carries no leave-one-out split")
-        view = data.training_bundle(bundle, split)
-        reports = evaluate.evaluate_degraded(model, view, split, fractions, seed, ks=ks)
-    elif args.protocol == "coldstart":
+    if args.protocol == "coldstart":
         cold = data.cold_start_split(bundle, config.cold_fraction, config.seed)
         reports = [evaluate.evaluate_cold_start(model, cold, bundle, ks=ks, seed=seed)]
-    else:  # pragma: no cover - argparse choices guard this
-        raise CliError(f"unknown protocol {args.protocol!r}")
+    else:
+        view = _loo_view(bundle, split)
+        reports = (evaluate.evaluate_degraded(model, view, split, fractions, seed, ks=ks)
+                   if args.protocol == "degrade" else
+                   [evaluate.evaluate(model, view, split, ks=ks)])
 
     json_path, csv_path = _write_reports(reports, "eval", args, inputs, config)
     for r in reports:
@@ -350,41 +359,39 @@ def cmd_eval(args, inputs):
 def cmd_ablate(args, inputs):
     ks = _parse_ks(args.ks)
     base = _model_config(args)
+    # one (report label, protocol, extra, config) per run, all checked before
+    # the bundle is read
     if args.beta_sweep:
         betas = _parse_float_list(args.beta_sweep, "--beta-sweep")
-        sweep = [(beta, _model_config(args, beta=beta)) for beta in betas]
-        # a repeat would train the same model again and report it twice
-        _check("--beta-sweep", args.beta_sweep, len(set(betas)) == len(betas),
-               "distinct values")
+        runs = [(f"generic-b{beta:g}", "beta-sweep", {"beta": beta},
+                 _model_config(args, beta=beta)) for beta in betas]
+        # a repeat would train the same model again, and two values that print
+        # alike would report two runs under one label
+        labels = {label for label, *_ in runs}
+        _check("--beta-sweep", args.beta_sweep, len(set(betas)) == len(labels) == len(betas),
+               "distinct values at 6 significant digits")
     else:
         variants = [v.strip() for v in args.variants.split(",") if v.strip()]
+        if not variants:
+            raise CliError("--variants is empty")
         bad = [v for v in variants if v.lower() not in ABLATION_VARIANTS]
         if bad:
             raise CliError(f"unknown ablation variants: {bad}")
         _check("--variants", args.variants,
                len({v.lower() for v in variants}) == len(variants),
                "distinct names, ignoring case")
+        runs = [(name, "ablation", {}, training.ablation_config(base, name))
+                for name in variants]
     bundle, split = data.load_bundle(args.bundle, inputs.fingerprint(args.bundle))
-    if split is None:
-        raise data.DataError("bundle carries no leave-one-out split")
-    view = data.training_bundle(bundle, split)
+    view = _loo_view(bundle, split)
 
     reports = []
-    if args.beta_sweep:
-        for beta, config in sweep:
-            model, _ = training.train(view, config)
-            report = evaluate.evaluate(model, view, split, ks=ks)
-            report.variant = f"generic-b{beta:g}"
-            report.protocol = "beta-sweep"
-            report.extra = {"beta": beta}
-            reports.append(report)
-    else:
-        results = training.run_variant_suite(view, base, variants)
-        for name, (model, _) in results.items():
-            report = evaluate.evaluate(model, view, split, ks=ks)
-            report.variant = name
-            report.protocol = "ablation"
-            reports.append(report)
+    for label, protocol, extra, config in runs:
+        model, _ = training.train(view, config)
+        report = evaluate.evaluate(model, view, split, ks=ks)
+        del model  # the next run's model is built with this one gone
+        report.variant, report.protocol, report.extra = label, protocol, extra
+        reports.append(report)
 
     json_path, csv_path = _write_reports(reports, "ablate", args, inputs, base)
     for r in reports:
@@ -457,8 +464,9 @@ def build_parser():
     p = sub.add_parser("ablate", parents=[model_flags],
                        help="train and compare ablation variants")
     p.add_argument("--bundle", required=True)
-    p.add_argument("--variants", default=",".join(ABLATION_VARIANTS))
-    p.add_argument("--beta-sweep", default=None, help="comma-separated betas")
+    runs = p.add_mutually_exclusive_group()
+    runs.add_argument("--variants", default=",".join(ABLATION_VARIANTS))
+    runs.add_argument("--beta-sweep", default=None, help="comma-separated betas")
     p.add_argument("--ks", default="5,10,20,50")
     p.add_argument("--out", required=True, help="output prefix")
     p.set_defaults(func=cmd_ablate)

@@ -857,6 +857,10 @@ def _decode_bundle(raw, at, header):
         raise TypeError("provenance is not an object")
     bundle = DatasetBundle(mat("source"), mat("target"), provenance=header["provenance"])
     if header["aux_dim"] is not None:
+        shape = arrays["aux"].shape
+        if len(shape) != 2 or shape[1] != header["aux_dim"] or shape[1] < 1:
+            raise DataError(f"aux blob of shape {list(shape)} for aux_dim "
+                            f"{header['aux_dim']!r}; it must hold aux_dim >= 1 columns")
         # a signalling NaN would warn in the cast; validate() rejects it
         with np.errstate(invalid="ignore"):
             bundle.aux_vectors = arrays["aux"].astype(np.float64)

@@ -85,7 +85,7 @@ def _candidate_ranks(scores, split):
     return rank_first(np.take_along_axis(scores, ids, axis=1), ids)
 
 
-def evaluate(model, bundle, split, ks=DEFAULT_KS, protocol="standard"):
+def evaluate(model, bundle, split, ks=DEFAULT_KS):
     """Standard protocol: score each user from (source row, training target row).
 
     The bundle must hold training rows (held-out items removed); negatives and
@@ -101,7 +101,7 @@ def evaluate(model, bundle, split, ks=DEFAULT_KS, protocol="standard"):
     r_t = bundle.target.to_dense()
     scores = model.predict_scores(r_s, r_t, aux=bundle.aux_vectors)
     ranks = _candidate_ranks(scores, split)
-    return _aggregate(ranks, ks, model.config.variant, protocol, split.seed)
+    return _aggregate(ranks, ks, model.config.variant, "standard", split.seed)
 
 
 def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS):

@@ -232,7 +232,7 @@ def load_checkpoint(path, fingerprint=None):
 
 
 # ---------------------------------------------------------------------------
-# Ablation suite
+# Ablation variants
 
 
 def ablation_config(base: ModelConfig, name: str) -> ModelConfig:
@@ -255,16 +255,3 @@ def ablation_config(base: ModelConfig, name: str) -> ModelConfig:
         cfg.enc_dims_target = tuple(2 * h for h in base.enc_dims_target)
         cfg.latent_dim = 2 * base.latent_dim
     return cfg
-
-
-def run_variant_suite(bundle, base_config, variants, early_stop=False):
-    """Train each requested ablation under identical seeds and shared data.
-
-    Returns {variant name: (model, history)}; variant names may carry the
-    "0" suffix meaning beta forced to zero.
-    """
-    out = {}
-    for name in variants:
-        cfg = ablation_config(base_config, name)
-        out[name] = train(bundle, cfg, early_stop=early_stop)
-    return out

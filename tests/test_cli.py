@@ -12,14 +12,16 @@ import random
 import sys
 import threading
 import warnings
+import weakref
 from pathlib import Path
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdvae import data
+from xdvae import data, train as training
 from xdvae.cli import InputHashes, main
 from xdvae.model import ModelConfig, architecture
 
@@ -492,10 +494,17 @@ FLAGS_BEFORE_BUNDLE = {
     "ablate-dims": ("ablate", ["--dims", "0"], "--dims widths must be >= 1"),
     "ablate-beta-sweep": ("ablate", ["--beta-sweep", "4,nan"], "--beta must be finite"),
     "ablate-variants": ("ablate", ["--variants", "generic,bogus"], "unknown ablation variants"),
+    # used to write reports with no run in them
+    "ablate-variants-empty": ("ablate", ["--variants", " , "], "--variants is empty"),
     "ablate-variants-repeated": ("ablate", ["--variants", "single0,Single0"],
                                  "--variants must be distinct"),
     "ablate-beta-sweep-repeated": ("ablate", ["--beta-sweep", "2,2"],
                                    "--beta-sweep must be distinct"),
+    "ablate-beta-sweep-signed-zero": ("ablate", ["--beta-sweep", "0,-0"],
+                                      "--beta-sweep must be distinct"),
+    # distinct floats that both used to be reported as generic-b0.123457
+    "ablate-beta-sweep-same-label": ("ablate", ["--beta-sweep", "0.1234567,0.1234568"],
+                                     "--beta-sweep must be distinct values at 6 significant"),
     "ablate-ks-repeated": ("ablate", ["--ks", "10,5,10"], "--ks must be distinct values"),
     "eval-ks-repeated": ("eval", ["--model", "missing.xdv", "--ks", "10,10"],
                          "--ks must be distinct values"),
@@ -638,6 +647,77 @@ class TestAblate:
         payload = json.loads((tmp_path / "sweep.json").read_text())
         betas = [r["extra"]["beta"] for r in payload["reports"]]
         assert betas == [0.0, 4.0]
+
+    def test_variants_and_beta_sweep_are_exclusive(self, tmp_path, capsys):
+        # --variants used to be ignored, unknown names included, beside --beta-sweep
+        missing = tmp_path / "missing.xdb"
+        with pytest.raises(SystemExit) as exit_:
+            main(["ablate", "--bundle", str(missing), "--variants", "generic,bogus",
+                  "--beta-sweep", "1", "--out", str(tmp_path / "x")])
+        assert exit_.value.code == 1
+        assert ("argument --beta-sweep: not allowed with argument --variants"
+                in capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("runs", [["--variants", "generic,single0,merged"],
+                                      ["--beta-sweep", "0,4,1"]])
+    def test_one_trained_model_alive_at_a_time(self, prepared, tmp_path, monkeypatch, runs):
+        models, alive = [], []
+        real_train = training.train
+
+        def train(*args, **kwargs):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in models))
+            model, history = real_train(*args, **kwargs)
+            models.append(weakref.ref(model))
+            return model, history
+
+        monkeypatch.setattr(training, "train", train)
+        code = main(["ablate", "--bundle", str(prepared), *runs, *TRAIN_FLAGS,
+                     "--epochs", "1", "--out", str(tmp_path / "x")])
+        assert code == 0
+        # every earlier model is gone when the next one is trained
+        assert alive == [0, 0, 0]
+
+
+def _with_aux(prepared, path, width):
+    """The prepared bundle and split with `width` aux columns, or none for None."""
+    bundle, split = data.load_bundle(prepared)
+    if width is not None:
+        bundle.aux_vectors = np.linspace(-1, 1, bundle.m * width).reshape(bundle.m, width)
+    data.save_bundle(bundle, path, split=split)
+    return path
+
+
+class TestAuxWidth:
+    def test_bundle_aux_without_columns_exit_two(self, prepared, tmp_path, capsys):
+        # used to load, and train then exited 1 naming --aux-dim, which it lacks
+        bundle = _with_aux(prepared, tmp_path / "aux0.xdb", 0)
+        code = main(["train", "--bundle", str(bundle), "--variant", "aux", *TRAIN_FLAGS,
+                     "--epochs", "0", "--out", str(tmp_path / "aux.xdv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"xdvae: data error: {bundle}: aux blob of shape" in err
+        assert "--aux-dim" not in err
+
+    @pytest.mark.parametrize("width", [3, 5, None])
+    def test_eval_compares_the_aux_width(self, prepared, tmp_path, capsys, width):
+        # a width other than the checkpoint's used to exit 2 naming neither file
+        checkpoint = tmp_path / "aux.xdv"
+        assert main(["train", "--bundle", str(_with_aux(prepared, tmp_path / "aux3.xdb", 3)),
+                     "--variant", "aux", *TRAIN_FLAGS, "--epochs", "0",
+                     "--out", str(checkpoint)]) == 0
+        bundle = _with_aux(prepared, tmp_path / "other.xdb", width)
+        code = main(["eval", "--model", str(checkpoint), "--bundle", str(bundle),
+                     "--out", str(tmp_path / "m")])
+        assert code == (0 if width == 3 else 2)
+        if width != 3:
+            b, _ = data.load_bundle(bundle)
+            dims = (b.source.n_items, b.target.n_items)
+            assert capsys.readouterr().err == (
+                "xdvae: data error: bundle dimensions do not match the checkpoint: "
+                f"(source items, target items, aux width) are {(*dims, width)} in {bundle} "
+                f"and {(*dims, 3)} in {checkpoint}\n")
 
 
 class TestParserReuse:

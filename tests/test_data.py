@@ -863,6 +863,29 @@ class TestBundleRoundTrip:
             assert np.array_equal(a, b)
         assert np.allclose(loaded.aux_vectors, toy_bundle.aux_vectors)
 
+    def test_aux_without_columns_rejected(self, toy_bundle, tmp_path):
+        # used to load, and the aux variant then failed naming a flag train lacks
+        toy_bundle.aux_vectors = np.zeros((toy_bundle.m, 0))
+        path = tmp_path / "t.xdb"
+        data.save_bundle(toy_bundle, path)
+        message = (f"{path}: aux blob of shape [{toy_bundle.m}, 0] for aux_dim 0; "
+                   "it must hold aux_dim >= 1 columns")
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            data.load_bundle(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda h: h.update(aux_dim=2),
+        lambda h: h.update(aux_dim=4),
+        lambda h: h["blobs"][-1].update(shape=[3 * h["m"]]),  # the aux blob is last
+    ], ids=["header-narrower", "header-wider", "blob-one-dimensional"])
+    def test_aux_width_other_than_the_header_rejected(self, toy_bundle, tmp_path, edit):
+        toy_bundle.aux_vectors = np.ones((toy_bundle.m, 3))
+        path = tmp_path / "t.xdb"
+        data.save_bundle(toy_bundle, path)
+        rewrite_header(path, path, edit)
+        with pytest.raises(DataError, match=r"aux blob of shape \[.*\] for aux_dim \d"):
+            data.load_bundle(path)
+
     def test_truncated_file_rejected(self, toy_bundle, tmp_path):
         path = tmp_path / "t.xdb"
         data.save_bundle(toy_bundle, path)

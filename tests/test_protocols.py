@@ -12,7 +12,7 @@ import pytest
 from xdvae import data
 from xdvae.evaluate import evaluate, evaluate_cold_start, evaluate_degraded
 from xdvae.model import ModelConfig
-from xdvae.train import run_variant_suite, train
+from xdvae.train import ablation_config, train
 
 from conftest import make_synthetic_interactions
 
@@ -95,9 +95,10 @@ class TestProtocolShapes:
         split = data.build_loo_split(strong_bundle, seed=6)
         view = data.training_bundle(strong_bundle, split)
         base = desk_config(seed=6, epochs=40)
-        results = run_variant_suite(
-            view, base, ["generic", "single", "single0", "merged", "merged0", "no-mmd"]
-        )
+        results = {
+            name: train(view, ablation_config(base, name))
+            for name in ["generic", "single", "single0", "merged", "merged0", "no-mmd"]
+        }
         hr = {}
         for name, (model, history) in results.items():
             assert np.isfinite(history.totals()[-1])

@@ -1,4 +1,4 @@
-"""Training loop behaviour, determinism, checkpoint format, ablation suite."""
+"""Training loop behaviour, determinism, checkpoint format, ablation variants."""
 
 import json
 
@@ -16,7 +16,6 @@ from xdvae.train import (
     _batch_inputs,
     ablation_config,
     load_checkpoint,
-    run_variant_suite,
     save_checkpoint,
     train,
 )
@@ -264,7 +263,8 @@ class TestAblationSuite:
 
     def test_suite_trains_each_variant(self, trainable_bundle):
         base = make_toy_config("generic", epochs=2)
-        results = run_variant_suite(trainable_bundle, base, ["generic", "single0", "no-mmd"])
+        results = {name: train(trainable_bundle, ablation_config(base, name))
+                   for name in ["generic", "single0", "no-mmd"]}
         assert set(results) == {"generic", "single0", "no-mmd"}
         for name, (model, history) in results.items():
             assert len(history.epochs) == 2
@@ -272,7 +272,8 @@ class TestAblationSuite:
 
     def test_suite_shares_initialization_where_shapes_agree(self, trainable_bundle):
         base = make_toy_config("generic", epochs=0)
-        results = run_variant_suite(trainable_bundle, base, ["generic", "no-mmd"])
+        results = {name: train(trainable_bundle, ablation_config(base, name))
+                   for name in ["generic", "no-mmd"]}
         params_a = results["generic"][0].params()
         params_b = results["no-mmd"][0].params()
         for name, p in params_a.items():
