@@ -474,8 +474,12 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command; returns its exit code, argparse's own included (0 after
+    --help or --version, 1 for a usage error it finds)."""
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as e:
+        return e.code
     try:
         with InputHashes() as inputs:
             return args.func(args, inputs)

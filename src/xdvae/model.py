@@ -122,7 +122,7 @@ class _Encoder:
         layer runs no matmul.
         """
         if r is not None:
-            h, _ = self.hidden.forward(r)
+            h = self.hidden.apply(r)
         elif self.hidden.layers:
             h = self.hidden.forward_zeros(rows)
         else:  # no hidden layer: the heads read the zero rows themselves
@@ -365,21 +365,34 @@ class LinkedVAE(_ModelBase):
         sub_s, sub_t, _ = self._sub_outputs(aux)
         return self.enc_s.mean(r_s, sub_s), sub_t
 
-    def predict_scores(self, r_s, r_t, aux=None, source=None):
+    def encode_target(self, r_t, source):
+        """The target side of a prediction, z_T = mu_T, given encode_source's result.
+
+        r_t None stands for rows with no target positive. Nothing returned
+        refers to r_t, so rows built as this call's argument are freed when
+        it returns.
+        """
+        z_s, sub_t = source
+        return self.enc_t.mean(r_t, sub_t, rows=len(z_s))
+
+    def predict_scores(self, r_s, r_t, aux=None, source=None, target=None):
         """Target-item logits from the posterior means (z = mu), the ranking scores.
 
         source is encode_source(r_s, aux), computed here when absent; r_s and
-        aux are then not read. r_t None stands for rows with no target
+        aux are then not read. target is encode_target(r_t, source), likewise;
+        r_t is then not read. r_t None stands for rows with no target
         positive. The cold-start variant never reads r_t: its scores depend
         on the source row alone, through the mapped source latent.
         """
-        z_s, sub_t = self.encode_source(r_s, aux) if source is None else source
+        if source is None:
+            source = self.encode_source(r_s, aux)
+        z_s = source[0]
         if self.use_map:
             z_prime, _ = self.map_layer.forward(z_s)
         else:
-            z_prime = merge_latents(z_s, self.enc_t.mean(r_t, sub_t, rows=len(z_s)))
-        scores, _ = self.dec_t.forward(z_prime)
-        return scores
+            z_t = self.encode_target(r_t, source) if target is None else target
+            z_prime = merge_latents(z_s, z_t)
+        return self.dec_t.apply(z_prime)
 
 
 class SingleVAE(_ModelBase):
@@ -433,7 +446,7 @@ class SingleVAE(_ModelBase):
 
     def predict_scores(self, r_s, r_t, aux=None):
         """Target-item logits from the posterior mean (z = mu), the ranking scores."""
-        a, _ = self.dec.forward(self.enc.mean(self._input(r_s, r_t)))
+        a = self.dec.apply(self.enc.mean(self._input(r_s, r_t)))
         return a[:, self.n_source:] if self.config.variant == "merged" else a
 
 

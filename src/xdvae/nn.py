@@ -198,7 +198,13 @@ class DenseStack:
         first, *rest = self.layers
         x = first.forward_zeros(rows)
         for layer in rest:
-            x, _ = layer.forward(x)
+            x = layer.forward(x)[0]
+        return x
+
+    def apply(self, x):
+        """forward()'s output alone: each activation is freed once the next is computed."""
+        for layer in self.layers:
+            x = layer.forward(x)[0]
         return x
 
     def backward(self, grad_y, caches, input_grad=True):

@@ -1,6 +1,7 @@
 """End-to-end CLI runs over the synthetic corpus, including exit codes,
 manifests and byte-level determinism of artifacts."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -21,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdvae import data, train as training
-from xdvae.cli import InputHashes, main
+from xdvae import data, evaluate, train as training
+from xdvae.cli import InputHashes, build_parser, main
 from xdvae.model import ModelConfig, architecture
 
 from conftest import poison_last_grad, rewrite_header
@@ -436,6 +437,29 @@ class TestEval:
         ])
         assert code == 2
 
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_degrade_error_on_a_helper_exit_two(self, prepared, trained, tmp_path, capsys,
+                                                 monkeypatch):
+        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        failed = threading.Event()
+        real = evaluate.degrade_target_rows
+
+        def degrade(mat, fraction, seed):
+            if threading.current_thread() is threading.main_thread():
+                # the main thread's fraction waits until the helper's has failed
+                assert failed.wait(timeout=60)
+                return real(mat, fraction, seed)
+            failed.set()
+            raise data.DataError(f"no rows kept at {fraction}")
+
+        monkeypatch.setattr(evaluate, "degrade_target_rows", degrade)
+        threads = threading.active_count()
+        code = main(["eval", "--model", str(trained), "--bundle", str(prepared),
+                     "--protocol", "degrade", "--out", str(tmp_path / "deg")])
+        assert code == 2
+        assert "data error: no rows kept at" in capsys.readouterr().err
+        assert failed.is_set() and threading.active_count() == threads
+
     def test_coldstart_protocol(self, prepared, tmp_path):
         cold = tmp_path / "cold.xdv"
         main([
@@ -651,10 +675,8 @@ class TestAblate:
     def test_variants_and_beta_sweep_are_exclusive(self, tmp_path, capsys):
         # --variants used to be ignored, unknown names included, beside --beta-sweep
         missing = tmp_path / "missing.xdb"
-        with pytest.raises(SystemExit) as exit_:
-            main(["ablate", "--bundle", str(missing), "--variants", "generic,bogus",
-                  "--beta-sweep", "1", "--out", str(tmp_path / "x")])
-        assert exit_.value.code == 1
+        assert main(["ablate", "--bundle", str(missing), "--variants", "generic,bogus",
+                     "--beta-sweep", "1", "--out", str(tmp_path / "x")]) == 1
         assert ("argument --beta-sweep: not allowed with argument --variants"
                 in capsys.readouterr().err)
         assert not list(tmp_path.iterdir())
@@ -718,6 +740,112 @@ class TestAuxWidth:
                 "xdvae: data error: bundle dimensions do not match the checkpoint: "
                 f"(source items, target items, aux width) are {(*dims, width)} in {bundle} "
                 f"and {(*dims, 3)} in {checkpoint}\n")
+
+
+class TestParserExits:
+    """main returns argparse's exit code rather than raising SystemExit."""
+
+    @pytest.mark.parametrize("argv, code, stream, text", [
+        (["eval", "--bundle", "x.xdb", "--out", "y"], 1, "err",
+         "the following arguments are required: --model"),
+        (["eval", "--model", "m.xdv", "--bundle", "x.xdb", "--protocol", "bogus", "--out", "y"],
+         1, "err", "argument --protocol: invalid choice: 'bogus'"),
+        ([], 1, "err", "the following arguments are required: command"),
+        (["eval", "--help"], 0, "out", "--protocol {standard,degrade,coldstart}"),
+        (["--help"], 0, "out", "{prepare,train,eval,ablate}"),
+        (["--version"], 0, "out", "xdvae "),
+    ], ids=["missing-required", "bad-choice", "no-command", "eval-help", "help", "version"])
+    def test_exit_code_returned(self, capsys, argv, code, stream, text):
+        assert main(argv) == code
+        assert text in getattr(capsys.readouterr(), stream)
+
+
+def _flag_actions():
+    """{command: [(flag, action), ...]} read from the parser itself."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return {name: [(a.option_strings[-1], a) for a in p._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)]
+            for name, p in sub.choices.items()}
+
+
+# (valid, invalid) toy values per flag destination. Sizes stay at toy scale and
+# --epochs at 2 or less (the default is 100): larger values are legal and only slow.
+ARGV_VALUES = {
+    "source_labels": (["Action", "Action,Drama"], [" , ", "Nope", "Comedy"]),
+    "target_labels": (["Comedy,Drama", "Drama"], ["", "Nope", "Action"]),
+    "ks": (["5,10", "10"], ["0", "101", "5,5", "x", ""]),
+    "fractions": (["1.0,0.5,0.0", "0.25", "0,1"], ["0.5,0.5", "1.5", "nan", "x"]),
+    "variants": (["generic,single0", "merged0,no-mmd"], ["Generic,generic", "bogus", " , "]),
+    "beta_sweep": (["0,4", "1"], ["1,1", "nan", "-1", "x"]),
+    "dims": (["4", "4,3"], ["0", "-4", "x", ""]),
+    "epochs": (["0", "1", "2"], ["-1", "x"]),
+    "batch_size": (["1", "16"], ["0", "x"]),
+    "latent_dim": (["1", "3"], ["0", "x"]),
+    "seed": (["0", "5"], ["-1", "x"]),
+    "min_rating": (["1", "4"], ["6", "x"]),
+    "min_target_positives": (["1", "2"], ["0", "999"]),
+    "aux_dim": (["3"], ["2", "0"]),
+    "cold_fraction": (["0.25"], ["0", "1", "nan"]),
+}
+FLOAT_VALUES = (["0.001", "0.5", "4"], ["-1", "nan", "inf", "1e300", "x"])
+TOY_SIZE = ("dims", "latent_dim", "epochs")   # given in every argv that takes them
+
+
+class TestArgvFuzz:
+    """Every argv built from the parser's own flags ends in a documented exit
+    code, with no traceback and no numpy warning."""
+
+    @pytest.fixture(scope="class")
+    def values(self, synthetic_corpus, prepared, trained, tmp_path_factory):
+        """(valid, invalid) values per flag destination, the file flags' included."""
+        root = tmp_path_factory.mktemp("argv-fuzz")
+        (root / "aux.csv").write_text("".join(f"{u},{u / 7:.3f},{-u:.1f},1\n"
+                                              for u in range(1, 60)))
+        (root / "out").mkdir()
+        missing, ratings, movies = str(root / "missing"), *synthetic_corpus.values()
+        inputs = {"ratings": (ratings, movies), "items": (movies, ratings),
+                  "aux": (str(root / "aux.csv"), movies),
+                  "bundle": (str(prepared), str(trained)), "model": (str(trained), str(prepared))}
+        paths = {dest: ([good], [wrong, missing, str(root)])
+                 for dest, (good, wrong) in inputs.items()}
+        outputs = ([str(root / "out" / "run")], [str(root / "missing" / "run"), str(root)])
+        return {**ARGV_VALUES, **paths, "out": outputs, "history": outputs}
+
+    @staticmethod
+    def _choices(action, values):
+        if action.choices:
+            return list(action.choices), ["bogus"]
+        if action.dest in values:
+            return values[action.dest]
+        assert action.type is float, action.dest   # a new flag needs values above
+        return FLOAT_VALUES
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_every_argv_ends_in_an_exit_code(self, values, data):
+        actions = _flag_actions()
+        command = data.draw(st.sampled_from(sorted(actions)), label="command")
+        argv = [command]
+        for flag, action in actions[command]:
+            # a required flag is left out now and then, an optional one often;
+            # the model size and the epoch count are always toy values
+            keep = 10 if action.dest in TOY_SIZE else 9 if action.required else 4
+            if data.draw(st.integers(0, 9), label=flag) >= keep:
+                continue
+            if action.nargs == 0:
+                argv.append(flag)
+                continue
+            valid, invalid = self._choices(action, values)
+            pool = valid if data.draw(st.integers(0, 9), label=flag) < 9 else invalid
+            argv.append(f"{flag}={data.draw(st.sampled_from(pool), label=flag)}")
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, code)
+        assert "Traceback" not in err.getvalue(), argv
+        assert not caught, (argv, [str(w.message) for w in caught])
 
 
 class TestParserReuse:

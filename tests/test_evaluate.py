@@ -1,6 +1,9 @@
 """Ranking metrics against brute-force oracles plus the protocol runners."""
 
+import json
 import math
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -334,20 +337,157 @@ class TestDegradedScoring:
                                                                   monkeypatch):
         view, split = degrade_view
         model = _linked_model(view, "aux", "both", trained=True)
-        calls = []
+        calls = {"encode_source": [], "encode_target": [], "predict_scores": []}
 
         def spy(name):
             method = getattr(model, name)
 
             def record(*args, **kwargs):
-                calls.append((name, args))
+                calls[name].append(args)
                 return method(*args, **kwargs)
             monkeypatch.setattr(model, name, record)
 
-        spy("encode_source")
-        spy("predict_scores")
+        for name in calls:
+            spy(name)
         reports = evaluate.evaluate_degraded(model, view, split, DEGRADE_FRACTIONS, seed=7)
-        assert [name for name, _ in calls] == ["encode_source"] + ["predict_scores"] * 5
-        # only the fraction that keeps nothing is scored without target rows
-        assert [args[1] is None for _, args in calls[1:]] == [False] * 4 + [True]
+        assert [len(calls[name]) for name in calls] == [1, 5, 5]
+        # the fractions may be scored in any order; only 0.0 keeps no target row
+        kept = [data.degrade_target_rows(view.target, f, seed=7).n_interactions
+                for f in DEGRADE_FRACTIONS]
+        assert sorted(-1 if r_t is None else int(r_t.sum()) for r_t, _ in calls["encode_target"]) \
+            == sorted(n or -1 for n in kept)
+        assert kept[-1] == 0 and min(kept[:-1]) > 0
         assert [r.extra["fraction_kept"] for r in reports] == list(DEGRADE_FRACTIONS)
+
+
+def _serial_degraded(model, view, split, fractions, seed, ks=evaluate.DEFAULT_KS):
+    """Reference: fraction by fraction, dense target rows, the whole prediction each time."""
+    r_s = view.source.to_dense()
+    ids = np.column_stack((split.held_out, split.negatives))
+    reports = []
+    for fraction in fractions:
+        r_t = data.degrade_target_rows(view.target, fraction, seed).to_dense()
+        scores = model.predict_scores(r_s, r_t, view.aux_vectors)
+        ranks = [reference_rank(row, row_ids) for row, row_ids in zip(scores, ids)]
+        report = evaluate.MetricsReport(model.config.variant, "degrade", seed, len(ranks),
+                                        ks=tuple(ks), extra={"fraction_kept": fraction})
+        for k in ks:
+            report.hr[k], report.ndcg[k] = brute_force_metrics(ranks, k)
+        reports.append(report)
+    return reports
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+def cpus(request, monkeypatch):
+    """The usable CPU count evaluate_degraded sees; the threads it starts are recorded."""
+    started = []
+    thread = evaluate.threading.Thread
+
+    class Recorded(thread):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(evaluate.threading, "Thread", Recorded)
+    return request.param, started
+
+
+@pytest.fixture()
+def interleaved(cpus, monkeypatch):
+    """Names of the threads that score a fraction. The main thread holds its
+    first fraction until a helper has taken one, so with a helper both work."""
+    _, started = cpus
+    workers, helper_took_one = set(), threading.Event()
+    real = evaluate.degrade_target_rows
+
+    def degrade(mat, fraction, seed):
+        workers.add(threading.current_thread().name)
+        if threading.current_thread() is not threading.main_thread():
+            helper_took_one.set()
+        elif started:
+            assert helper_took_one.wait(timeout=60)
+        return real(mat, fraction, seed)
+
+    monkeypatch.setattr(evaluate, "degrade_target_rows", degrade)
+    return workers
+
+
+class TestDegradedOnCpus:
+    """Fractions shared between the calling thread and helpers give the bytes
+    of a serial loop, in the order of the fractions asked for."""
+
+    @pytest.mark.parametrize("fractions", [DEGRADE_FRACTIONS, (0.0, 1.0, 0.5), (0.25,)],
+                             ids=["default", "reordered", "one"])
+    @pytest.mark.parametrize("variant, attach", LINKED_CASES)
+    def test_reports_equal_a_serial_loop(self, degrade_view, cpus, interleaved, variant, attach,
+                                         fractions):
+        n_cpus, started = cpus
+        view, split = degrade_view
+        model = _linked_model(view, variant, attach, trained=True)
+        threads = threading.active_count()
+        got = evaluate.evaluate_degraded(model, view, split, fractions, seed=7)
+        assert threading.active_count() == threads
+        # one helper per usable CPU beyond the first, never more than fractions to share
+        assert len(started) == min(n_cpus, len(fractions)) - 1
+        assert interleaved == {"MainThread", *started}
+        want = _serial_degraded(model, view, split, fractions, seed=7)
+        assert json.dumps([r.to_dict() for r in got]) == json.dumps([r.to_dict() for r in want])
+
+    def test_dense_target_rows_freed_before_the_decoder(self, degrade_view, cpus, interleaved,
+                                                        monkeypatch):
+        n_cpus, _ = cpus
+        view, split = degrade_view
+        model = _linked_model(view, "generic", "both", trained=False)
+        rows, alive = [], []
+        to_dense = data.DomainMatrix.to_dense
+
+        def dense(mat, *args, **kwargs):
+            out = to_dense(mat, *args, **kwargs)
+            if mat.domain == view.target.domain:
+                rows.append(weakref.ref(out))
+            return out
+
+        decode = model.dec_t.apply
+
+        def decoder(z):
+            alive.append(sum(r() is not None for r in rows))
+            return decode(z)
+
+        monkeypatch.setattr(data.DomainMatrix, "to_dense", dense)
+        monkeypatch.setattr(model.dec_t, "apply", decoder)
+        evaluate.evaluate_degraded(model, view, split, DEGRADE_FRACTIONS, seed=7)
+        assert len(rows) == 4 and len(alive) == 5   # 0.0 builds no rows
+        # each thread drops its rows before decoding; another may hold its own
+        assert max(alive) <= n_cpus - 1
+
+    @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
+    def test_a_failed_fraction_reaches_the_caller(self, degrade_view, cpus, monkeypatch):
+        n_cpus, started = cpus
+        view, split = degrade_view
+        model = _linked_model(view, "generic", "both", trained=False)
+        failing = threading.Event()
+        real = evaluate.degrade_target_rows
+
+        def degrade(mat, fraction, seed):
+            if n_cpus > 1 and threading.current_thread() is threading.main_thread():
+                # hold the main thread's first fraction until a helper has failed
+                assert failing.wait(timeout=60)
+                return real(mat, fraction, seed)
+            failing.set()
+            raise DataError(f"fraction {fraction} failed")
+
+        monkeypatch.setattr(evaluate, "degrade_target_rows", degrade)
+        threads = threading.active_count()
+        with pytest.raises(DataError, match="fraction .* failed"):
+            evaluate.evaluate_degraded(model, view, split, DEGRADE_FRACTIONS, seed=7)
+        assert len(started) == n_cpus - 1
+        assert threading.active_count() == threads
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(evaluate.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 3)
+    assert evaluate._usable_cpus() == 3
+    monkeypatch.setattr(evaluate.os, "cpu_count", lambda: None)
+    assert evaluate._usable_cpus() == 1
