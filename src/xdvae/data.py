@@ -470,8 +470,14 @@ def _read_lines(path, encoding, fingerprint):
         raw = fh.read()
     if fingerprint is not None:
         fingerprint(raw)
+    try:
+        text = raw.decode(encoding)
+    except UnicodeDecodeError as e:
+        # the bad byte lies on the last line of the text before it plus one character
+        line = len((raw[:e.start].decode(encoding) + "x").splitlines())
+        raise DataError(f"{path}:{line}: {e}") from None
     # splitlines breaks at "\r\n" and "\r" as text mode's newline translation does
-    return raw.decode(encoding).splitlines()
+    return text.splitlines()
 
 
 def split_domains(ratings, item_labels, source_labels, target_labels):

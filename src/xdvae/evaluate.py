@@ -10,14 +10,12 @@ from __future__ import annotations
 import csv
 import json
 import math
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import DataError, degrade_target_rows, gather_rows, row_ids, sample_negatives
-from .nn import named_rng
+from .nn import map_on_cpus, named_rng
 
 DEFAULT_KS = (5, 10, 20, 50)
 
@@ -113,7 +111,7 @@ def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS):
     keep the given fraction of their training positives, and a fraction that
     keeps none is scored from r_t None. Returns one report per fraction, in
     the order of fractions. The fractions share no state but the frozen
-    model, so they are scored on every usable CPU (see _map_on_cpus).
+    model, so they are scored on every usable CPU (see nn.map_on_cpus).
     """
     if model.config.variant not in ("generic", "no-mmd", "aux"):
         raise DataError(
@@ -122,7 +120,7 @@ def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS):
         )
     source = model.encode_source(bundle.source.to_dense(), bundle.aux_vectors)
 
-    def report(fraction):
+    def report(_, fraction):
         kept = degrade_target_rows(bundle.target, fraction, seed)
         # the dense rows are only encode_target's argument, so they are freed
         # before the decoder allocates its (users, items) scores
@@ -133,58 +131,7 @@ def evaluate_degraded(model, bundle, split, fractions, seed, ks=DEFAULT_KS):
             extra={"fraction_kept": fraction},
         )
 
-    return _map_on_cpus(report, fractions)
-
-
-def _usable_cpus():
-    """The CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _map_on_cpus(fn, items):
-    """[fn(x) for x in items], shared by this thread and up to usable CPUs - 1 helpers.
-
-    Each thread takes the next item nobody has taken yet. BLAS releases the
-    interpreter lock, so items that are mostly matmuls run side by side. A
-    helper keeps in its own malloc arena what its items allocated, which the
-    main thread cannot reuse later, so the main thread takes items too and
-    no more helpers start than there are items left for them. After an
-    exception no further item starts; once every helper has stopped, the
-    first exception is raised here. With one usable CPU no thread starts.
-    """
-    items = list(items)
-    results = [None] * len(items)
-    pending = iter(range(len(items)))
-    lock = threading.Lock()
-    failures = []
-
-    def drain():
-        try:
-            while True:
-                with lock:
-                    i = next(pending, None)
-                if i is None:
-                    return
-                results[i] = fn(items[i])
-        except BaseException as e:  # raised below, on the calling thread
-            with lock:
-                failures.append(e)
-                for _ in pending:  # nobody starts another item
-                    pass
-
-    helpers = [threading.Thread(target=drain, name=f"xdvae-eval-{k}")
-               for k in range(min(_usable_cpus(), len(items)) - 1)]
-    for t in helpers:
-        t.start()
-    drain()
-    for t in helpers:
-        t.join()
-    if failures:
-        raise failures[0]
-    return results
+    return map_on_cpus(report, fractions)
 
 
 def evaluate_cold_start(model, cold, bundle, ks=DEFAULT_KS, seed=None, n_negatives=99):

@@ -11,7 +11,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .nn import BLOCK, blocks
+from . import nn
 
 VARIANTS = ("generic", "single", "merged", "no-mmd", "cold-start", "aux")
 
@@ -84,12 +84,21 @@ def l2_reg(params, lambda_reg) -> float:
 
 
 def add_l2_grad(params, grads, lambda_reg):
-    """Add the gradient of l2_reg, 2 * lambda_reg * params, into grads."""
+    """Add the gradient of l2_reg, 2 * lambda_reg * params, into grads.
+
+    The sum is element-wise, so its blocks are shared among every usable CPU
+    (see nn.map_on_cpus), each thread with one block-sized buffer.
+    """
     if lambda_reg:
-        buf = np.empty(min(BLOCK, params.flat.size))
-        for s in blocks(params.flat.size):
+        shape = (min(nn.BLOCK, params.flat.size),)
+        bufs = {}
+
+        def add(k, s):
             p = params.flat[s]
-            grads.flat[s] += np.multiply(2.0 * lambda_reg, p, out=buf[:p.size])
+            buf = nn.scratch(bufs, k, shape)[:p.size]
+            grads.flat[s] += np.multiply(2.0 * lambda_reg, p, out=buf)
+
+        nn.map_on_cpus(add, nn.blocks(params.flat.size))
 
 
 def mmd_linear(z_source, z_target) -> float:

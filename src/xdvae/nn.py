@@ -8,6 +8,8 @@ optimizer, the L2 term, the finite check and checkpointing stay generic.
 from __future__ import annotations
 
 import math
+import os
+import threading
 import zlib
 from collections.abc import Mapping
 
@@ -15,6 +17,7 @@ import numpy as np
 
 # Elements per chunk of element-wise passes over a whole store, bounding their
 # temporaries; whole-buffer expressions raised peak RSS and slowed the epoch.
+# Each chunk is one item of map_on_cpus.
 BLOCK = 32768
 
 
@@ -67,6 +70,78 @@ def _act_backward(name, grad_y, y):
 def blocks(n):
     """Slices covering range(n) in chunks of BLOCK elements."""
     return (slice(at, at + BLOCK) for at in range(0, n, BLOCK))
+
+
+def usable_cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def map_on_cpus(fn, items):
+    """[fn(k, x) for x in items], shared by this thread and up to usable CPUs - 1 helpers.
+
+    k numbers the thread that runs the item: 0 for the calling thread, 1, 2,
+    ... for the helpers, so fn can keep one scratch buffer per thread. Each
+    thread takes the next item nobody has taken yet; the calling thread
+    claims the first item before any helper starts. numpy keeps its error
+    state per thread, so each thread runs fn under the caller's. BLAS and
+    numpy's element-wise loops release the interpreter lock, so such items
+    run side by side. A helper keeps in its own malloc arena what its items
+    allocated, which the calling thread cannot reuse later, so no more
+    helpers start than there are items left for them. After an exception no
+    further item starts; once every helper has stopped, the first exception
+    is raised here. With one usable CPU no thread starts.
+    """
+    items = list(items)
+    results = [None] * len(items)
+    pending = iter(range(len(items)))
+    lock = threading.Lock()
+    failures = []
+    errors = np.geterr()
+
+    def take():
+        with lock:
+            return next(pending, None)
+
+    def drain(k, i):
+        try:
+            with np.errstate(**errors):
+                while i is not None:
+                    results[i] = fn(k, items[i])
+                    i = take()
+        except BaseException as e:  # raised below, on the calling thread
+            with lock:
+                failures.append(e)
+                for _ in pending:  # nobody starts another item
+                    pass
+
+    first = take()
+    helpers = [threading.Thread(target=lambda k=k: drain(k, take()), name=f"xdvae-cpu-{k}")
+               for k in range(1, min(usable_cpus(), len(items)))]
+    for t in helpers:
+        t.start()
+    drain(0, first)
+    for t in helpers:
+        t.join()
+    if failures:
+        raise failures[0]
+    return results
+
+
+def scratch(pool, k, shape):
+    """pool[k], thread k's float64 buffer of the given shape, made on first use.
+
+    Each thread of one map_on_cpus call has its own k, so no two threads
+    share a buffer, and a pool kept across calls allocates nothing after the
+    first.
+    """
+    buf = pool.get(k)
+    if buf is None or buf.shape != shape:
+        buf = pool[k] = np.empty(shape)
+    return buf
 
 
 class ParamStore(Mapping):
@@ -225,8 +300,11 @@ class DenseStack:
 class Adam:
     """Bias-corrected Adam over a ParamStore; the moments are two flat arrays.
 
-    Every temporary of an update goes through two BLOCK-sized buffers that
-    the optimizer owns, so a step allocates nothing.
+    The update is element-wise, so its BLOCK-sized chunks are shared among
+    every usable CPU (see map_on_cpus) and give the same bytes however they
+    are shared. Every temporary of an update goes through two BLOCK-sized
+    buffers per thread that the optimizer owns, so a step allocates nothing
+    per block, nor at all once each thread has its buffers.
     """
 
     def __init__(self, params, lr=0.001, beta1=0.9, beta2=0.999, eps=1e-8):
@@ -237,40 +315,46 @@ class Adam:
         self.t = 0
         self.m = np.zeros_like(params.flat)
         self.v = np.zeros_like(params.flat)
-        self._buf = np.empty((2, min(BLOCK, params.flat.size)))
+        self._scratch = {}
 
     def step(self, params, grads, context=""):
         """One in-place update of params from grads, a store of the same layout.
 
-        The sweep checks each gradient block before updating it and raises
+        Each thread checks a gradient block before updating it. Once every
+        thread has stopped, a non-finite block found by any of them raises
         NumericError naming the first non-finite tensor of grads, with
-        context; the blocks before it are then already updated.
+        context. Blocks on either side of the bad one may then already be
+        updated: the other threads finish the blocks they have taken.
         """
         self.t += 1
         b1, b2 = self.beta1, self.beta2
         c1 = 1.0 - b1 ** self.t
         c2 = 1.0 - b2 ** self.t
         p, g = params.flat, grads.flat
+        shape = (2, min(BLOCK, p.size))
+
+        def update(k, s):
+            gs = g[s]
+            if not np.isfinite(gs.sum()):
+                _search_non_finite(grads, context)
+            m, v = self.m[s], self.v[s]
+            t, u = scratch(self._scratch, k, shape)[:, :gs.size]
+            # per element, in this order: m = b1 m + (1-b1) g,
+            # v = b2 v + (1-b2) g^2, p -= lr (m/c1) / (sqrt(v/c2) + eps)
+            m *= b1
+            m += np.multiply(1.0 - b1, gs, out=t)
+            v *= b2
+            np.multiply(gs, gs, out=t)
+            v += np.multiply(1.0 - b2, t, out=t)
+            np.multiply(self.lr, np.divide(m, c1, out=t), out=t)
+            np.sqrt(np.divide(v, c2, out=u), out=u)
+            u += self.eps
+            p[s] -= np.divide(t, u, out=t)
+
         # an overflowing sum of finite values does not raise; non-finite
         # values the update itself produces reach the caller's params check
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in blocks(p.size):
-                gs = g[s]
-                if not np.isfinite(gs.sum()):
-                    _search_non_finite(grads, context)
-                m, v = self.m[s], self.v[s]
-                t, u = self._buf[0, :gs.size], self._buf[1, :gs.size]
-                # per element, in this order: m = b1 m + (1-b1) g,
-                # v = b2 v + (1-b2) g^2, p -= lr (m/c1) / (sqrt(v/c2) + eps)
-                m *= b1
-                m += np.multiply(1.0 - b1, gs, out=t)
-                v *= b2
-                np.multiply(gs, gs, out=t)
-                v += np.multiply(1.0 - b2, t, out=t)
-                np.multiply(self.lr, np.divide(m, c1, out=t), out=t)
-                np.sqrt(np.divide(v, c2, out=u), out=u)
-                u += self.eps
-                p[s] -= np.divide(t, u, out=t)
+            map_on_cpus(update, blocks(p.size))
 
 
 def _search_non_finite(store, context):

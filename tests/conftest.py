@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -106,6 +107,36 @@ def finite_diff_check(loss_fn, params, grads, h=1e-5):
             err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
             worst = max(worst, err)
     return worst
+
+
+_THREAD = threading.Thread
+
+
+def patch_cpus(monkeypatch, n):
+    """Make nn.map_on_cpus see n usable CPUs. Returns the list that the name of
+    every thread started from then on is appended to; patching again replaces
+    the recorder instead of stacking a second one on it."""
+    started = []
+
+    class Recorded(_THREAD):
+        def start(self):
+            started.append(self.name)
+            super().start()
+
+    monkeypatch.setattr(nn, "usable_cpus", lambda: n)
+    monkeypatch.setattr(threading, "Thread", Recorded)
+    return started
+
+
+def cpu_helpers(started):
+    """The helper threads of nn.map_on_cpus among recorded thread names."""
+    return [name for name in started if name.startswith("xdvae-cpu-")]
+
+
+@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
+def cpus(request, monkeypatch):
+    """(usable CPU count nn.map_on_cpus sees, names of the threads started)."""
+    return request.param, patch_cpus(monkeypatch, request.param)
 
 
 def poison_last_grad(monkeypatch, at_call, value=np.nan):

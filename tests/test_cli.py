@@ -6,6 +6,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -22,11 +23,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from xdvae import data, evaluate, train as training
+from xdvae import data, evaluate, nn, train as training
 from xdvae.cli import InputHashes, build_parser, main
 from xdvae.model import ModelConfig, architecture
 
-from conftest import poison_last_grad, rewrite_header
+from conftest import cpu_helpers, patch_cpus, poison_last_grad, rewrite_header
 
 
 @pytest.fixture(scope="module")
@@ -230,16 +231,20 @@ class TestTrain:
 
     def test_non_finite_gradient_exit_three_without_checkpoint(self, prepared, tmp_path,
                                                               capsys, monkeypatch):
-        name = poison_last_grad(monkeypatch, at_call=2)
-        out = tmp_path / "nan.xdv"
-        code = main([
-            "train", "--bundle", str(prepared), "--variant", "generic",
-            "--epochs", "2", "--out", str(out), *TRAIN_FLAGS,
-        ])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert f"numeric failure: non-finite values in {name!r} (grads, epoch 0, " in err
-        assert not list(tmp_path.iterdir())
+        # the update's blocks are shared among 1, 2 and 3 threads
+        for n_cpus in (1, 2, 3):
+            with monkeypatch.context() as patch:
+                name = poison_last_grad(patch, at_call=2)
+                started = patch_cpus(patch, n_cpus)
+                code = main([
+                    "train", "--bundle", str(prepared), "--variant", "generic",
+                    "--epochs", "2", "--out", str(tmp_path / "nan.xdv"), *TRAIN_FLAGS,
+                ])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert f"numeric failure: non-finite values in {name!r} (grads, epoch 0, " in err
+            assert not list(tmp_path.iterdir())
+            assert bool(cpu_helpers(started)) == (n_cpus > 1)
 
     def test_cold_start_variant_trains(self, prepared, tmp_path):
         out = tmp_path / "cold.xdv"
@@ -263,17 +268,24 @@ class TestTrain:
         assert f"leaves {left} users" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
-    def test_diverging_training_exit_three_without_warnings(self, prepared, tmp_path, capsys):
-        code = main([
-            "train", "--bundle", str(prepared), "--variant", "generic",
-            "--epochs", "1", "--out", str(tmp_path / "big.xdv"), *TRAIN_FLAGS,
-            "--lr", "1e300",
-        ])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert "numeric failure: non-finite loss at epoch 0, batch offset 32" in err
-        assert "Warning" not in err
-        assert not list(tmp_path.iterdir())
+    def test_diverging_training_exit_three_without_warnings(self, prepared, tmp_path, capsys,
+                                                            monkeypatch):
+        # at 1e308 the first update overflows, which helper threads must
+        # ignore under the caller's numpy error state as the caller does
+        monkeypatch.setattr(nn, "BLOCK", 64)
+        for n_cpus, lr in itertools.product((1, 2, 3), ("1e300", "1e308")):
+            started = patch_cpus(monkeypatch, n_cpus)
+            code = main([
+                "train", "--bundle", str(prepared), "--variant", "generic",
+                "--epochs", "1", "--out", str(tmp_path / "big.xdv"), *TRAIN_FLAGS,
+                "--lr", lr,
+            ])
+            assert code == 3
+            err = capsys.readouterr().err
+            assert "numeric failure: non-finite loss at epoch 0, batch offset 32" in err
+            assert "Warning" not in err
+            assert not list(tmp_path.iterdir())
+            assert bool(cpu_helpers(started)) == (n_cpus > 1)
 
 
 HEADER_DEFECTS = {
@@ -440,7 +452,7 @@ class TestEval:
     @pytest.mark.filterwarnings("error::pytest.PytestUnhandledThreadExceptionWarning")
     def test_degrade_error_on_a_helper_exit_two(self, prepared, trained, tmp_path, capsys,
                                                  monkeypatch):
-        monkeypatch.setattr(evaluate, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 2)
         failed = threading.Event()
         real = evaluate.degrade_target_rows
 

@@ -828,6 +828,20 @@ class TestAuxVectors:
         with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
             data.load_aux_vectors(path, expected_dim=2)
 
+    @pytest.mark.parametrize("raw, line", [
+        (b"user,a,b\nu1,0.5,\xff1\n", 2),
+        (b"\xffu1,0.5,1\n", 1),
+        (b"u1,0.5,1\r\nu2,\xc3,1\r\n", 2),
+        (b"u1,0.5,1\ru2,1,2\r\n\nu3,0.5,\x80\n", 4),
+    ], ids=["lf", "first-byte", "crlf", "cr-and-blank"])
+    def test_invalid_utf8_names_path_and_line(self, tmp_path, raw, line):
+        # used to end in the decoder's bare message, without path or line
+        path = tmp_path / "aux.csv"
+        path.write_bytes(raw)
+        with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:{line}: 'utf-8' codec "
+                                            rf"can't decode byte 0x[0-9a-f]{{2}} in position"):
+            data.load_aux_vectors(path, expected_dim=2)
+
     def test_repeated_user_names_both_lines(self, tmp_path):
         path = write(tmp_path, "aux.csv", "u1,0.5,1\n\nu2,1,2\nu1,0.5,1\n")
         message = f"{path}:4: user 'u1' already listed on line 1"

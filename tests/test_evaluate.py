@@ -377,22 +377,6 @@ def _serial_degraded(model, view, split, fractions, seed, ks=evaluate.DEFAULT_KS
     return reports
 
 
-@pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])
-def cpus(request, monkeypatch):
-    """The usable CPU count evaluate_degraded sees; the threads it starts are recorded."""
-    started = []
-    thread = evaluate.threading.Thread
-
-    class Recorded(thread):
-        def start(self):
-            started.append(self.name)
-            super().start()
-
-    monkeypatch.setattr(evaluate, "_usable_cpus", lambda: request.param)
-    monkeypatch.setattr(evaluate.threading, "Thread", Recorded)
-    return request.param, started
-
-
 @pytest.fixture()
 def interleaved(cpus, monkeypatch):
     """Names of the threads that score a fraction. The main thread holds its
@@ -483,11 +467,3 @@ class TestDegradedOnCpus:
             evaluate.evaluate_degraded(model, view, split, DEGRADE_FRACTIONS, seed=7)
         assert len(started) == n_cpus - 1
         assert threading.active_count() == threads
-
-
-def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
-    monkeypatch.delattr(evaluate.os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(evaluate.os, "cpu_count", lambda: 3)
-    assert evaluate._usable_cpus() == 3
-    monkeypatch.setattr(evaluate.os, "cpu_count", lambda: None)
-    assert evaluate._usable_cpus() == 1

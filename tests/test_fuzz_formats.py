@@ -1,22 +1,27 @@
 """Damaged XDB1 bundles and XDV1 checkpoints: every truncation and every
 single-bit flip must end in DataError or in an object that passes the
-structural checks, never in another exception."""
+structural checks, never in another exception. Damaged label and aux files
+must end `prepare` in exit 0 or 2."""
 
+import contextlib
+import io
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from xdvae import data
+from xdvae.cli import main
 from xdvae.data import DataError
 from xdvae.model import build_model
 from xdvae.nn import named_rng
 from xdvae.train import load_checkpoint, save_checkpoint
 
-from conftest import make_toy_bundle, make_toy_config, rewrite_header
+from conftest import make_synthetic_interactions, make_toy_bundle, make_toy_config, rewrite_header
 
 
 def toy_bundle_bytes(tmp_path):
@@ -200,3 +205,107 @@ def test_container_fault_message(originals, tmp_path, kind, fault):
         LOADERS[kind](path)
     what = {"bundle": "a bundle file", "checkpoint": "a checkpoint"}[kind]
     assert str(err.value) == f"{path}: " + message.format(what=what, kind=kind)
+
+
+# line faults: (line bytes, field separator, drawn index) -> damaged line
+LINE_FAULTS = {
+    "invalid-utf8": lambda line, sep, at: line[:at] + b"\xff" + line[at:],
+    "truncated-utf8": lambda line, sep, at: line[:at] + b"\xc3" + line[at:],
+    "nul": lambda line, sep, at: line[:at] + b"\x00" + line[at:],
+    "cr": lambda line, sep, at: line[:at] + b"\r" + line[at:],
+    "field-dropped": lambda line, sep, at: sep.join(line.split(sep)[:-1]),
+    "field-added": lambda line, sep, at: line + sep + b"1",
+    "field-blanked": lambda line, sep, at: _set_field(line, sep, at, b""),
+    "not-a-number": lambda line, sep, at: _set_field(line, sep, at, b"x"),
+    "underscore-digits": lambda line, sep, at: _set_field(line, sep, at, b"1_0"),
+    "inf": lambda line, sep, at: _set_field(line, sep, at, b"inf"),
+    "nan": lambda line, sep, at: _set_field(line, sep, at, b"nan"),
+}
+# file faults: (lines, drawn index) -> lines
+FILE_FAULTS = {
+    "bom": lambda lines, at: [b"\xef\xbb\xbf" + lines[0], *lines[1:]],
+    "crlf": lambda lines, at: [line + b"\r" for line in lines],
+    "repeated-line": lambda lines, at: [*lines[:at + 1], lines[at], *lines[at + 1:]],
+    "blank-line": lambda lines, at: [*lines[:at], b"", *lines[at:]],
+    "spaces-line": lambda lines, at: [*lines[:at], b"  ", *lines[at:]],
+}
+
+
+def _set_field(line, sep, at, value):
+    fields = line.split(sep)
+    fields[at % len(fields)] = value
+    return sep.join(fields)
+
+
+class TestDamagedLabelAndAuxFiles:
+    """movies.dat, item,labels csv and aux csv contents with injected faults:
+    `prepare` on the toy corpus ends in exit 0 or 2, with no traceback and no
+    numpy warning."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self, tmp_path_factory):
+        """The folder holding the toy corpus, and its label and aux files as
+        name -> (lines, field separator)."""
+        root = tmp_path_factory.mktemp("label-fuzz")
+        ratings, movies = make_synthetic_interactions(m=40, n_source=20, n_target=150, seed=3)
+        csv_ratings = ["user,item,rating,timestamp", *(r.replace("::", ",") for r in ratings)]
+        labels = ["item,labels", *(f"{m.split('::')[0]},{m.split('::')[2]}" for m in movies)]
+        aux = ["user,a,b", *(f"{u},{u / 7:.3f},{-u}" for u in range(1, 41))]
+        files = {"ratings.dat": (ratings, b"::"), "ratings.csv": (csv_ratings, b","),
+                 "movies.dat": (movies, b"::"), "labels.csv": (labels, b","),
+                 "aux.csv": (aux, b",")}
+        for name, (lines, _) in files.items():
+            (root / name).write_text("\n".join(lines) + "\n")
+        return root, {name: ([line.encode() for line in lines], sep)
+                      for name, (lines, sep) in files.items()
+                      if name in ("movies.dat", "labels.csv", "aux.csv")}
+
+    @staticmethod
+    def _prepare(root, damaged=None):
+        """Exit code, stderr and warnings of `prepare` on the toy corpus, with
+        `damaged` standing in for the file of that name."""
+        path = {name: str(root / ("damaged" if name == damaged else name))
+                for name in ("movies.dat", "labels.csv", "aux.csv")}
+        if damaged == "movies.dat":
+            inputs = ["--ratings", str(root / "ratings.dat"), "--items", path["movies.dat"],
+                      "--format", "movielens-dat"]
+        else:
+            inputs = ["--ratings", str(root / "ratings.csv"), "--items", path["labels.csv"],
+                      "--format", "csv", "--aux", path["aux.csv"], "--aux-dim", "2"]
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["prepare", *inputs, "--source-labels", "Action",
+                         "--target-labels", "Comedy,Drama", "--out", str(root / "out.xdb")])
+        return code, err.getvalue(), [str(w.message) for w in caught]
+
+    @given(draw=st.data())
+    @settings(deadline=None)
+    def test_prepare_ends_in_exit_zero_or_two(self, corpus, draw):
+        root, files = corpus
+        name = draw.draw(st.sampled_from(sorted(files)), label="file")
+        lines, sep = files[name]
+        for _ in range(draw.draw(st.integers(1, 3), label="faults")):
+            fault = draw.draw(st.sampled_from(sorted(LINE_FAULTS) + sorted(FILE_FAULTS)),
+                              label="fault")
+            at = draw.draw(st.integers(0, len(lines) - 1), label="line")
+            if fault in FILE_FAULTS:
+                lines = FILE_FAULTS[fault](lines, at)
+            else:
+                column = draw.draw(st.integers(0, len(lines[at])), label="column")
+                lines = [*lines[:at], LINE_FAULTS[fault](lines[at], sep, column),
+                         *lines[at + 1:]]
+        (root / "damaged").write_bytes(b"".join(line + b"\n" for line in lines))
+        code, err, caught = self._prepare(root, damaged=name)
+        event(f"{name} exit {code}")
+        assert code in (0, 2), (name, lines, err)
+        assert "Traceback" not in err
+        assert not caught, caught
+
+    @pytest.mark.parametrize("name", ["movies.dat", "labels.csv"])
+    def test_undamaged_files_prepare(self, corpus, name):
+        # the control: each input set prepares as written
+        root, files = corpus
+        (root / "damaged").write_bytes(b"".join(line + b"\n" for line in files[name][0]))
+        assert self._prepare(root, damaged=name) == (0, "", [])

@@ -1,8 +1,12 @@
-"""Layer mechanics, initialization, Adam and the finite-difference oracle."""
+"""Layer mechanics, initialization, Adam, the CPU map and the finite-difference oracle."""
+
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from xdvae import losses, nn
 from xdvae.nn import (
     BLOCK,
     Adam,
@@ -13,10 +17,20 @@ from xdvae.nn import (
     bind_layers,
     glorot_init,
     init_weights,
+    map_on_cpus,
     named_rng,
 )
 
-from conftest import finite_diff_check, make_layer, make_store
+from conftest import cpu_helpers, finite_diff_check, make_layer, make_store, patch_cpus
+
+
+@pytest.fixture()
+def fast_switches():
+    """Threads switch as often as the interpreter allows while the test runs."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(switch)
 
 
 def make_stack(dims, activations, rng):
@@ -229,43 +243,71 @@ class TestAdam:
 
         assert np.array_equal(run(), run())
 
-    def test_blocked_update_matches_per_tensor_reference(self):
-        # Sizes straddle BLOCK boundaries; the element-wise arithmetic is the
-        # same as a per-tensor update, so the results must be bit-identical.
-        rng = np.random.default_rng(6)
-        sizes = {"a": BLOCK - 3, "b": 7, "c": BLOCK + 5}
-        params = make_store(**{n: rng.standard_normal(k) for n, k in sizes.items()})
-        grads = make_store(**{n: np.zeros(k) for n, k in sizes.items()})
-        ref = {n: params[n].copy() for n in sizes}
-        m = {n: np.zeros(k) for n, k in sizes.items()}
-        v = {n: np.zeros(k) for n, k in sizes.items()}
-        opt = Adam(params, lr=0.01)
-        for t in range(1, 4):
-            grads.flat[:] = rng.standard_normal(grads.flat.size)
-            opt.step(params, grads)
-            c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+    def test_blocked_update_matches_per_tensor_reference(self, monkeypatch, fast_switches):
+        # Sizes straddle the boundaries of many 64-element blocks, which 1, 2
+        # or 3 threads share; the element-wise arithmetic is the same as a
+        # per-tensor update, so Adam and the L2 gradient must be bit-identical.
+        # Frequent thread switches would mix temporaries of a shared buffer.
+        block = 64
+        monkeypatch.setattr(nn, "BLOCK", block)
+        sizes = {"a": 5 * block - 3, "b": 7, "c": 9 * block + 5}
+        for n_cpus in (1, 2, 3):
+            started = patch_cpus(monkeypatch, n_cpus)
+            rng = np.random.default_rng(6)
+            params = make_store(**{n: rng.standard_normal(k) for n, k in sizes.items()})
+            grads = make_store(**{n: np.zeros(k) for n, k in sizes.items()})
+            ref = {n: params[n].copy() for n in sizes}
+            m = {n: np.zeros(k) for n, k in sizes.items()}
+            v = {n: np.zeros(k) for n, k in sizes.items()}
+            opt = Adam(params, lr=0.01)
+            for t in range(1, 4):
+                grads.flat[:] = rng.standard_normal(grads.flat.size)
+                g_ref = {n: grads[n] + 2.0 * 0.3 * params[n] for n in sizes}
+                losses.add_l2_grad(params, grads, 0.3)
+                for n in sizes:
+                    assert np.array_equal(grads[n], g_ref[n])
+                opt.step(params, grads)
+                c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
+                for n in sizes:
+                    g = grads[n]
+                    m[n] *= 0.9
+                    m[n] += (1.0 - 0.9) * g
+                    v[n] *= 0.999
+                    v[n] += (1.0 - 0.999) * (g * g)
+                    ref[n] -= 0.01 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
             for n in sizes:
-                g = grads[n]
-                m[n] *= 0.9
-                m[n] += (1.0 - 0.9) * g
-                v[n] *= 0.999
-                v[n] += (1.0 - 0.999) * (g * g)
-                ref[n] -= 0.01 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
-        for n in sizes:
-            assert np.array_equal(params[n], ref[n])
+                assert np.array_equal(params[n], ref[n])
+            # one helper per CPU beyond the first, for each of 3 updates and 3 L2 sums
+            assert len(cpu_helpers(started)) == 6 * (n_cpus - 1)
 
+    def test_update_on_helpers_keeps_the_callers_error_state(self, monkeypatch):
+        # lr * m overflows in every block; train() ignores that, and a helper
+        # must too, or the RuntimeWarning it raises would reach the caller
+        monkeypatch.setattr(nn, "BLOCK", 4)
+        started = patch_cpus(monkeypatch, 3)
+        params = make_store(x=np.zeros(16))
+        grads = make_store(x=np.full(16, 1e10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            Adam(params, lr=1e300).step(params, grads)
+        assert np.isneginf(params.flat).all()
+        assert len(cpu_helpers(started)) == 2
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_gradient_past_the_first_block_is_named(self, bad):
+    def test_non_finite_gradient_past_the_first_block_is_named(self, bad, monkeypatch):
+        # with 2 or 3 threads the bad block is found on a helper or on the caller
         rng = np.random.default_rng(7)
         sizes = {"a": BLOCK + 5, "b": 9, "c": BLOCK}
         params = make_store(**{n: rng.standard_normal(k) for n, k in sizes.items()})
         grads = make_store(**{n: rng.standard_normal(k) for n, k in sizes.items()})
         grads["c"][BLOCK - 2] = bad
         opt = Adam(params, lr=0.01)
-        with pytest.raises(NumericError,
-                           match=r"'c' \(grads, epoch 4, batch offset 96\)"):
-            opt.step(params, grads, context="grads, epoch 4, batch offset 96")
+        for n_cpus in (1, 2, 3):
+            patch_cpus(monkeypatch, n_cpus)
+            threads = threading.active_count()
+            with pytest.raises(NumericError,
+                               match=r"'c' \(grads, epoch 4, batch offset 96\)"):
+                opt.step(params, grads, context="grads, epoch 4, batch offset 96")
+            assert threading.active_count() == threads
 
     def test_overflowing_gradient_sum_does_not_raise(self):
         # finite values whose sum overflows are not a non-finite gradient
@@ -274,6 +316,71 @@ class TestAdam:
         with np.errstate(all="raise"):
             Adam(params, lr=0.01).step(params, grads)
         assert np.isfinite(params.flat).all()
+
+
+class TestMapOnCpus:
+    """The package's one CPU map: the results of a serial loop, in item order."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+    @pytest.mark.parametrize("n_items", [0, 1, 2, 7])
+    def test_results_in_item_order(self, cpus, n_items):
+        n_cpus, started = cpus
+        ran = []
+
+        def square(k, x):
+            ran.append((k, x, threading.current_thread().name))
+            return x * x
+
+        assert map_on_cpus(square, range(n_items)) == [x * x for x in range(n_items)]
+        assert sorted(x for _, x, _ in ran) == list(range(n_items))
+        assert len(started) == max(min(n_cpus, n_items) - 1, 0)
+        # thread k is the caller for 0 and helper k otherwise; the caller
+        # claims the first item before any helper starts
+        names = {k: name for k, _, name in ran}
+        assert names == {k: "MainThread" if k == 0 else f"xdvae-cpu-{k}" for k in names}
+        assert n_items == 0 or (0, 0, "MainThread") in ran
+
+    @pytest.mark.parametrize("cpus", [8], indirect=True)
+    def test_every_item_taken_once_under_frequent_switches(self, cpus, fast_switches):
+        # more threads than cores
+        taken = []
+        out = map_on_cpus(lambda k, x: taken.append(x) or -x, range(3000))
+        assert out == [-x for x in range(3000)]
+        assert sorted(taken) == list(range(3000))
+        assert len(cpus[1]) == 7
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+    def test_an_exception_on_a_helper_reaches_the_caller(self, cpus):
+        n_cpus, started = cpus
+        failed = threading.Event()
+
+        def fail(k, x):
+            if n_cpus > 1 and k == 0:
+                # the caller's first item waits until a helper has failed
+                assert failed.wait(timeout=60)
+                return x
+            failed.set()
+            raise ValueError(f"item {x} failed on thread {k}")
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="item .* failed"):
+            map_on_cpus(fail, range(6))
+        assert failed.is_set() and len(started) == n_cpus - 1
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("cpus", [2, 3], indirect=True)
+    def test_helpers_run_under_the_callers_error_state(self, cpus):
+        with np.errstate(over="ignore", invalid="raise", divide="warn", under="ignore"):
+            caller = np.geterr()
+            seen = map_on_cpus(lambda k, x: np.geterr(), range(4))
+        assert seen == [caller] * 4
+
+    def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(nn.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(nn.os, "cpu_count", lambda: 3)
+        assert nn.usable_cpus() == 3
+        monkeypatch.setattr(nn.os, "cpu_count", lambda: None)
+        assert nn.usable_cpus() == 1
 
 
 class TestFiniteDiff:
