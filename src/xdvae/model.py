@@ -20,7 +20,8 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from . import losses
-from .nn import DenseLayer, DenseStack, bind_layers, init_weights, tensor_shapes
+from .nn import (DenseLayer, DenseStack, bind_layers, init_weights, tensor_shapes,
+                 weight_grads_on_cpus)
 
 VARIANTS = losses.VARIANTS
 LINKED_VARIANTS = ("generic", "no-mmd", "cold-start", "aux")
@@ -148,21 +149,21 @@ class _Encoder:
         }
         return state, cache
 
-    def backward(self, g_z, g_mu_extra, g_lv_extra, state, cache):
-        """Write the encoder's weight grads; returns the sub-encoder slice grad (or None).
+    def backward(self, g_z, g_mu_extra, g_lv_extra, state, cache, jobs):
+        """Queue the encoder's weight grads on jobs; returns the sub-encoder slice grad (or None).
 
         The gradient w.r.t. the encoder input is never needed, so it is not computed.
         """
         g_mu = g_z + g_mu_extra
         g_lv = g_z * (0.5 * cache["sigma"] * state.eps) + g_lv_extra
-        g_hc = self.mu_head.backward(g_mu, cache["mu_cache"])
-        g_hc += self.logvar_head.backward(g_lv, cache["lv_cache"])
+        g_hc = self.mu_head.backward(g_mu, cache["mu_cache"], jobs)
+        g_hc += self.logvar_head.backward(g_lv, cache["lv_cache"], jobs)
         g_sub = None
         if cache["has_sub"]:
             w = cache["main_width"]
             g_sub = g_hc[:, w:]
             g_hc = g_hc[:, :w]
-        self.hidden.backward(g_hc, cache["h_caches"], input_grad=False)
+        self.hidden.backward(g_hc, cache["h_caches"], jobs, input_grad=False)
         return g_sub
 
     def named_layers(self, prefix):
@@ -322,13 +323,15 @@ class LinkedVAE(_ModelBase):
     # -- backward ----------------------------------------------------------
 
     def backward(self, fwd):
+        """The input-gradient chain on this thread, then every weight gradient on every CPU."""
         cfg = self.config
         st_s, st_t = fwd["state_s"], fwd["state_t"]
         batch = st_s.z.shape[0]
         L = cfg.latent_dim
+        jobs = []
 
-        g_z_s = self.dec_s.backward(fwd["recon_s"][1], fwd["dec_s_caches"])
-        g_dec_t_in = self.dec_t.backward(fwd["recon_t"][1], fwd["dec_t_caches"])
+        g_z_s = self.dec_s.backward(fwd["recon_s"][1], fwd["dec_s_caches"], jobs)
+        g_dec_t_in = self.dec_t.backward(fwd["recon_t"][1], fwd["dec_t_caches"], jobs)
 
         if self.use_map:
             z_prime = fwd["z_prime"]
@@ -337,7 +340,7 @@ class LinkedVAE(_ModelBase):
             g_z_t = np.zeros_like(st_t.z)
             if not cfg.map_stop_gradient:
                 g_z_t -= g_map
-            g_z_s += self.map_layer.backward(g_zp, fwd["map_cache"])
+            g_z_s += self.map_layer.backward(g_zp, fwd["map_cache"], jobs)
         else:
             g_z_s += g_dec_t_in[:, :L]
             g_z_t = g_dec_t_in[:, L:].copy()
@@ -348,13 +351,14 @@ class LinkedVAE(_ModelBase):
             g_z_t -= (2.0 / batch) * diff
 
         g_mu_s, g_lv_s = _kl_grads(st_s, batch)
-        g_sub_s = self.enc_s.backward(g_z_s, g_mu_s, g_lv_s, st_s, fwd["cache_s"])
+        g_sub_s = self.enc_s.backward(g_z_s, g_mu_s, g_lv_s, st_s, fwd["cache_s"], jobs)
         g_mu_t, g_lv_t = _kl_grads(st_t, batch)
-        g_sub_t = self.enc_t.backward(g_z_t, g_mu_t, g_lv_t, st_t, fwd["cache_t"])
+        g_sub_t = self.enc_t.backward(g_z_t, g_mu_t, g_lv_t, st_t, fwd["cache_t"], jobs)
 
         if self.sub_encoder is not None:
             g_sub = sum(g for g in (g_sub_s, g_sub_t) if g is not None)
-            self.sub_encoder.backward(g_sub, fwd["sub_caches"], input_grad=False)
+            self.sub_encoder.backward(g_sub, fwd["sub_caches"], jobs, input_grad=False)
+        weight_grads_on_cpus(jobs)
         losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
         return self._grads
 
@@ -436,11 +440,14 @@ class SingleVAE(_ModelBase):
         )
 
     def backward(self, fwd):
+        """The input-gradient chain on this thread, then every weight gradient on every CPU."""
         cfg = self.config
         batch = fwd["state"].z.shape[0]
-        g_z = self.dec.backward(fwd["recon"][1], fwd["dec_caches"])
+        jobs = []
+        g_z = self.dec.backward(fwd["recon"][1], fwd["dec_caches"], jobs)
         g_mu, g_lv = _kl_grads(fwd["state"], batch)
-        self.enc.backward(g_z, g_mu, g_lv, fwd["state"], fwd["cache"])
+        self.enc.backward(g_z, g_mu, g_lv, fwd["state"], fwd["cache"], jobs)
+        weight_grads_on_cpus(jobs)
         losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
         return self._grads
 

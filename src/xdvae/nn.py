@@ -187,7 +187,7 @@ def bind_layers(named_layers):
 
 
 class DenseLayer:
-    """Fully connected layer y = act(x @ W.T + b); backward writes grads into gw, gb.
+    """Fully connected layer y = act(x @ W.T + b); its weight gradients go into gw, gb.
 
     The layer holds only its shape until bind_layers points w, b, gw and gb
     at views of a parameter store and its gradient twin.
@@ -224,27 +224,40 @@ class DenseLayer:
         a += self.b
         return _act_forward(self.activation, a)
 
-    def backward(self, grad_y, cache, input_grad=True):
-        """Gradient w.r.t. output -> grad_x; overwrites gw and gb.
+    def backward(self, grad_y, cache, jobs, input_grad=True):
+        """Gradient w.r.t. output -> grad_x; queues this layer's weight gradients.
 
-        Without input_grad (an input layer) only gw and gb are written and
+        (self, grad_a, x) goes on jobs, for weight_grads_on_cpus to overwrite
+        gw and gb once the whole chain has run, so nothing may write grad_a
+        or x in place after this call. Without input_grad (an input layer)
         the result is None.
         """
         grad_a = _act_backward(self.activation, grad_y, cache[1])
+        jobs.append((self, grad_a, cache[0]))
         if not input_grad:
-            self.weight_grads(grad_a, cache)
             return None
-        return self.backward_from_preact(grad_a, cache)
+        return self.backward_from_preact(grad_a)
 
-    def weight_grads(self, grad_a, cache):
-        """Overwrite gw and gb from the gradient w.r.t. the pre-activation."""
-        np.matmul(grad_a.T, cache[0], out=self.gw)
+    def weight_grads(self, grad_a, x):
+        """Overwrite gw and gb from the gradient w.r.t. the pre-activation and the input x."""
+        np.matmul(grad_a.T, x, out=self.gw)
         grad_a.sum(axis=0, out=self.gb)
 
-    def backward_from_preact(self, grad_a, cache):
-        """Same as backward() but grad is already w.r.t. the pre-activation."""
-        self.weight_grads(grad_a, cache)
+    def backward_from_preact(self, grad_a):
+        """The gradient w.r.t. the input from that w.r.t. the pre-activation; writes no gradient."""
         return grad_a @ self.w
+
+
+def weight_grads_on_cpus(jobs):
+    """Run weight_grads for every (layer, grad_a, x) of jobs, on every usable CPU.
+
+    Each job overwrites its own layer's gw and gb with the BLAS call a serial
+    loop would make, so the bytes do not depend on which thread runs it.
+    Whole BLAS calls overlap well on two cores; the largest W goes first, so
+    the small ones even out the threads' ends.
+    """
+    jobs = sorted(jobs, key=lambda job: job[0].w.size, reverse=True)
+    map_on_cpus(lambda k, job: job[0].weight_grads(job[1], job[2]), jobs)
 
 
 class DenseStack:
@@ -282,15 +295,17 @@ class DenseStack:
             x = layer.forward(x)[0]
         return x
 
-    def backward(self, grad_y, caches, input_grad=True):
+    def backward(self, grad_y, caches, jobs, input_grad=True):
         """Backprop through the stack; returns the gradient w.r.t. its input.
 
-        Without input_grad the first layer writes only its weight gradients
-        and the result is None.
+        Every layer queues its weight gradients on jobs (see
+        DenseLayer.backward). Without input_grad the first layer computes no
+        input gradient and the result is None.
         """
         grad = grad_y
         for k in range(len(self.layers) - 1, -1, -1):
-            grad = self.layers[k].backward(grad, caches[k], input_grad=input_grad or k > 0)
+            grad = self.layers[k].backward(grad, caches[k], jobs,
+                                           input_grad=input_grad or k > 0)
         return grad
 
     def named_layers(self, prefix):

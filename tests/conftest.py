@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 import threading
 
 import numpy as np
@@ -131,6 +132,15 @@ def patch_cpus(monkeypatch, n):
 def cpu_helpers(started):
     """The helper threads of nn.map_on_cpus among recorded thread names."""
     return [name for name in started if name.startswith("xdvae-cpu-")]
+
+
+@pytest.fixture()
+def fast_switches():
+    """Threads switch as often as the interpreter allows while the test runs."""
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(switch)
 
 
 @pytest.fixture(params=[1, 2], ids=["1cpu", "2cpus"])

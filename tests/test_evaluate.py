@@ -409,6 +409,9 @@ class TestDegradedOnCpus:
         n_cpus, started = cpus
         view, split = degrade_view
         model = _linked_model(view, variant, attach, trained=True)
+        # training shares each step's weight gradients among the CPUs too;
+        # only the threads evaluate_degraded starts count below
+        started.clear()
         threads = threading.active_count()
         got = evaluate.evaluate_degraded(model, view, split, fractions, seed=7)
         assert threading.active_count() == threads

@@ -6,10 +6,10 @@ import pytest
 
 from xdvae import losses, nn
 from xdvae.model import LinkedVAE, ModelConfig, build_model, merge_latents
-from xdvae.nn import named_rng
+from xdvae.nn import DenseLayer, named_rng
 from xdvae.train import _batch_inputs
 
-from conftest import finite_diff_check, make_toy_bundle, make_toy_config
+from conftest import cpu_helpers, finite_diff_check, make_toy_bundle, make_toy_config, patch_cpus
 
 TOY = dict(m=8, n_source=6, n_target=8)
 
@@ -322,6 +322,84 @@ class TestGradients:
 
     def test_deep_encoder_stack(self):
         assert run_gradient_check("generic", enc_dims_source=(5, 4), enc_dims_target=(6, 4)) < GRAD_TOLERANCE
+
+
+WEIGHT_GRAD_CASES = {
+    "generic": ("generic", {}),
+    "no-mmd": ("no-mmd", {}),
+    "cold-start": ("cold-start", {}),
+    "cold-start-stop": ("cold-start", {"map_stop_gradient": True}),
+    "aux-both": ("aux", {"aux_attach": "both"}),
+    "aux-source": ("aux", {"aux_attach": "source"}),
+    "aux-target": ("aux", {"aux_attach": "target"}),
+    "single": ("single", {}),
+    "merged": ("merged", {}),
+}
+
+
+class TestWeightGradsOnCpus:
+    """backward runs the input-gradient chain on the calling thread, then every
+    layer's weight gradients in one CPU map; the whole gradient store equals
+    that of computing each layer's weight gradients inline, in the chain."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    @pytest.mark.parametrize("case", sorted(WEIGHT_GRAD_CASES))
+    def test_grads_equal_inline_weight_grads(self, monkeypatch, fast_switches, case, n_cpus):
+        variant, overrides = WEIGHT_GRAD_CASES[case]
+        model = build_toy_model(variant, **overrides)
+        r_s, r_t, pos, eps, aux = toy_batch(variant)
+        args = (r_s, r_t, pos, eps[:model.n_latents], aux if variant == "aux" else None)
+        n_layers = len(model.tensor_shapes()) // 2
+        backward, weight_grads = DenseLayer.backward, DenseLayer.weight_grads
+
+        def inline(layer, grad_y, cache, jobs, input_grad=True):
+            own = []
+            grad_x = backward(layer, grad_y, cache, own, input_grad)
+            for queued, grad_a, x in own:
+                queued.weight_grads(grad_a, x)
+            return grad_x
+
+        grads = model.loss_and_grads(*args)[1]
+        grads.flat[...] = np.nan   # a tensor nobody writes stays NaN
+        with monkeypatch.context() as patch:
+            patch.setattr(DenseLayer, "backward", inline)
+            model.loss_and_grads(*args)
+        want = grads.flat.tobytes()
+        assert not np.isnan(grads.flat).any()
+
+        started = patch_cpus(monkeypatch, n_cpus)
+        events, maps, map_on_cpus = [], [], nn.map_on_cpus
+
+        def chain(layer, *a, **kw):
+            grad_x = backward(layer, *a, **kw)
+            events.append("chain")
+            return grad_x
+
+        def job(layer, grad_a, x):
+            events.append("job")
+            weight_grads(layer, grad_a, x)
+
+        def recorded(fn, items):
+            items, helpers = list(items), len(cpu_helpers(started))
+            out = map_on_cpus(fn, items)
+            maps.append((items, len(cpu_helpers(started)) - helpers))
+            return out
+
+        monkeypatch.setattr(DenseLayer, "backward", chain)
+        monkeypatch.setattr(DenseLayer, "weight_grads", job)
+        monkeypatch.setattr(nn, "map_on_cpus", recorded)
+        grads.flat[...] = np.nan
+        assert model.loss_and_grads(*args)[1] is grads
+        assert grads.flat.tobytes() == want
+        # every job starts after the whole chain, one job per layer
+        assert events == ["chain"] * n_layers + ["job"] * n_layers
+        # one map over the jobs, then the L2 gradient's map over blocks
+        assert [type(items[0]) for items, _ in maps] == [tuple, slice]
+        jobs, helpers = maps[0]
+        assert len({id(layer) for layer, _, _ in jobs}) == len(jobs) == n_layers
+        assert [layer.w.size for layer, _, _ in jobs] == sorted(
+            (layer.w.size for layer, _, _ in jobs), reverse=True)
+        assert helpers == min(n_cpus, n_layers) - 1
 
 
 class TestConfig:

@@ -1,6 +1,5 @@
 """Layer mechanics, initialization, Adam, the CPU map and the finite-difference oracle."""
 
-import sys
 import threading
 
 import numpy as np
@@ -19,18 +18,10 @@ from xdvae.nn import (
     init_weights,
     map_on_cpus,
     named_rng,
+    weight_grads_on_cpus,
 )
 
 from conftest import cpu_helpers, finite_diff_check, make_layer, make_store, patch_cpus
-
-
-@pytest.fixture()
-def fast_switches():
-    """Threads switch as often as the interpreter allows while the test runs."""
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    yield
-    sys.setswitchinterval(switch)
 
 
 def make_stack(dims, activations, rng):
@@ -112,12 +103,40 @@ class TestDenseInPlace:
         x = rng.standard_normal((8, 6))
         grad_y = rng.standard_normal((8, 3))
         y, caches = stack.forward(x)
-        gx = stack.backward(grad_y, caches)
+        jobs = []
+        gx = stack.backward(grad_y, caches, jobs)
+        weight_grads_on_cpus(jobs)
         full = grads.flat.copy()
         grads.flat[...] = np.nan
-        assert stack.backward(grad_y, caches, input_grad=False) is None
+        jobs = []
+        assert stack.backward(grad_y, caches, jobs, input_grad=False) is None
+        # the chain writes no gradient; it queues each layer, last first, with its own input
+        assert np.isnan(grads.flat).all()
+        assert [layer for layer, _, _ in jobs] == stack.layers[::-1]
+        assert all(x_in is cache[0] for (_, _, x_in), cache in zip(jobs, caches[::-1]))
+        weight_grads_on_cpus(jobs)
         assert gx.shape == x.shape
         assert grads.flat.tobytes() == full.tobytes()
+
+    @pytest.mark.parametrize("activation", sorted(REFERENCE))
+    def test_backward_from_preact_is_the_input_gradient_alone(self, activation):
+        rng = np.random.default_rng(14)
+        layer = make_layer(rng.standard_normal((4, 5)), rng.standard_normal(4), activation)
+        layer.gw.flat[...] = np.arange(layer.gw.size)
+        layer.gb[...] = -1.0
+        before = layer.gw.tobytes() + layer.gb.tobytes()
+        grad_a = rng.standard_normal((7, 4))
+        gx = layer.backward_from_preact(grad_a)
+        assert gx.tobytes() == (grad_a @ layer.w).tobytes()
+        assert layer.gw.tobytes() + layer.gb.tobytes() == before
+
+
+def backprop(net, grad_y, cache):
+    """Run a layer's or a stack's backward and then its queued weight gradients."""
+    jobs = []
+    grad_x = net.backward(grad_y, cache, jobs)
+    weight_grads_on_cpus(jobs)
+    return grad_x
 
 
 class TestDenseBackward:
@@ -127,8 +146,8 @@ class TestDenseBackward:
         y, cache = layer.forward(rng.standard_normal((5, 4)))
         layer.gw[...] = 1.0
         layer.gb[...] = 1.0
-        gx = layer.backward(np.zeros_like(y), cache)
-        # backward overwrites the gradient views rather than adding to them
+        gx = backprop(layer, np.zeros_like(y), cache)
+        # the weight gradients overwrite the gradient views rather than adding to them
         assert not gx.any() and not layer.gw.any() and not layer.gb.any()
 
     def test_linear_squared_loss_closed_form(self):
@@ -139,7 +158,7 @@ class TestDenseBackward:
         x = rng.standard_normal((1, 4))
         t = rng.standard_normal((1, 3))
         y, cache = layer.forward(x)
-        layer.backward(2.0 * (y - t), cache)
+        backprop(layer, 2.0 * (y - t), cache)
         assert np.allclose(layer.gw, 2.0 * (y - t).T @ x)
 
     def test_stack_matches_finite_differences(self):
@@ -153,7 +172,7 @@ class TestDenseBackward:
             return float(((y - t) ** 2).sum())
 
         y, caches = stack.forward(x)
-        stack.backward(2.0 * (y - t), caches)
+        backprop(stack, 2.0 * (y - t), caches)
         assert finite_diff_check(loss, params, grads) < 1e-6
 
 
