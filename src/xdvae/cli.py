@@ -12,6 +12,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import queue
 import sys
@@ -132,21 +133,13 @@ def _write_reports(reports, command, args, inputs, config):
     return json_path, csv_path
 
 
-def _parse_int_list(text, flag):
+def _parse_list(text, flag, kind):
+    """The comma-separated values of flag, each read by kind (int or float)."""
     try:
-        values = [int(v) for v in text.split(",") if v.strip()]
+        values = [kind(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise CliError(f"{flag} expects a comma-separated integer list") from None
-    if not values:
-        raise CliError(f"{flag} is empty")
-    return values
-
-
-def _parse_float_list(text, flag):
-    try:
-        values = [float(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise CliError(f"{flag} expects a comma-separated float list") from None
+        noun = "integer" if kind is int else "float"
+        raise CliError(f"{flag} expects a comma-separated {noun} list") from None
     if not values:
         raise CliError(f"{flag} is empty")
     return values
@@ -158,14 +151,19 @@ def _check(flag, value, ok, rule):
         raise CliError(f"{flag} must be {rule}, got {value!r}")
 
 
+def _parse_distinct(text, flag, kind, ok, rule):
+    """_parse_list's values, each passing ok (else a usage error citing rule), none repeated."""
+    values = _parse_list(text, flag, kind)
+    for v in values:
+        _check(flag, v, ok(v), rule)
+    # a repeat would report the same cutoff or score the same fraction twice
+    _check(flag, text, len(set(values)) == len(values), "distinct values")
+    return values
+
+
 def _parse_ks(text):
     """The --ks cutoffs of eval and ablate, each within a 100-candidate ranking."""
-    ks = _parse_int_list(text, "--ks")
-    for k in ks:
-        _check("--ks", k, 1 <= k <= 100, "in 1..100")
-    # a repeat would report the same cutoff twice
-    _check("--ks", text, len(set(ks)) == len(ks), "distinct values")
-    return ks
+    return _parse_distinct(text, "--ks", int, lambda k: 1 <= k <= 100, "in 1..100")
 
 
 def _parse_labels(text):
@@ -239,7 +237,7 @@ def _model_config(args, **fields):
 
     A value that ModelConfig.validate rejects is a usage error naming its flag.
     """
-    dims = tuple(_parse_int_list(args.dims, "--dims"))
+    dims = tuple(_parse_list(args.dims, "--dims", int))
     if min(dims) < 1:
         raise CliError("--dims widths must be >= 1")
     shared = dict(beta=args.beta, lambda_reg=args.lambda_reg, lr=args.lr,
@@ -313,12 +311,8 @@ def cmd_eval(args, inputs):
     if args.seed is not None:
         _check("--seed", args.seed, args.seed >= 0, ">= 0")
     if args.protocol == "degrade":
-        fractions = _parse_float_list(args.fractions, "--fractions")
-        for f in fractions:
-            _check("--fractions", f, 0.0 <= f <= 1.0, "in [0, 1]")
-        # a repeat would score the same fraction twice
-        _check("--fractions", args.fractions, len(set(fractions)) == len(fractions),
-               "distinct values")
+        fractions = _parse_distinct(args.fractions, "--fractions", float,
+                                    lambda f: 0.0 <= f <= 1.0, "in [0, 1]")
     model, config = training.load_checkpoint(args.model, inputs.fingerprint(args.model))
     bundle, split = data.load_bundle(args.bundle, inputs.fingerprint(args.bundle))
     aux_width = None if bundle.aux_vectors is None else bundle.aux_vectors.shape[1]
@@ -362,7 +356,10 @@ def cmd_ablate(args, inputs):
     # one (report label, protocol, extra, config) per run, all checked before
     # the bundle is read
     if args.beta_sweep:
-        betas = _parse_float_list(args.beta_sweep, "--beta-sweep")
+        betas = _parse_list(args.beta_sweep, "--beta-sweep", float)
+        for beta in betas:
+            # ModelConfig.validate's rule for beta, named after this flag
+            _check("--beta-sweep", beta, 0 <= beta < math.inf, "finite and >= 0")
         runs = [(f"generic-b{beta:g}", "beta-sweep", {"beta": beta},
                  _model_config(args, beta=beta)) for beta in betas]
         # a repeat would train the same model again, and two values that print

@@ -1,8 +1,11 @@
-"""Training objectives, the reconstruction's gradient, and their sum.
+"""Training objectives, each with its gradient, and their sum.
 
-All data-dependent terms are averaged over the batch so that the weighting
-constants (beta, lambda_reg) keep their meaning across batch sizes.
-Reconstructions are scored from decoder logits, so no log ever sees 0.
+Every data-dependent term returns (value, gradient) from one function, so the
+value and its slope cannot drift apart; the L2 term's gradient is added by
+nn.weight_grads_on_cpus, in each layer's own job. All data-dependent terms
+are averaged over the batch so that the weighting constants (beta,
+lambda_reg) keep their meaning across batch sizes. Reconstructions are
+scored from decoder logits, so no log ever sees 0.
 """
 
 from __future__ import annotations
@@ -10,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 
 import numpy as np
-
-from . import nn
 
 VARIANTS = ("generic", "single", "merged", "no-mmd", "cold-start", "aux")
 
@@ -68,10 +69,15 @@ def masked_recon(a, pos, beta, batch):
     return value, g
 
 
-def kl_divergence(mu, logvar) -> float:
-    """KL(N(mu, exp(logvar)) || N(0, I)), summed over dims, averaged over the batch."""
-    per_row = 0.5 * (np.exp(logvar) + mu * mu - 1.0 - logvar).sum(axis=1)
-    return float(per_row.mean())
+def kl_divergence(mu, logvar):
+    """(value, (d value / d mu, d value / d logvar)) of KL(N(mu, exp(logvar)) || N(0, I)).
+
+    The value is summed over dims and averaged over the batch rows.
+    """
+    batch = mu.shape[0]
+    e = np.exp(logvar)
+    per_row = 0.5 * (e + mu * mu - 1.0 - logvar).sum(axis=1)
+    return float(per_row.mean()), (mu / batch, 0.5 * (e - 1.0) / batch)
 
 
 def l2_reg(params, lambda_reg) -> float:
@@ -83,34 +89,24 @@ def l2_reg(params, lambda_reg) -> float:
     return lambda_reg * float(np.einsum("i,i->", params.flat, params.flat))
 
 
-def add_l2_grad(params, grads, lambda_reg):
-    """Add the gradient of l2_reg, 2 * lambda_reg * params, into grads.
+def mmd_linear(z_source, z_target):
+    """(value, gradient) of the squared distance between the batches' latent means.
 
-    The sum is element-wise, so its blocks are shared among every usable CPU
-    (see nn.map_on_cpus), each thread with one block-sized buffer.
+    The gradient is that w.r.t. each row of z_source; each row of z_target,
+    of which there are as many, has its negative.
     """
-    if lambda_reg:
-        shape = (min(nn.BLOCK, params.flat.size),)
-        bufs = {}
-
-        def add(k, s):
-            p = params.flat[s]
-            buf = nn.scratch(bufs, k, shape)[:p.size]
-            grads.flat[s] += np.multiply(2.0 * lambda_reg, p, out=buf)
-
-        nn.map_on_cpus(add, nn.blocks(params.flat.size))
-
-
-def mmd_linear(z_source, z_target) -> float:
-    """Squared distance between the two batches' latent means."""
     diff = z_source.mean(axis=0) - z_target.mean(axis=0)
-    return float(diff @ diff)
+    return float(diff @ diff), (2.0 / z_source.shape[0]) * diff
 
 
-def mapping_loss(z_mapped, z_target) -> float:
-    """Mean squared difference between mapped and encoded target latents."""
+def mapping_loss(z_mapped, z_target):
+    """(value, d value / d z_mapped) of the mean squared mapped-minus-target latent.
+
+    The gradient w.r.t. z_target is the negative of the one returned.
+    """
     d = z_mapped - z_target
-    return float((d * d).mean(axis=1).mean())
+    batch, latent = d.shape
+    return float((d * d).mean(axis=1).mean()), 2.0 * d / (batch * latent)
 
 
 def compose_total(**components) -> LossBreakdown:

@@ -7,9 +7,11 @@ transfer). Ablations drop pieces of that design; the cold-start variant routes
 the target decoder through a learned source->target latent mapping; the aux
 variant fuses a per-user feature vector into the encoders via a sub-encoder.
 
-Backpropagation is hand-derived per variant (see loss_and_grads). Decoders
-end in an identity layer: they output logits, the reconstruction loss is
-computed from them, and scores are logits too.
+Backpropagation is hand-derived per variant (see loss_and_grads): forward
+computes each loss term and its gradient once (see losses), and backward
+chains those gradients. Decoders end in an identity layer: they output
+logits, the reconstruction loss is computed from them, and scores are
+logits too.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ ABLATION_VARIANTS = ("generic", "single", "single0", "merged", "merged0", "no-mm
 
 @dataclass
 class LatentState:
-    """Posterior batch for one domain: z = mu + exp(0.5 * logvar) * eps."""
+    """Posterior batch for one domain, z = mu + exp(0.5 * logvar) * eps, with its KL term."""
 
     mu: np.ndarray
     logvar: np.ndarray
     eps: np.ndarray
     z: np.ndarray
+    kl: tuple
 
 
 @dataclass
@@ -99,12 +102,6 @@ def merge_latents(z_source, z_target):
     return np.concatenate([z_source, z_target], axis=-1)
 
 
-def _kl_grads(state, batch):
-    g_mu = state.mu / batch
-    g_lv = 0.5 * (np.exp(state.logvar) - 1.0) / batch
-    return g_mu, g_lv
-
-
 class _Encoder:
     """Tanh hidden stack with parallel identity mu / logvar heads."""
 
@@ -138,7 +135,7 @@ class _Encoder:
         logvar, lv_cache = self.logvar_head.forward(h_comb)
         sigma = np.exp(0.5 * logvar)
         z = mu + sigma * eps
-        state = LatentState(mu, logvar, eps, z)
+        state = LatentState(mu, logvar, eps, z, losses.kl_divergence(mu, logvar))
         cache = {
             "h_caches": h_caches,
             "mu_cache": mu_cache,
@@ -149,13 +146,15 @@ class _Encoder:
         }
         return state, cache
 
-    def backward(self, g_z, g_mu_extra, g_lv_extra, state, cache, jobs):
+    def backward(self, g_z, state, cache, jobs):
         """Queue the encoder's weight grads on jobs; returns the sub-encoder slice grad (or None).
 
-        The gradient w.r.t. the encoder input is never needed, so it is not computed.
+        g_z is the gradient w.r.t. z; the KL term's is added here. The gradient
+        w.r.t. the encoder input is never needed, so it is not computed.
         """
-        g_mu = g_z + g_mu_extra
-        g_lv = g_z * (0.5 * cache["sigma"] * state.eps) + g_lv_extra
+        g_mu_kl, g_lv_kl = state.kl[1]
+        g_mu = g_z + g_mu_kl
+        g_lv = g_z * (0.5 * cache["sigma"] * state.eps) + g_lv_kl
         g_hc = self.mu_head.backward(g_mu, cache["mu_cache"], jobs)
         g_hc += self.logvar_head.backward(g_lv, cache["lv_cache"], jobs)
         g_sub = None
@@ -292,32 +291,33 @@ class LinkedVAE(_ModelBase):
         else:
             z_prime, map_cache = merge_latents(st_s.z, st_t.z), None
         a_t, dec_t_caches = self.dec_t.forward(z_prime)
-        batch, beta = r_s.shape[0], self.config.beta
+        cfg, batch = self.config, r_s.shape[0]
         return {
             "state_s": st_s, "state_t": st_t,
             "cache_s": cache_s, "cache_t": cache_t,
             "a_s": a_s, "a_t": a_t,
-            "recon_s": losses.masked_recon(a_s, pos_s, beta, batch),
-            "recon_t": losses.masked_recon(a_t, pos_t, beta, batch),
+            "recon_s": losses.masked_recon(a_s, pos_s, cfg.beta, batch),
+            "recon_t": losses.masked_recon(a_t, pos_t, cfg.beta, batch),
+            "reg": losses.l2_reg(self._params, cfg.lambda_reg),
+            "mmd": losses.mmd_linear(st_s.z, st_t.z) if self.use_mmd else None,
+            "map": losses.mapping_loss(z_prime, st_t.z) if self.use_map else None,
             "dec_s_caches": dec_s_caches, "dec_t_caches": dec_t_caches,
-            "z_prime": z_prime, "map_cache": map_cache,
-            "sub_caches": sub_caches,
+            "map_cache": map_cache, "sub_caches": sub_caches,
         }
 
     def loss_breakdown(self, fwd):
-        cfg = self.config
-        st_s, st_t = fwd["state_s"], fwd["state_t"]
+        """The values of the loss terms forward computed, and their total."""
         parts = {
             "recon_source": fwd["recon_s"][0],
-            "kl_source": losses.kl_divergence(st_s.mu, st_s.logvar),
+            "kl_source": fwd["state_s"].kl[0],
             "recon_target": fwd["recon_t"][0],
-            "kl_target": losses.kl_divergence(st_t.mu, st_t.logvar),
-            "reg": losses.l2_reg(self._params, cfg.lambda_reg),
+            "kl_target": fwd["state_t"].kl[0],
+            "reg": fwd["reg"],
         }
         if self.use_mmd:
-            parts["mmd"] = losses.mmd_linear(st_s.z, st_t.z)
+            parts["mmd"] = fwd["mmd"][0]
         if self.use_map:
-            parts["map_loss"] = losses.mapping_loss(fwd["z_prime"], st_t.z)
+            parts["map_loss"] = fwd["map"][0]
         return losses.compose_total(**parts)
 
     # -- backward ----------------------------------------------------------
@@ -326,7 +326,6 @@ class LinkedVAE(_ModelBase):
         """The input-gradient chain on this thread, then every weight gradient on every CPU."""
         cfg = self.config
         st_s, st_t = fwd["state_s"], fwd["state_t"]
-        batch = st_s.z.shape[0]
         L = cfg.latent_dim
         jobs = []
 
@@ -334,8 +333,7 @@ class LinkedVAE(_ModelBase):
         g_dec_t_in = self.dec_t.backward(fwd["recon_t"][1], fwd["dec_t_caches"], jobs)
 
         if self.use_map:
-            z_prime = fwd["z_prime"]
-            g_map = 2.0 * (z_prime - st_t.z) / (batch * L)
+            g_map = fwd["map"][1]
             g_zp = g_dec_t_in + g_map
             g_z_t = np.zeros_like(st_t.z)
             if not cfg.map_stop_gradient:
@@ -346,20 +344,17 @@ class LinkedVAE(_ModelBase):
             g_z_t = g_dec_t_in[:, L:].copy()
 
         if self.use_mmd:
-            diff = st_s.z.mean(axis=0) - st_t.z.mean(axis=0)
-            g_z_s += (2.0 / batch) * diff
-            g_z_t -= (2.0 / batch) * diff
+            g_mmd = fwd["mmd"][1]
+            g_z_s += g_mmd
+            g_z_t -= g_mmd
 
-        g_mu_s, g_lv_s = _kl_grads(st_s, batch)
-        g_sub_s = self.enc_s.backward(g_z_s, g_mu_s, g_lv_s, st_s, fwd["cache_s"], jobs)
-        g_mu_t, g_lv_t = _kl_grads(st_t, batch)
-        g_sub_t = self.enc_t.backward(g_z_t, g_mu_t, g_lv_t, st_t, fwd["cache_t"], jobs)
+        g_sub_s = self.enc_s.backward(g_z_s, st_s, fwd["cache_s"], jobs)
+        g_sub_t = self.enc_t.backward(g_z_t, st_t, fwd["cache_t"], jobs)
 
         if self.sub_encoder is not None:
             g_sub = sum(g for g in (g_sub_s, g_sub_t) if g is not None)
             self.sub_encoder.backward(g_sub, fwd["sub_caches"], jobs, input_grad=False)
-        weight_grads_on_cpus(jobs)
-        losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
+        weight_grads_on_cpus(jobs, cfg.lambda_reg)
         return self._grads
 
     # -- prediction ----------------------------------------------------------
@@ -428,27 +423,22 @@ class SingleVAE(_ModelBase):
         x = self._input(r_s, r_t)
         state, cache = self.enc.forward(x, eps_x)
         a, dec_caches = self.dec.forward(state.z)
+        cfg = self.config
         return {"state": state, "cache": cache, "a": a, "dec_caches": dec_caches,
-                "recon": losses.masked_recon(a, pos_x, self.config.beta, x.shape[0])}
+                "recon": losses.masked_recon(a, pos_x, cfg.beta, x.shape[0]),
+                "reg": losses.l2_reg(self._params, cfg.lambda_reg)}
 
     def loss_breakdown(self, fwd):
-        cfg = self.config
-        return losses.compose_total(
-            recon_target=fwd["recon"][0],
-            kl_target=losses.kl_divergence(fwd["state"].mu, fwd["state"].logvar),
-            reg=losses.l2_reg(self._params, cfg.lambda_reg),
-        )
+        """The values of the loss terms forward computed, and their total."""
+        return losses.compose_total(recon_target=fwd["recon"][0],
+                                    kl_target=fwd["state"].kl[0], reg=fwd["reg"])
 
     def backward(self, fwd):
         """The input-gradient chain on this thread, then every weight gradient on every CPU."""
-        cfg = self.config
-        batch = fwd["state"].z.shape[0]
         jobs = []
         g_z = self.dec.backward(fwd["recon"][1], fwd["dec_caches"], jobs)
-        g_mu, g_lv = _kl_grads(fwd["state"], batch)
-        self.enc.backward(g_z, g_mu, g_lv, fwd["state"], fwd["cache"], jobs)
-        weight_grads_on_cpus(jobs)
-        losses.add_l2_grad(self._params, self._grads, cfg.lambda_reg)
+        self.enc.backward(g_z, fwd["state"], fwd["cache"], jobs)
+        weight_grads_on_cpus(jobs, self.config.lambda_reg)
         return self._grads
 
     def predict_scores(self, r_s, r_t, aux=None):

@@ -248,16 +248,28 @@ class DenseLayer:
         return grad_a @ self.w
 
 
-def weight_grads_on_cpus(jobs):
+def weight_grads_on_cpus(jobs, lambda_reg):
     """Run weight_grads for every (layer, grad_a, x) of jobs, on every usable CPU.
 
     Each job overwrites its own layer's gw and gb with the BLAS call a serial
-    loop would make, so the bytes do not depend on which thread runs it.
+    loop would make, then adds the L2 gradient 2 * lambda_reg * (w, b) BLOCK
+    by BLOCK through one buffer per thread, so no byte depends on the thread.
     Whole BLAS calls overlap well on two cores; the largest W goes first, so
     the small ones even out the threads' ends.
     """
     jobs = sorted(jobs, key=lambda job: job[0].w.size, reverse=True)
-    map_on_cpus(lambda k, job: job[0].weight_grads(job[1], job[2]), jobs)
+    bufs = {}
+
+    def run(k, job):
+        layer, grad_a, x = job
+        layer.weight_grads(grad_a, x)
+        if lambda_reg:
+            buf = scratch(bufs, k, (min(BLOCK, jobs[0][0].w.size),))
+            for p, g in ((layer.w.reshape(-1), layer.gw.reshape(-1)), (layer.b, layer.gb)):
+                for s in blocks(p.size):
+                    g[s] += np.multiply(2.0 * lambda_reg, p[s], out=buf[:p[s].size])
+
+    map_on_cpus(run, jobs)
 
 
 class DenseStack:

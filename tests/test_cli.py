@@ -528,7 +528,8 @@ FLAGS_BEFORE_BUNDLE = {
     "ablate-beta": ("ablate", ["--beta", "nan"], "--beta must be finite and >= 0"),
     "train-batch-size": ("train", ["--batch-size", "0"], "--batch-size must be >= 1"),
     "ablate-dims": ("ablate", ["--dims", "0"], "--dims widths must be >= 1"),
-    "ablate-beta-sweep": ("ablate", ["--beta-sweep", "4,nan"], "--beta must be finite"),
+    "ablate-beta-sweep": ("ablate", ["--beta-sweep", "4,nan"],
+                          "--beta-sweep must be finite and >= 0, got nan"),
     "ablate-variants": ("ablate", ["--variants", "generic,bogus"], "unknown ablation variants"),
     # used to write reports with no run in them
     "ablate-variants-empty": ("ablate", ["--variants", " , "], "--variants is empty"),
@@ -601,10 +602,13 @@ class TestModelFlags:
         assert "--cold-fraction must be in (0, 1)" in capsys.readouterr().err
 
     def test_beta_sweep_value_is_checked(self, prepared, tmp_path, capsys):
-        code = main(["ablate", "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1",
-                     "--beta-sweep", "4,nan", "--out", str(tmp_path / "x")])
-        assert code == 1
-        assert "--beta must be finite and >= 0, got nan" in capsys.readouterr().err
+        # used to name --beta, a flag the command line did not pass
+        for sweep, bad in (("4,nan", "nan"), ("1,-2", "-2.0")):
+            code = main(["ablate", "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1",
+                         "--beta-sweep", sweep, "--out", str(tmp_path / "x")])
+            assert code == 1
+            assert capsys.readouterr().err == (
+                f"xdvae: error: --beta-sweep must be finite and >= 0, got {bad}\n")
 
     def test_shared_flags_keep_names_and_defaults(self, prepared, tmp_path):
         out = tmp_path / "m.xdv"

@@ -1,4 +1,4 @@
-"""Hand-evaluated oracle values and invariants for every loss term."""
+"""Hand-evaluated oracle values, invariants and finite-difference slopes for every loss term."""
 
 import math
 
@@ -110,23 +110,27 @@ class TestMaskedRecon:
             assert value > base
 
 
+def kl(mu, logvar):
+    """kl_divergence's value alone."""
+    return losses.kl_divergence(mu, logvar)[0]
+
+
 class TestKl:
     def test_standard_normal_posterior_is_zero(self):
-        assert losses.kl_divergence(np.zeros((1, 2)), np.zeros((1, 2))) == pytest.approx(0.0)
+        assert kl(np.zeros((1, 2)), np.zeros((1, 2))) == pytest.approx(0.0)
 
     def test_unit_mean_shift(self):
-        assert losses.kl_divergence(np.ones((1, 1)), np.zeros((1, 1))) == pytest.approx(0.5)
+        assert kl(np.ones((1, 1)), np.zeros((1, 1))) == pytest.approx(0.5)
 
     def test_variance_four(self):
         expected = 0.5 * (4 - 1 - math.log(4))
-        assert losses.kl_divergence(np.zeros((1, 1)), np.full((1, 1), math.log(4))) \
-            == pytest.approx(expected)
+        assert kl(np.zeros((1, 1)), np.full((1, 1), math.log(4))) == pytest.approx(expected)
 
     @given(mu=batch(), seed=st.integers(0, 2**16))
     @settings(max_examples=60, deadline=None)
     def test_nonnegative(self, mu, seed):
         logvar = np.random.default_rng(seed).uniform(-3, 3, size=mu.shape)
-        assert losses.kl_divergence(mu, logvar) >= -1e-12
+        assert kl(mu, logvar) >= -1e-12
 
 
 class TestL2Reg:
@@ -146,24 +150,26 @@ class TestL2Reg:
         expected = 0.3 * sum(float((a * a).sum()) for a in arrays.values())
         assert losses.l2_reg(make_store(**arrays), 0.3) == pytest.approx(expected, rel=1e-12)
 
-    def test_gradient_is_two_lambda_params_added_in(self):
-        rng = np.random.default_rng(1)
-        params = make_store(a=rng.standard_normal(BLOCK + 11), b=rng.standard_normal((3, 2)))
-        grads = make_store(a=np.ones(BLOCK + 11), b=np.ones((3, 2)))
-        losses.add_l2_grad(params, grads, 0.25)
-        for name in params:
-            assert np.array_equal(grads[name], 1.0 + (2.0 * 0.25) * params[name])
+
+def mmd(z_s, z_t):
+    """mmd_linear's value alone."""
+    return losses.mmd_linear(z_s, z_t)[0]
+
+
+def mapping(z_mapped, z_target):
+    """mapping_loss's value alone."""
+    return losses.mapping_loss(z_mapped, z_target)[0]
 
 
 class TestMmd:
     def test_identical_batches(self):
         z = np.random.default_rng(0).standard_normal((6, 4))
-        assert losses.mmd_linear(z, z) == pytest.approx(0.0)
+        assert mmd(z, z) == pytest.approx(0.0)
 
     def test_three_four_five(self):
         z_s = np.zeros((2, 2))
         z_t = np.array([[3.0, 4.0], [3.0, 4.0]])
-        assert losses.mmd_linear(z_s, z_t) == pytest.approx(25.0)
+        assert mmd(z_s, z_t) == pytest.approx(25.0)
 
     def test_matches_brute_force_and_symmetry(self):
         rng = np.random.default_rng(1)
@@ -171,21 +177,80 @@ class TestMmd:
         z_t = rng.standard_normal((8, 3))
         diff = z_s.mean(axis=0) - z_t.mean(axis=0)
         brute = sum(d * d for d in diff)
-        assert losses.mmd_linear(z_s, z_t) == pytest.approx(brute)
-        assert losses.mmd_linear(z_t, z_s) == pytest.approx(losses.mmd_linear(z_s, z_t))
+        assert mmd(z_s, z_t) == pytest.approx(brute)
+        assert mmd(z_t, z_s) == pytest.approx(mmd(z_s, z_t))
 
 
 class TestMappingLoss:
     def test_equal_vectors(self):
         z = np.ones((3, 4))
-        assert losses.mapping_loss(z, z) == 0.0
+        assert mapping(z, z) == 0.0
 
     def test_unit_differences(self):
-        assert losses.mapping_loss(np.ones((1, 2)), np.zeros((1, 2))) == pytest.approx(1.0)
+        assert mapping(np.ones((1, 2)), np.zeros((1, 2))) == pytest.approx(1.0)
 
     def test_single_coordinate(self):
         z = np.array([[1.0, 0, 0, 0]])
-        assert losses.mapping_loss(z, np.zeros((1, 4))) == pytest.approx(0.25)
+        assert mapping(z, np.zeros((1, 4))) == pytest.approx(0.25)
+
+
+def _mmd_term(z_s, z_t):
+    value, g = losses.mmd_linear(z_s, z_t)
+    # every row of z_s has slope g, every row of z_t its negative
+    return value, (np.broadcast_to(g, z_s.shape), np.broadcast_to(-g, z_t.shape))
+
+
+def _mapping_term(z_mapped, z_target):
+    value, g = losses.mapping_loss(z_mapped, z_target)
+    return value, (g, -g)
+
+
+def _recon_term(a):
+    value, g = losses.masked_recon(a, np.array([0, 2, 4, 7]), 15.0, a.shape[0])
+    return value, (g,)
+
+
+def _saturated_logits(rng):
+    """Logits of +-40 at the ones (flat 0, 2, 7) and at zeros, saturated right and wrong."""
+    a = 4.0 * rng.standard_normal((2, 5))
+    a[0, :4] = (40.0, -40.0, -40.0, 40.0)
+    a[1, :3] = (40.0, -40.0, 40.0)
+    return a
+
+
+# (term returning (value, gradient per input), its inputs) from a generator
+TERM_CASES = {
+    "kl": lambda rng: (losses.kl_divergence,
+                       [rng.standard_normal((5, 3)), rng.uniform(-3, 3, (5, 3))]),
+    "kl-logvar+20": lambda rng: (losses.kl_divergence,
+                                 [rng.standard_normal((5, 3)), rng.uniform(17, 23, (5, 3))]),
+    "kl-logvar-20": lambda rng: (losses.kl_divergence,
+                                 [rng.standard_normal((5, 3)), rng.uniform(-23, -17, (5, 3))]),
+    "mmd": lambda rng: (_mmd_term, [rng.standard_normal((6, 4)), rng.standard_normal((6, 4))]),
+    "mapping": lambda rng: (_mapping_term,
+                            [np.tanh(rng.standard_normal((6, 4))), rng.standard_normal((6, 4))]),
+    "masked-recon-saturated": lambda rng: (_recon_term, [_saturated_logits(rng)]),
+}
+
+
+@pytest.mark.parametrize("case", list(TERM_CASES))
+def test_returned_gradient_is_the_slope_of_the_value(case):
+    """Each term's gradient, per input entry, matches a central difference of its own value."""
+    term, inputs = TERM_CASES[case](np.random.default_rng(17))
+    value, grads = term(*inputs)
+    h = 1e-6
+    # a central difference carries the value's rounding, |value| * eps / h
+    noise = 1e-13 * max(abs(value), 1.0) / h
+    for x, g in zip(inputs, grads):
+        assert g.shape == x.shape
+        for i in np.ndindex(x.shape):
+            orig = x[i]
+            x[i] = orig + h
+            plus = term(*inputs)[0]
+            x[i] = orig - h
+            minus = term(*inputs)[0]
+            x[i] = orig
+            assert g[i] == pytest.approx((plus - minus) / (2.0 * h), rel=1e-6, abs=noise), i
 
 
 # the components each variant's model passes, in the order it passes them

@@ -339,8 +339,8 @@ WEIGHT_GRAD_CASES = {
 
 class TestWeightGradsOnCpus:
     """backward runs the input-gradient chain on the calling thread, then every
-    layer's weight gradients in one CPU map; the whole gradient store equals
-    that of computing each layer's weight gradients inline, in the chain."""
+    layer's weight gradients, each with its L2 term, in one CPU map; the whole
+    gradient store equals that of computing both inline, in the chain."""
 
     @pytest.mark.parametrize("n_cpus", [1, 2, 3])
     @pytest.mark.parametrize("case", sorted(WEIGHT_GRAD_CASES))
@@ -351,12 +351,15 @@ class TestWeightGradsOnCpus:
         args = (r_s, r_t, pos, eps[:model.n_latents], aux if variant == "aux" else None)
         n_layers = len(model.tensor_shapes()) // 2
         backward, weight_grads = DenseLayer.backward, DenseLayer.weight_grads
+        two_lambda = 2.0 * model.config.lambda_reg
 
         def inline(layer, grad_y, cache, jobs, input_grad=True):
             own = []
             grad_x = backward(layer, grad_y, cache, own, input_grad)
             for queued, grad_a, x in own:
                 queued.weight_grads(grad_a, x)
+                queued.gw += two_lambda * queued.w
+                queued.gb += two_lambda * queued.b
             return grad_x
 
         grads = model.loss_and_grads(*args)[1]
@@ -393,8 +396,8 @@ class TestWeightGradsOnCpus:
         assert grads.flat.tobytes() == want
         # every job starts after the whole chain, one job per layer
         assert events == ["chain"] * n_layers + ["job"] * n_layers
-        # one map over the jobs, then the L2 gradient's map over blocks
-        assert [type(items[0]) for items, _ in maps] == [tuple, slice]
+        # one map over the jobs, which add the L2 gradient too, serves the whole backward
+        assert [type(items[0]) for items, _ in maps] == [tuple]
         jobs, helpers = maps[0]
         assert len({id(layer) for layer, _, _ in jobs}) == len(jobs) == n_layers
         assert [layer.w.size for layer, _, _ in jobs] == sorted(

@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from xdvae import losses, nn
+from xdvae import nn
 from xdvae.nn import (
     BLOCK,
     Adam,
@@ -105,7 +105,7 @@ class TestDenseInPlace:
         y, caches = stack.forward(x)
         jobs = []
         gx = stack.backward(grad_y, caches, jobs)
-        weight_grads_on_cpus(jobs)
+        weight_grads_on_cpus(jobs, 0.0)
         full = grads.flat.copy()
         grads.flat[...] = np.nan
         jobs = []
@@ -114,7 +114,7 @@ class TestDenseInPlace:
         assert np.isnan(grads.flat).all()
         assert [layer for layer, _, _ in jobs] == stack.layers[::-1]
         assert all(x_in is cache[0] for (_, _, x_in), cache in zip(jobs, caches[::-1]))
-        weight_grads_on_cpus(jobs)
+        weight_grads_on_cpus(jobs, 0.0)
         assert gx.shape == x.shape
         assert grads.flat.tobytes() == full.tobytes()
 
@@ -135,7 +135,7 @@ def backprop(net, grad_y, cache):
     """Run a layer's or a stack's backward and then its queued weight gradients."""
     jobs = []
     grad_x = net.backward(grad_y, cache, jobs)
-    weight_grads_on_cpus(jobs)
+    weight_grads_on_cpus(jobs, 0.0)
     return grad_x
 
 
@@ -174,6 +174,40 @@ class TestDenseBackward:
         y, caches = stack.forward(x)
         backprop(stack, 2.0 * (y - t), caches)
         assert finite_diff_check(loss, params, grads) < 1e-6
+
+
+class TestWeightGradsL2:
+    """weight_grads_on_cpus adds the L2 term's gradient, 2 * lambda_reg * params,
+    in each layer's own job, right after that layer's weight-gradient call."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_grads_are_the_weight_grads_plus_two_lambda_params(self, monkeypatch,
+                                                               fast_switches, n_cpus):
+        # with 64-element blocks the first W (253 entries) spans four of them,
+        # the last one short, and every bias fits in one
+        monkeypatch.setattr(nn, "BLOCK", 64)
+        started = patch_cpus(monkeypatch, n_cpus)
+        rng = np.random.default_rng(15)
+        stack, params, grads = make_stack([23, 11, 7, 3], ["tanh", "tanh", "identity"], rng)
+        params.flat[:] = rng.standard_normal(params.flat.size)
+        y, caches = stack.forward(rng.standard_normal((6, 23)))
+        grad_y = rng.standard_normal(y.shape)
+        jobs = []
+        stack.backward(grad_y, caches, jobs)
+
+        def grads_after(lambda_reg):
+            grads.flat[...] = np.nan
+            weight_grads_on_cpus(jobs, lambda_reg)
+            return grads.flat.copy()
+
+        pure = grads_after(0.0)
+        grads.flat[...] = np.nan
+        for layer, grad_a, x in jobs:
+            layer.weight_grads(grad_a, x)
+        assert pure.tobytes() == grads.flat.tobytes()
+        assert grads_after(0.3).tobytes() == (pure + (2.0 * 0.3) * params.flat).tobytes()
+        # one map per call: a helper per CPU beyond the first, 3 jobs each
+        assert len(cpu_helpers(started)) == 2 * (n_cpus - 1)
 
 
 class TestParamStore:
@@ -265,8 +299,8 @@ class TestAdam:
     def test_blocked_update_matches_per_tensor_reference(self, monkeypatch, fast_switches):
         # Sizes straddle the boundaries of many 64-element blocks, which 1, 2
         # or 3 threads share; the element-wise arithmetic is the same as a
-        # per-tensor update, so Adam and the L2 gradient must be bit-identical.
-        # Frequent thread switches would mix temporaries of a shared buffer.
+        # per-tensor update, so Adam must be bit-identical. Frequent thread
+        # switches would mix temporaries of a shared buffer.
         block = 64
         monkeypatch.setattr(nn, "BLOCK", block)
         sizes = {"a": 5 * block - 3, "b": 7, "c": 9 * block + 5}
@@ -281,10 +315,6 @@ class TestAdam:
             opt = Adam(params, lr=0.01)
             for t in range(1, 4):
                 grads.flat[:] = rng.standard_normal(grads.flat.size)
-                g_ref = {n: grads[n] + 2.0 * 0.3 * params[n] for n in sizes}
-                losses.add_l2_grad(params, grads, 0.3)
-                for n in sizes:
-                    assert np.array_equal(grads[n], g_ref[n])
                 opt.step(params, grads)
                 c1, c2 = 1.0 - 0.9 ** t, 1.0 - 0.999 ** t
                 for n in sizes:
@@ -296,8 +326,8 @@ class TestAdam:
                     ref[n] -= 0.01 * (m[n] / c1) / (np.sqrt(v[n] / c2) + 1e-8)
             for n in sizes:
                 assert np.array_equal(params[n], ref[n])
-            # one helper per CPU beyond the first, for each of 3 updates and 3 L2 sums
-            assert len(cpu_helpers(started)) == 6 * (n_cpus - 1)
+            # one helper per CPU beyond the first, for each of 3 updates
+            assert len(cpu_helpers(started)) == 3 * (n_cpus - 1)
 
     def test_update_on_helpers_keeps_the_callers_error_state(self, monkeypatch):
         # lr * m overflows in every block; train() ignores that, and a helper
