@@ -14,8 +14,6 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-VARIANTS = ("generic", "single", "merged", "no-mmd", "cold-start", "aux")
-
 
 @dataclass
 class LossBreakdown:

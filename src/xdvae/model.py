@@ -8,15 +8,16 @@ the target decoder through a learned source->target latent mapping; the aux
 variant fuses a per-user feature vector into the encoders via a sub-encoder.
 
 Backpropagation is hand-derived per variant (see loss_and_grads): forward
-computes each loss term and its gradient once (see losses), and backward
-chains those gradients. Decoders end in an identity layer: they output
-logits, the reconstruction loss is computed from them, and scores are
-logits too.
+computes each loss term and its gradient once (see losses), keyed by its
+LossBreakdown field, and backward chains those gradients. Decoders end in an
+identity layer: they output logits, the reconstruction loss is computed from
+them, and scores are logits too.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import losses
 from .nn import (DenseLayer, DenseStack, bind_layers, init_weights, tensor_shapes,
                  weight_grads_on_cpus)
 
-VARIANTS = losses.VARIANTS
+VARIANTS = ("generic", "single", "merged", "no-mmd", "cold-start", "aux")
 LINKED_VARIANTS = ("generic", "no-mmd", "cold-start", "aux")
 # the ablation runs; the "0" suffix forces beta to zero
 ABLATION_VARIANTS = ("generic", "single", "single0", "merged", "merged0", "no-mmd")
@@ -33,13 +34,27 @@ ABLATION_VARIANTS = ("generic", "single", "single0", "merged", "merged0", "no-mm
 
 @dataclass
 class LatentState:
-    """Posterior batch for one domain, z = mu + exp(0.5 * logvar) * eps, with its KL term."""
+    """One encoder pass: the posterior batch z = mu + sigma * eps, sigma = exp(0.5 * logvar),
+    its KL term (value, gradient) and the layer caches backward reads."""
 
     mu: np.ndarray
     logvar: np.ndarray
     eps: np.ndarray
     z: np.ndarray
     kl: tuple
+    sigma: np.ndarray
+    h_caches: list
+    mu_cache: tuple
+    lv_cache: tuple
+
+
+# the layer-width lists of a config: tuples in memory, lists in a header
+_DIMS_FIELDS = ("enc_dims_source", "enc_dims_target", "aux_encoder_dims")
+
+
+def is_int(value):
+    """True for an integer that is not a bool (a header may hold 3.0 or true)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -63,6 +78,14 @@ class ModelConfig:
 
     def validate(self):
         """Raise ValueError for the first bad field; the message starts with its name."""
+        # integer fields first: a header may hold 3.0 or true where 3 or 1 belongs
+        ints = {"batch_size": [self.batch_size], "epochs": [self.epochs],
+                "latent_dim": [self.latent_dim], "seed": [self.seed],
+                "aux_dim": [] if self.aux_dim is None else [self.aux_dim],
+                **{key: getattr(self, key) for key in _DIMS_FIELDS}}
+        for name, values in ints.items():
+            if not all(map(is_int, values)):
+                raise ValueError(f"{name} must be of integer type, got {getattr(self, name)!r}")
         for name, ok, rule in (
             ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
             ("beta", 0 <= self.beta < math.inf, "finite and >= 0"),
@@ -83,18 +106,12 @@ class ModelConfig:
         return self
 
     def to_dict(self):
-        d = asdict(self)
-        for key in ("enc_dims_source", "enc_dims_target", "aux_encoder_dims"):
-            d[key] = list(d[key])
-        return d
+        return {k: list(v) if k in _DIMS_FIELDS else v for k, v in asdict(self).items()}
 
     @classmethod
     def from_dict(cls, d):
-        d = dict(d)
-        for key in ("enc_dims_source", "enc_dims_target", "aux_encoder_dims"):
-            if key in d and d[key] is not None:
-                d[key] = tuple(d[key])
-        return cls(**d).validate()
+        return cls(**{k: tuple(v) if k in _DIMS_FIELDS else v
+                      for k, v in dict(d).items()}).validate()
 
 
 def merge_latents(z_source, z_target):
@@ -109,6 +126,8 @@ class _Encoder:
         self.input_dim = input_dim
         dims = [input_dim] + list(hidden_dims)
         self.hidden = DenseStack.create(dims, ["tanh"] * (len(dims) - 1))
+        # the heads read the hidden output, then the sub-encoder's, if any
+        self.main_width = dims[-1]
         head_in = dims[-1] + extra_head_input
         self.mu_head = DenseLayer(head_in, latent_dim, "identity")
         self.logvar_head = DenseLayer(head_in, latent_dim, "identity")
@@ -129,24 +148,16 @@ class _Encoder:
         return self.mu_head.forward(h_comb)[0]
 
     def forward(self, r, eps, sub_out=None):
+        """The LatentState of one training pass, which backward reads."""
         h, h_caches = self.hidden.forward(r)
         h_comb = h if sub_out is None else np.concatenate([h, sub_out], axis=1)
         mu, mu_cache = self.mu_head.forward(h_comb)
         logvar, lv_cache = self.logvar_head.forward(h_comb)
         sigma = np.exp(0.5 * logvar)
-        z = mu + sigma * eps
-        state = LatentState(mu, logvar, eps, z, losses.kl_divergence(mu, logvar))
-        cache = {
-            "h_caches": h_caches,
-            "mu_cache": mu_cache,
-            "lv_cache": lv_cache,
-            "sigma": sigma,
-            "main_width": h.shape[1],
-            "has_sub": sub_out is not None,
-        }
-        return state, cache
+        return LatentState(mu, logvar, eps, mu + sigma * eps, losses.kl_divergence(mu, logvar),
+                           sigma, h_caches, mu_cache, lv_cache)
 
-    def backward(self, g_z, state, cache, jobs):
+    def backward(self, g_z, state, jobs):
         """Queue the encoder's weight grads on jobs; returns the sub-encoder slice grad (or None).
 
         g_z is the gradient w.r.t. z; the KL term's is added here. The gradient
@@ -154,15 +165,11 @@ class _Encoder:
         """
         g_mu_kl, g_lv_kl = state.kl[1]
         g_mu = g_z + g_mu_kl
-        g_lv = g_z * (0.5 * cache["sigma"] * state.eps) + g_lv_kl
-        g_hc = self.mu_head.backward(g_mu, cache["mu_cache"], jobs)
-        g_hc += self.logvar_head.backward(g_lv, cache["lv_cache"], jobs)
-        g_sub = None
-        if cache["has_sub"]:
-            w = cache["main_width"]
-            g_sub = g_hc[:, w:]
-            g_hc = g_hc[:, :w]
-        self.hidden.backward(g_hc, cache["h_caches"], jobs, input_grad=False)
+        g_lv = g_z * (0.5 * state.sigma * state.eps) + g_lv_kl
+        g_hc = self.mu_head.backward(g_mu, state.mu_cache, jobs)
+        g_hc += self.logvar_head.backward(g_lv, state.lv_cache, jobs)
+        g_sub = g_hc[:, self.main_width:] if self.mu_head.shape[1] > self.main_width else None
+        self.hidden.backward(g_hc[:, :self.main_width], state.h_caches, jobs, input_grad=False)
         return g_sub
 
     def named_layers(self, prefix):
@@ -199,6 +206,10 @@ class _ModelBase:
     def params(self):
         """ParamStore of every tensor; the layers hold views into it."""
         return self._params
+
+    def loss_breakdown(self, fwd):
+        """The values of the loss terms forward computed, and their total."""
+        return losses.compose_total(**{name: term[0] for name, term in fwd["terms"].items()})
 
     def loss_and_grads(self, r_s, r_t, pos, eps, aux=None):
         """(LossBreakdown, grads) for one batch.
@@ -279,12 +290,16 @@ class LinkedVAE(_ModelBase):
                 out if "T" in self.aux_attached else None, caches)
 
     def forward(self, r_s, r_t, pos, eps, aux=None):
-        """Training forward pass through both reconstructions; returns a state dict for backward()."""
+        """Training forward pass through both reconstructions; returns a state dict for backward().
+
+        Its "terms" maps each loss term the variant passes, named and ordered
+        as the LossBreakdown fields, to its (value, gradient).
+        """
         pos_s, pos_t = pos
         eps_s, eps_t = eps
         sub_s, sub_t, sub_caches = self._sub_outputs(aux)
-        st_s, cache_s = self.enc_s.forward(r_s, eps_s, sub_s)
-        st_t, cache_t = self.enc_t.forward(r_t, eps_t, sub_t)
+        st_s = self.enc_s.forward(r_s, eps_s, sub_s)
+        st_t = self.enc_t.forward(r_t, eps_t, sub_t)
         a_s, dec_s_caches = self.dec_s.forward(st_s.z)
         if self.use_map:
             z_prime, map_cache = self.map_layer.forward(st_s.z)
@@ -292,48 +307,38 @@ class LinkedVAE(_ModelBase):
             z_prime, map_cache = merge_latents(st_s.z, st_t.z), None
         a_t, dec_t_caches = self.dec_t.forward(z_prime)
         cfg, batch = self.config, r_s.shape[0]
+        terms = {
+            "recon_source": losses.masked_recon(a_s, pos_s, cfg.beta, batch),
+            "kl_source": st_s.kl,
+            "recon_target": losses.masked_recon(a_t, pos_t, cfg.beta, batch),
+            "kl_target": st_t.kl,
+            # the L2 gradient is added in each layer's weight-gradient job
+            "reg": (losses.l2_reg(self._params, cfg.lambda_reg), None),
+        }
+        if self.use_mmd:
+            terms["mmd"] = losses.mmd_linear(st_s.z, st_t.z)
+        if self.use_map:
+            terms["map_loss"] = losses.mapping_loss(z_prime, st_t.z)
         return {
-            "state_s": st_s, "state_t": st_t,
-            "cache_s": cache_s, "cache_t": cache_t,
-            "a_s": a_s, "a_t": a_t,
-            "recon_s": losses.masked_recon(a_s, pos_s, cfg.beta, batch),
-            "recon_t": losses.masked_recon(a_t, pos_t, cfg.beta, batch),
-            "reg": losses.l2_reg(self._params, cfg.lambda_reg),
-            "mmd": losses.mmd_linear(st_s.z, st_t.z) if self.use_mmd else None,
-            "map": losses.mapping_loss(z_prime, st_t.z) if self.use_map else None,
+            "state_s": st_s, "state_t": st_t, "a_s": a_s, "a_t": a_t, "terms": terms,
             "dec_s_caches": dec_s_caches, "dec_t_caches": dec_t_caches,
             "map_cache": map_cache, "sub_caches": sub_caches,
         }
-
-    def loss_breakdown(self, fwd):
-        """The values of the loss terms forward computed, and their total."""
-        parts = {
-            "recon_source": fwd["recon_s"][0],
-            "kl_source": fwd["state_s"].kl[0],
-            "recon_target": fwd["recon_t"][0],
-            "kl_target": fwd["state_t"].kl[0],
-            "reg": fwd["reg"],
-        }
-        if self.use_mmd:
-            parts["mmd"] = fwd["mmd"][0]
-        if self.use_map:
-            parts["map_loss"] = fwd["map"][0]
-        return losses.compose_total(**parts)
 
     # -- backward ----------------------------------------------------------
 
     def backward(self, fwd):
         """The input-gradient chain on this thread, then every weight gradient on every CPU."""
-        cfg = self.config
+        cfg, terms = self.config, fwd["terms"]
         st_s, st_t = fwd["state_s"], fwd["state_t"]
         L = cfg.latent_dim
         jobs = []
 
-        g_z_s = self.dec_s.backward(fwd["recon_s"][1], fwd["dec_s_caches"], jobs)
-        g_dec_t_in = self.dec_t.backward(fwd["recon_t"][1], fwd["dec_t_caches"], jobs)
+        g_z_s = self.dec_s.backward(terms["recon_source"][1], fwd["dec_s_caches"], jobs)
+        g_dec_t_in = self.dec_t.backward(terms["recon_target"][1], fwd["dec_t_caches"], jobs)
 
         if self.use_map:
-            g_map = fwd["map"][1]
+            g_map = terms["map_loss"][1]
             g_zp = g_dec_t_in + g_map
             g_z_t = np.zeros_like(st_t.z)
             if not cfg.map_stop_gradient:
@@ -344,12 +349,12 @@ class LinkedVAE(_ModelBase):
             g_z_t = g_dec_t_in[:, L:].copy()
 
         if self.use_mmd:
-            g_mmd = fwd["mmd"][1]
+            g_mmd = terms["mmd"][1]
             g_z_s += g_mmd
             g_z_t -= g_mmd
 
-        g_sub_s = self.enc_s.backward(g_z_s, st_s, fwd["cache_s"], jobs)
-        g_sub_t = self.enc_t.backward(g_z_t, st_t, fwd["cache_t"], jobs)
+        g_sub_s = self.enc_s.backward(g_z_s, st_s, jobs)
+        g_sub_t = self.enc_t.backward(g_z_t, st_t, jobs)
 
         if self.sub_encoder is not None:
             g_sub = sum(g for g in (g_sub_s, g_sub_t) if g is not None)
@@ -421,23 +426,19 @@ class SingleVAE(_ModelBase):
         (pos_x,) = pos
         (eps_x,) = eps
         x = self._input(r_s, r_t)
-        state, cache = self.enc.forward(x, eps_x)
+        state = self.enc.forward(x, eps_x)
         a, dec_caches = self.dec.forward(state.z)
         cfg = self.config
-        return {"state": state, "cache": cache, "a": a, "dec_caches": dec_caches,
-                "recon": losses.masked_recon(a, pos_x, cfg.beta, x.shape[0]),
-                "reg": losses.l2_reg(self._params, cfg.lambda_reg)}
-
-    def loss_breakdown(self, fwd):
-        """The values of the loss terms forward computed, and their total."""
-        return losses.compose_total(recon_target=fwd["recon"][0],
-                                    kl_target=fwd["state"].kl[0], reg=fwd["reg"])
+        terms = {"recon_target": losses.masked_recon(a, pos_x, cfg.beta, x.shape[0]),
+                 "kl_target": state.kl,
+                 "reg": (losses.l2_reg(self._params, cfg.lambda_reg), None)}
+        return {"state": state, "a": a, "dec_caches": dec_caches, "terms": terms}
 
     def backward(self, fwd):
         """The input-gradient chain on this thread, then every weight gradient on every CPU."""
         jobs = []
-        g_z = self.dec.backward(fwd["recon"][1], fwd["dec_caches"], jobs)
-        self.enc.backward(g_z, fwd["state"], fwd["cache"], jobs)
+        g_z = self.dec.backward(fwd["terms"]["recon_target"][1], fwd["dec_caches"], jobs)
+        self.enc.backward(g_z, fwd["state"], jobs)
         weight_grads_on_cpus(jobs, self.config.lambda_reg)
         return self._grads
 
@@ -449,7 +450,6 @@ class SingleVAE(_ModelBase):
 
 def architecture(config, n_source, n_target):
     """The model for config.variant with its layers unbound: shapes only, nothing allocated."""
-    config.validate()
     host = LinkedVAE if config.variant in LINKED_VARIANTS else SingleVAE
     return host(config, n_source, n_target)
 

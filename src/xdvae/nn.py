@@ -175,14 +175,18 @@ def tensor_shapes(named_layers):
 def bind_layers(named_layers):
     """(params, grads) stores over a list of (prefix, DenseLayer) pairs.
 
-    Tensors are named as tensor_shapes says and start at zero; each layer's
-    w and b become views of params, and its gw and gb views of grads.
+    Tensors are named as tensor_shapes says and start at zero; each layer's w, b
+    and span (w and b at once) view params, and its gw, gb and grad_span grads.
     """
     shapes = tensor_shapes(named_layers)
     params, grads = ParamStore(shapes), ParamStore(shapes)
+    at = 0
     for p, layer in named_layers:
         layer.w, layer.b = params[f"{p}.W"], params[f"{p}.b"]
         layer.gw, layer.gb = grads[f"{p}.W"], grads[f"{p}.b"]
+        end = at + layer.w.size + layer.b.size
+        layer.span, layer.grad_span = params.flat[at:end], grads.flat[at:end]
+        at = end
     return params, grads
 
 
@@ -200,7 +204,7 @@ class DenseLayer:
             raise ValueError(f"unknown activation {activation!r}")
         self.shape = (out_dim, in_dim)
         self.activation = activation
-        self.w = self.b = self.gw = self.gb = None
+        self.w = self.b = self.gw = self.gb = self.span = self.grad_span = None
 
     def forward(self, x):
         """Returns (y, cache); x has shape (batch, shape[1])."""
@@ -252,22 +256,23 @@ def weight_grads_on_cpus(jobs, lambda_reg):
     """Run weight_grads for every (layer, grad_a, x) of jobs, on every usable CPU.
 
     Each job overwrites its own layer's gw and gb with the BLAS call a serial
-    loop would make, then adds the L2 gradient 2 * lambda_reg * (w, b) BLOCK
-    by BLOCK through one buffer per thread, so no byte depends on the thread.
-    Whole BLAS calls overlap well on two cores; the largest W goes first, so
-    the small ones even out the threads' ends.
+    loop would make, then adds the L2 gradient 2 * lambda_reg * (w, b) over
+    the layer's span, BLOCK by BLOCK through one buffer per thread, so no
+    byte depends on the thread. Whole BLAS calls overlap well on two cores;
+    the largest W goes first, so the small ones even out the threads' ends.
     """
     jobs = sorted(jobs, key=lambda job: job[0].w.size, reverse=True)
+    width = min(BLOCK, max((job[0].span.size for job in jobs), default=0))
     bufs = {}
 
     def run(k, job):
         layer, grad_a, x = job
         layer.weight_grads(grad_a, x)
         if lambda_reg:
-            buf = scratch(bufs, k, (min(BLOCK, jobs[0][0].w.size),))
-            for p, g in ((layer.w.reshape(-1), layer.gw.reshape(-1)), (layer.b, layer.gb)):
-                for s in blocks(p.size):
-                    g[s] += np.multiply(2.0 * lambda_reg, p[s], out=buf[:p[s].size])
+            buf = scratch(bufs, k, (width,))
+            p, g = layer.span, layer.grad_span
+            for s in blocks(p.size):
+                g[s] += np.multiply(2.0 * lambda_reg, p[s], out=buf[:p[s].size])
 
     map_on_cpus(run, jobs)
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .data import DataError, read_container, write_container
 from .losses import LossBreakdown
-from .model import ABLATION_VARIANTS, ModelConfig, architecture, build_model
+from .model import ABLATION_VARIANTS, ModelConfig, architecture, build_model, is_int
 from .nn import Adam, NumericError, assert_all_finite, named_rng
 
 CHECKPOINT_MAGIC = b"XDV1"
@@ -199,6 +199,9 @@ def load_checkpoint(path, fingerprint=None):
         config = ModelConfig.from_dict(header["config"])
         variant = header["variant"]
         dims = header["dims"]
+        for name in ("n_source", "n_target"):
+            if not is_int(dims[name]):
+                raise ValueError(f"dims.{name} must be of integer type, got {dims[name]!r}")
         model = architecture(config, dims["n_source"], dims["n_target"])
         declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
     except (KeyError, TypeError, ValueError) as e:

@@ -62,6 +62,19 @@ def trained(prepared, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def aux_bundle_models(prepared, tmp_path_factory):
+    """The prepared bundle with 3 aux columns, and an untrained aux and cold-start
+    checkpoint of it by variant."""
+    out = tmp_path_factory.mktemp("cli-aux")
+    bundle = _with_aux(prepared, out / "aux3.xdb", 3)
+    models = {variant: out / f"{variant}.xdv" for variant in ("aux", "cold-start")}
+    for variant, path in models.items():
+        assert main(["train", "--bundle", str(bundle), "--variant", variant, *TRAIN_FLAGS,
+                     "--epochs", "0", "--out", str(path)]) == 0
+    return bundle, models
+
+
 class TestPrepare:
     def test_outputs_exist_with_manifest(self, prepared):
         assert prepared.exists()
@@ -300,6 +313,26 @@ HEADER_DEFECTS = {
     "sample-inference-mode": lambda h: h["config"].update(inference_mode="sample"),
 }
 
+def _to_float(table, key):
+    """Turn table[key], an integer or a list of them, into equal floats."""
+    value = table[key]
+    table[key] = [float(v) for v in value] if isinstance(value, list) else float(value)
+
+
+# (field the error names, edit) per defect of an integer field in a
+# checkpoint's header; floats equal to the trained integers keep the tensor
+# list matching, so only the type is wrong
+INTEGER_FIELD_DEFECTS = {
+    "float-seed": ("seed", lambda h: h["config"].update(seed=1.5)),
+    "bool-seed": ("seed", lambda h: h["config"].update(seed=True)),
+    "float-aux-dim": ("aux_dim", lambda h: h["config"].update(aux_dim=3.0)),
+    **{f"float-{key.replace('_', '-')}": (key, lambda h, key=key: _to_float(h["config"], key))
+       for key in ("latent_dim", "enc_dims_source", "enc_dims_target", "aux_encoder_dims")},
+    **{f"float-{key.replace('_', '-')}": (f"dims.{key}",
+                                          lambda h, key=key: _to_float(h["dims"], key))
+       for key in ("n_source", "n_target")},
+}
+
 BUNDLE_HEADER_DEFECTS = {
     "missing-blobs": lambda h: h.pop("blobs"),
     "blob-dtype-not-a-string": lambda h: h["blobs"][0].update(dtype=7),
@@ -336,6 +369,23 @@ class TestEval:
         ])
         assert code == 2
         assert "malformed checkpoint header" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("protocol", ["standard", "degrade", "coldstart"])
+    @pytest.mark.parametrize("defect", sorted(INTEGER_FIELD_DEFECTS))
+    def test_non_integer_field_exit_two(self, aux_bundle_models, tmp_path, capsys, protocol,
+                                        defect):
+        # used to end in a TypeError traceback from np.zeros or named_rng, or
+        # for a field the model does not read, to load
+        bundle, models = aux_bundle_models
+        field, edit = INTEGER_FIELD_DEFECTS[defect]
+        bad = tmp_path / "bad.xdv"
+        rewrite_header(models["cold-start" if protocol == "coldstart" else "aux"], bad, edit)
+        code = main(["eval", "--model", str(bad), "--bundle", str(bundle),
+                     "--protocol", protocol, "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "malformed checkpoint header" in err
+        assert f"{field} must be of integer type" in err
 
     @pytest.mark.parametrize("declared, message", [
         ("original", "tensor list mismatch"),

@@ -10,6 +10,7 @@ from xdvae.nn import DenseLayer, named_rng
 from xdvae.train import _batch_inputs
 
 from conftest import cpu_helpers, finite_diff_check, make_toy_bundle, make_toy_config, patch_cpus
+from test_losses import PASSED
 
 TOY = dict(m=8, n_source=6, n_target=8)
 
@@ -36,7 +37,7 @@ class TestEncode:
     def test_zero_input_zero_biases_gives_eps(self):
         model = build_toy_model("generic")
         eps = np.random.default_rng(0).standard_normal((1, 3))
-        state, _ = model.enc_s.forward(np.zeros((1, 6)), eps)
+        state = model.enc_s.forward(np.zeros((1, 6)), eps)
         # tanh(0) = 0 chains through zero-init biases into zero heads
         assert np.allclose(state.mu, 0.0)
         assert np.allclose(state.logvar, 0.0)
@@ -45,7 +46,7 @@ class TestEncode:
     def test_zero_eps_collapses_to_mu(self):
         model = build_toy_model("generic")
         r = np.random.default_rng(1).random((1, 6))
-        state, _ = model.enc_s.forward(r, np.zeros((1, 3)))
+        state = model.enc_s.forward(r, np.zeros((1, 3)))
         assert np.array_equal(state.z, state.mu)
         assert np.array_equal(model.enc_s.mean(r), state.mu)
 
@@ -53,14 +54,14 @@ class TestEncode:
         model = build_toy_model("generic")
         rng = np.random.default_rng(2)
         r, eps = rng.random((2, 6)), rng.standard_normal((2, 3))
-        a, _ = model.enc_s.forward(r, eps)
-        b, _ = model.enc_s.forward(r, eps)
+        a = model.enc_s.forward(r, eps)
+        b = model.enc_s.forward(r, eps)
         assert np.array_equal(a.z, b.z)
 
     def test_reparametrization_identity(self):
         model = build_toy_model("generic")
         rng = np.random.default_rng(3)
-        state, _ = model.enc_t.forward(rng.random((4, 8)), rng.standard_normal((4, 3)))
+        state = model.enc_t.forward(rng.random((4, 8)), rng.standard_normal((4, 3)))
         rebuilt = state.mu + np.exp(0.5 * state.logvar) * state.eps
         assert np.array_equal(state.z, rebuilt)
 
@@ -219,6 +220,15 @@ class TestVariantSharing:
         b = build_toy_model("no-mmd", seed=21)
         for name, p in a.params().items():
             assert np.array_equal(p, b.params()[name])
+
+    @pytest.mark.parametrize("variant", sorted(PASSED))
+    def test_forward_passes_exactly_its_terms(self, variant):
+        # the terms are keyed by LossBreakdown field, in field order
+        model = build_toy_model(variant)
+        r_s, r_t, pos, eps, aux = toy_batch(variant)
+        fwd = model.forward(r_s, r_t, pos, eps[:model.n_latents],
+                            aux if variant == "aux" else None)
+        assert tuple(fwd["terms"]) == PASSED[variant]
 
     def test_breakdown_total_matches_field_sum(self):
         for variant in ("generic", "no-mmd", "single", "merged", "cold-start", "aux"):
