@@ -86,6 +86,13 @@ class ModelConfig:
         for name, values in ints.items():
             if not all(map(is_int, values)):
                 raise ValueError(f"{name} must be of integer type, got {getattr(self, name)!r}")
+        # then the real and bool fields: a header may hold true, "1" or null
+        for name in ("beta", "lambda_reg", "lr", "cold_fraction"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{name} must be an int or a float, got {value!r}")
+        if not isinstance(self.map_stop_gradient, bool):
+            raise ValueError(f"map_stop_gradient must be a bool, got {self.map_stop_gradient!r}")
         for name, ok, rule in (
             ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
             ("beta", 0 <= self.beta < math.inf, "finite and >= 0"),

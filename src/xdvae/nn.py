@@ -80,6 +80,15 @@ def usable_cpus():
         return os.cpu_count() or 1
 
 
+# .k: the number k of the map_on_cpus thread while it runs an item, else unset
+_item = threading.local()
+
+
+def _map_item_k():
+    """This thread's k while it runs an item of map_on_cpus, else None."""
+    return getattr(_item, "k", None)
+
+
 def map_on_cpus(fn, items):
     """[fn(k, x) for x in items], shared by this thread and up to usable CPUs - 1 helpers.
 
@@ -93,9 +102,15 @@ def map_on_cpus(fn, items):
     allocated, which the calling thread cannot reuse later, so no more
     helpers start than there are items left for them. After an exception no
     further item starts; once every helper has stopped, the first exception
-    is raised here. With one usable CPU no thread starts.
+    is raised here. With one usable CPU no thread starts, and neither does
+    one in a map started from inside an item of another: that map runs its
+    items in order on its own thread, under that thread's k, so the package
+    never runs more threads than usable CPUs.
     """
     items = list(items)
+    k = _map_item_k()
+    if k is not None:
+        return [fn(k, x) for x in items]
     results = [None] * len(items)
     pending = iter(range(len(items)))
     lock = threading.Lock()
@@ -107,6 +122,7 @@ def map_on_cpus(fn, items):
             return next(pending, None)
 
     def drain(k, i):
+        _item.k = k
         try:
             with np.errstate(**errors):
                 while i is not None:
@@ -117,6 +133,8 @@ def map_on_cpus(fn, items):
                 failures.append(e)
                 for _ in pending:  # nobody starts another item
                     pass
+        finally:
+            del _item.k
 
     first = take()
     helpers = [threading.Thread(target=lambda k=k: drain(k, take()), name=f"xdvae-cpu-{k}")
@@ -129,6 +147,52 @@ def map_on_cpus(fn, items):
     if failures:
         raise failures[0]
     return results
+
+
+# matmul_halves splits a product of at least these many rows, inner
+# dimension and columns, so each half is at least 256 columns wide. Outside
+# them halves gave other bytes than the single call even on one BLAS thread:
+# batches of 2-8 rows at its cut, and last panels a few columns wide (5000
+# columns cut at 4992, 519 at 512) at every row count. Smaller products gain
+# nothing from a second thread anyway.
+HALVES_MIN_ROWS, HALVES_MIN_INNER, HALVES_MIN_COLS = 64, 64, 512
+
+
+def _one_blas_thread():
+    """True when OPENBLAS_NUM_THREADS sets one BLAS thread, which OpenBLAS reads when it loads."""
+    try:
+        return int(os.environ.get("OPENBLAS_NUM_THREADS", "")) == 1
+    except ValueError:
+        return False
+
+
+# A BLAS call on several threads cuts its output where the shape and the
+# thread count say, so two halves would not keep its bytes: matmul_halves
+# splits only when each BLAS call runs on one thread.
+ONE_BLAS_THREAD = _one_blas_thread()
+
+
+def matmul_halves(a, b):
+    """np.matmul(a, b) of 2-d arrays, as two column halves on two CPUs when large.
+
+    GEMM blocks only the inner dimension and computes column panels of the
+    output independently, so one single-threaded BLAS call per column half,
+    cut at 64 * (cols // 128), writes the bytes of the single call. Each half
+    goes into its slice of one output array through map_on_cpus. The single
+    call is made below the HALVES_MIN sizes, with one usable CPU, without
+    ONE_BLAS_THREAD, and inside an item of map_on_cpus, whose map already
+    keeps every CPU busy and where two halves on one thread cost 2-8% more.
+    """
+    rows, inner = a.shape
+    cols = b.shape[1]
+    if (rows < HALVES_MIN_ROWS or inner < HALVES_MIN_INNER or cols < HALVES_MIN_COLS
+            or not ONE_BLAS_THREAD or _map_item_k() is not None or usable_cpus() < 2):
+        return np.matmul(a, b)
+    out = np.empty((rows, cols), dtype=np.result_type(a, b))
+    cut = 64 * (cols // 128)
+    map_on_cpus(lambda _, s: np.matmul(a, b[:, s], out=out[:, s]),
+                (slice(0, cut), slice(cut, cols)))
+    return out
 
 
 def scratch(pool, k, shape):
@@ -213,7 +277,7 @@ class DenseLayer:
                 f"input dim {x.shape[1]} != layer in_dim {self.w.shape[1]}"
             )
         # the bias add and the activation write into the matmul's own output
-        a = x @ self.w.T
+        a = matmul_halves(x, self.w.T)
         a += self.b
         y = _act_forward(self.activation, a)
         return y, (x, y)
@@ -249,7 +313,7 @@ class DenseLayer:
 
     def backward_from_preact(self, grad_a):
         """The gradient w.r.t. the input from that w.r.t. the pre-activation; writes no gradient."""
-        return grad_a @ self.w
+        return matmul_halves(grad_a, self.w)
 
 
 def weight_grads_on_cpus(jobs, lambda_reg):

@@ -333,6 +333,19 @@ INTEGER_FIELD_DEFECTS = {
        for key in ("n_source", "n_target")},
 }
 
+# (field the error names, edit) per defect of a real or bool field in a
+# checkpoint's header; each used to load, or to end in a TypeError that did
+# not name the field
+TYPED_FIELD_DEFECTS = {
+    "bool-lr": ("lr", lambda h: h["config"].update(lr=True)),
+    "bool-lambda-reg": ("lambda_reg", lambda h: h["config"].update(lambda_reg=False)),
+    "string-map-stop-gradient": ("map_stop_gradient",
+                                 lambda h: h["config"].update(map_stop_gradient="no")),
+    "string-beta": ("beta", lambda h: h["config"].update(beta="1")),
+    "null-beta": ("beta", lambda h: h["config"].update(beta=None)),
+    "string-cold-fraction": ("cold_fraction", lambda h: h["config"].update(cold_fraction="0.5")),
+}
+
 BUNDLE_HEADER_DEFECTS = {
     "missing-blobs": lambda h: h.pop("blobs"),
     "blob-dtype-not-a-string": lambda h: h["blobs"][0].update(dtype=7),
@@ -386,6 +399,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert "malformed checkpoint header" in err
         assert f"{field} must be of integer type" in err
+
+    @pytest.mark.parametrize("defect", sorted(TYPED_FIELD_DEFECTS))
+    def test_mistyped_field_exit_two(self, prepared, trained, tmp_path, capsys, defect):
+        field, edit = TYPED_FIELD_DEFECTS[defect]
+        bad = tmp_path / "bad.xdv"
+        rewrite_header(trained, bad, edit)
+        code = main(["eval", "--model", str(bad), "--bundle", str(prepared),
+                     "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert f"malformed checkpoint header (ValueError: {field} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize("declared, message", [
         ("original", "tensor list mismatch"),

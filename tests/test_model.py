@@ -415,6 +415,47 @@ class TestWeightGradsOnCpus:
         assert helpers == min(n_cpus, n_layers) - 1
 
 
+def split_model_outputs(started):
+    """(loss, gradient bytes, score bytes, helpers started by predict_scores) of
+    a generic model whose decoders end in a 64 x 64 x 600 product, which
+    nn.matmul_halves splits: dims 64, 600 items per domain, 64 users."""
+    config = make_toy_config("generic", latent_dim=64, enc_dims_source=(64,),
+                             enc_dims_target=(64,), batch_size=64)
+    model = build_model(config, 600, 600, named_rng(11, "init"))
+    bundle = make_toy_bundle(m=64, n_source=600, n_target=600, seed=5)
+    r_s = bundle.source.to_dense()
+    _, r_t, pos = _batch_inputs(bundle, np.arange(64), "generic")
+    eps = np.random.default_rng(6).standard_normal((2, 64, 64))
+    loss, grads = model.loss_and_grads(r_s, r_t, pos, eps)
+    helpers = len(cpu_helpers(started))
+    scores = model.predict_scores(r_s, r_t)
+    return loss, grads.flat.tobytes(), scores.tobytes(), len(cpu_helpers(started)) - helpers
+
+
+class TestMatmulHalvesInModel:
+    """Training and scoring give the same bytes whether the products of the
+    decoders' output layers split (see nn.matmul_halves) or not."""
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_same_bytes_on_any_cpus(self, monkeypatch, n_cpus):
+        *want, _ = split_model_outputs(patch_cpus(monkeypatch, 1))
+        *got, predict_helpers = split_model_outputs(patch_cpus(monkeypatch, n_cpus))
+        assert got == want
+        # the target decoder's output product is the only one predict_scores splits
+        assert predict_helpers == (n_cpus > 1 and nn.ONE_BLAS_THREAD)
+
+    @pytest.mark.parametrize("n_cpus", [1, 2, 3])
+    def test_same_bytes_inside_a_map_item(self, monkeypatch, n_cpus):
+        *want, _ = split_model_outputs(patch_cpus(monkeypatch, 1))
+        started = patch_cpus(monkeypatch, n_cpus)
+        # the calling thread runs the first item: the model; a helper may take the second
+        got = nn.map_on_cpus(lambda k, first: first and split_model_outputs(started),
+                             [True, False])[0]
+        assert got[:3] == tuple(want) and got[3] == 0
+        # the maps inside the item, the weight gradients' and the halves', start no thread
+        assert len(cpu_helpers(started)) == min(n_cpus, 2) - 1
+
+
 class TestConfig:
     def test_round_trip(self):
         config = make_toy_config("aux")
@@ -442,10 +483,17 @@ class TestConfig:
         ("beta", np.nan), ("beta", np.inf), ("lambda_reg", np.inf), ("lambda_reg", -1e-4),
         ("cold_fraction", 1.5), ("cold_fraction", 0.0), ("epochs", -1), ("latent_dim", 0),
         ("seed", -1),
+        # and values of the wrong type
+        ("beta", True), ("beta", "1"), ("beta", None), ("lambda_reg", False), ("lr", True),
+        ("cold_fraction", "0.5"), ("map_stop_gradient", "no"), ("map_stop_gradient", 0),
     ])
     def test_rejects_out_of_range_values_by_name(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be"):
             make_toy_config("generic", **{field: value})
+
+    def test_integer_reals_stay_valid(self):
+        config = make_toy_config("generic", beta=0, lambda_reg=0, lr=1)
+        assert ModelConfig.from_dict(config.to_dict()) == config
 
 
 class TestBuild:

@@ -1,5 +1,11 @@
-"""Layer mechanics, initialization, Adam, the CPU map and the finite-difference oracle."""
+"""Layer mechanics, initialization, Adam, the CPU map, the matmul halves and the
+finite-difference oracle."""
 
+import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -424,12 +430,123 @@ class TestMapOnCpus:
             seen = map_on_cpus(lambda k, x: np.geterr(), range(4))
         assert seen == [caller] * 4
 
+    @pytest.mark.parametrize("cpus", [1, 2, 3], indirect=True)
+    def test_a_map_inside_an_item_runs_on_the_items_thread(self, cpus):
+        n_cpus, started = cpus
+
+        def outer(k, x):
+            inner = map_on_cpus(lambda j, y: (j, threading.current_thread().name, x * y),
+                                range(3))
+            return k, threading.current_thread().name, inner
+
+        out = map_on_cpus(outer, range(4))
+        assert len(started) == min(n_cpus, 4) - 1
+        for x, (k, name, inner) in enumerate(out):
+            assert inner == [(k, name, x * y) for y in range(3)]
+        # once its map returns, the calling thread shares out its next map again
+        started.clear()
+        assert map_on_cpus(lambda k, x: x, range(4)) == list(range(4))
+        assert len(started) == min(n_cpus, 4) - 1
+
     def test_usable_cpus_falls_back_to_the_cpu_count(self, monkeypatch):
         monkeypatch.delattr(nn.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(nn.os, "cpu_count", lambda: 3)
         assert nn.usable_cpus() == 3
         monkeypatch.setattr(nn.os, "cpu_count", lambda: None)
         assert nn.usable_cpus() == 1
+
+
+# (rows, inner dimension, columns) of products the halves rule splits: row
+# counts odd and even, column counts that are and are not multiples of 8,
+# and wide inner dimensions as in the amazon-train encoders and decoders
+HALVES_GRID = [*itertools.product([64, 65, 104, 128, 1348], [64, 300],
+                                  [512, 519, 800, 2262, 5000, 5003]),
+               (64, 2262, 519), (104, 2262, 2262), (128, 5000, 512), (1000, 5000, 512),
+               (1000, 512, 5000)]
+
+
+def record_matmuls(monkeypatch):
+    """The column count of every np.matmul call's second operand from now on."""
+    widths, matmul = [], np.matmul
+
+    def recorded(a, b, **kw):
+        widths.append(b.shape[1])
+        return matmul(a, b, **kw)
+
+    monkeypatch.setattr(np, "matmul", recorded)
+    return widths
+
+
+class TestMatmulHalves:
+    """nn.matmul_halves: a large product in two column halves on two CPUs, with
+    the bytes of the single call, when each BLAS call runs on one thread."""
+
+    @pytest.mark.parametrize("shape", HALVES_GRID, ids=lambda s: "x".join(map(str, s)))
+    def test_halves_equal_the_single_call(self, monkeypatch, shape):
+        rows, inner, cols = shape
+        started = patch_cpus(monkeypatch, 2)
+        rng = np.random.default_rng(shape)
+        # forward's x @ W.T over a (cols, inner) W, backward's g @ W over an (inner, cols) one
+        weights = (rng.uniform(-0.1, 0.1, (cols, inner)).T, rng.uniform(-0.1, 0.1, (inner, cols)))
+        dense = rng.standard_normal((rows, inner))
+        ones = (rng.random((rows, inner)) < 0.05).astype(float)
+        for x, w in itertools.product((dense, ones), weights):
+            assert np.array_equal(nn.matmul_halves(x, w), x @ w)
+        assert len(cpu_helpers(started)) == (4 if nn.ONE_BLAS_THREAD else 0)
+
+    @pytest.mark.parametrize("shape, widths", [
+        ((63, 64, 512), [512]), ((64, 63, 512), [512]), ((64, 64, 511), [511]),
+        ((64, 64, 512), [256, 256]), ((64, 64, 519), [256, 263]), ((64, 64, 5003), [2496, 2507]),
+    ], ids=str)
+    def test_splits_from_each_threshold_on(self, monkeypatch, shape, widths):
+        rows, inner, cols = shape
+        monkeypatch.setattr(nn, "ONE_BLAS_THREAD", True)
+        started = patch_cpus(monkeypatch, 2)
+        calls = record_matmuls(monkeypatch)
+        out = nn.matmul_halves(np.ones((rows, inner)), np.ones((inner, cols)))
+        assert np.array_equal(out, np.full((rows, cols), float(inner)))
+        assert sorted(calls) == widths
+        assert len(started) == len(widths) - 1
+
+    @pytest.mark.parametrize("case", ["one-usable-cpu", "threaded-blas", "inside-a-map-item"])
+    def test_one_call_where_halves_do_not_pay(self, monkeypatch, case):
+        monkeypatch.setattr(nn, "ONE_BLAS_THREAD", case != "threaded-blas")
+        started = patch_cpus(monkeypatch, 1 if case == "one-usable-cpu" else 2)
+        calls = record_matmuls(monkeypatch)
+        a, b = np.ones((64, 64)), np.ones((64, 512))
+        if case == "inside-a-map-item":
+            outs = map_on_cpus(lambda k, _: nn.matmul_halves(a, b), range(2))
+            assert calls == [512, 512]
+            assert len(started) == 1   # the outer map's helper alone
+        else:
+            outs = [nn.matmul_halves(a, b)]
+            assert calls == [512]
+            assert started == []
+        for out in outs:
+            assert np.array_equal(out, np.full((64, 512), 64.0))
+
+    def test_one_blas_thread_is_read_from_the_environment(self, monkeypatch):
+        for value, one in (("1", True), (" 1 ", True), ("2", False), ("", False), ("x", False)):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+            assert nn._one_blas_thread() is one
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        assert nn._one_blas_thread() is False
+
+
+class TestUnderOneBlasThread:
+    def test_halves_split_and_keep_every_byte(self):
+        # OpenBLAS reads its thread count when it loads, so the halves tests of
+        # this file and of test_model.py run again in a fresh interpreter with
+        # OPENBLAS_NUM_THREADS=1, where matmul_halves splits: they then check
+        # the bytes of real halves, whatever BLAS threads this process has
+        tests = pathlib.Path(__file__).parent
+        run = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             f"{tests / 'test_nn.py'}::TestMatmulHalves",
+             f"{tests / 'test_model.py'}::TestMatmulHalvesInModel"],
+            cwd=tests.parent, env=dict(os.environ, OPENBLAS_NUM_THREADS="1"),
+            capture_output=True, text=True, timeout=600)
+        assert run.returncode == 0, run.stdout[-4000:] + run.stderr[-4000:]
 
 
 class TestFiniteDiff:
