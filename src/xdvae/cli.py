@@ -428,7 +428,7 @@ def build_parser():
     p.add_argument("--target-labels", required=True, help="comma-separated label set")
     p.add_argument("--min-rating", type=int, default=4)
     p.add_argument("--min-target-positives", type=int, default=2)
-    p.add_argument("--policy", choices=("random", "latest"), default="random",
+    p.add_argument("--policy", choices=data.LOO_POLICIES, default="random",
                    help="held-out selection policy")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--aux", default=None, help="optional per-user auxiliary vectors csv")

@@ -9,6 +9,7 @@ evaluation protocols. Everything is seeded explicitly and deterministic.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 import struct
 from collections import defaultdict
@@ -23,6 +24,7 @@ from .nn import named_rng
 
 BUNDLE_MAGIC = b"XDB1"
 BUNDLE_VERSION = 1
+LOO_POLICIES = ("random", "latest")
 # Bytes of the rating log read and parsed per step, cut after the last line
 # break. Blocks of 1 MiB raised the amazon-train peak RSS by 1.4%, and holding
 # the whole file raised the peak of ml1m's prepare from 111 to 351 MiB.
@@ -564,7 +566,7 @@ def build_loo_split(bundle, seed, policy="random", n_negatives=99):
     policy "random" picks uniformly; "latest" picks the max-timestamp positive.
     training_bundle(bundle, split) gives the rows to train on.
     """
-    if policy not in ("random", "latest"):
+    if policy not in LOO_POLICIES:
         raise DataError(f"unknown hold-out policy {policy!r}")
     rng = named_rng(seed, "loo-split")
     m = bundle.m
@@ -728,6 +730,25 @@ def write_container(path, magic, header):
         yield fh
 
 
+def is_int(value):
+    """True for an integer that is not a bool (a header may hold 3.0 or true)."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def require(name, value, ok, rule):
+    """Raise ValueError "<name> must be <rule>, got <value>" unless ok; name is a header field."""
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value!r}")
+
+
+def _id_list(name, ids):
+    """A header's user or item ids, which must be distinct strings."""
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
+            and len(set(ids)) == len(ids)):
+        raise ValueError(f"{name} must be a list of distinct strings")
+    return ids
+
+
 def read_container(path, magic, what, fingerprint=None):
     """(file bytes, header object, offset of the first blob) of a container.
 
@@ -835,6 +856,8 @@ def load_bundle(path, fingerprint=None):
 
 def _decode_bundle(raw, at, header):
     """Blobs from offset `at` and header fields into (bundle, split-or-None)."""
+    # the caller compared version with ==, which true and 1.0 pass
+    require("version", header["version"], is_int(header["version"]), "of integer type")
     arrays = {}
     for entry in header["blobs"]:
         # every blob is little-endian int64 but the float32 aux vectors; the
@@ -850,18 +873,23 @@ def _decode_bundle(raw, at, header):
     if at != len(raw):
         raise DataError("trailing bytes after declared blobs")
 
-    users = header["user_index"]
+    users = _id_list("user_index", header["user_index"])
+    m = header["m"]
+    require("m", m, is_int(m) and m == len(users), f"{len(users)}, the ids in user_index")
 
     def mat(domain):
         dom = header["domains"][domain]
+        items = _id_list(f"domains.{domain}.item_index", dom["item_index"])
+        has_ts = dom["has_ts"]
+        require(f"domains.{domain}.has_ts", has_ts, isinstance(has_ts, bool), "a bool")
         indptr = _indptr(np.asarray(dom["row_lengths"], dtype=np.int64))
         rows_blob, ts_blob = (f"{domain}.{kind}" for kind in ("rows", "ts"))
-        return DomainMatrix(domain, users, dom["item_index"], indptr, arrays[rows_blob],
-                            arrays[ts_blob] if dom["has_ts"] else None)
+        return DomainMatrix(domain, users, items, indptr, arrays[rows_blob],
+                            arrays[ts_blob] if has_ts else None)
 
-    if not isinstance(header["provenance"], dict):
-        raise TypeError("provenance is not an object")
-    bundle = DatasetBundle(mat("source"), mat("target"), provenance=header["provenance"])
+    provenance = header["provenance"]
+    require("provenance", provenance, isinstance(provenance, dict), "an object")
+    bundle = DatasetBundle(mat("source"), mat("target"), provenance=provenance)
     if header["aux_dim"] is not None:
         shape = arrays["aux"].shape
         if len(shape) != 2 or shape[1] != header["aux_dim"] or shape[1] < 1:
@@ -873,7 +901,13 @@ def _decode_bundle(raw, at, header):
     bundle.validate()
     split = None
     if header["split"] is not None:
-        split = LeaveOneOutSplit(arrays["split.held_out"], arrays["split.negatives"],
-                                 seed=header["split"]["seed"], policy=header["split"]["policy"])
+        meta = header["split"]
+        seed, policy, n_negatives = meta["seed"], meta["policy"], meta["n_negatives"]
+        require("split.seed", seed, is_int(seed) and seed >= 0, "an integer >= 0")
+        require("split.policy", policy, policy in LOO_POLICIES, f"one of {LOO_POLICIES}")
+        split = LeaveOneOutSplit(arrays["split.held_out"], arrays["split.negatives"], seed, policy)
         _check_split(split.held_out, split.negatives, bundle.target)
+        width = split.negatives.shape[1]
+        require("split.n_negatives", n_negatives, is_int(n_negatives) and n_negatives == width,
+                f"{width}, the columns of split.negatives")
     return bundle, split

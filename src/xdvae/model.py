@@ -17,12 +17,12 @@ them, and scores are logits too.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from . import losses
+from .data import is_int, require
 from .nn import (DenseLayer, DenseStack, bind_layers, init_weights, tensor_shapes,
                  weight_grads_on_cpus)
 
@@ -35,7 +35,8 @@ ABLATION_VARIANTS = ("generic", "single", "single0", "merged", "merged0", "no-mm
 @dataclass
 class LatentState:
     """One encoder pass: the posterior batch z = mu + sigma * eps, sigma = exp(0.5 * logvar),
-    its KL term (value, gradient) and the layer caches backward reads."""
+    its KL term (value, gradient), and what backward reads besides: the hidden
+    stack's activation list and h, the heads' input."""
 
     mu: np.ndarray
     logvar: np.ndarray
@@ -43,18 +44,12 @@ class LatentState:
     z: np.ndarray
     kl: tuple
     sigma: np.ndarray
-    h_caches: list
-    mu_cache: tuple
-    lv_cache: tuple
+    acts: list
+    h: np.ndarray
 
 
 # the layer-width lists of a config: tuples in memory, lists in a header
 _DIMS_FIELDS = ("enc_dims_source", "enc_dims_target", "aux_encoder_dims")
-
-
-def is_int(value):
-    """True for an integer that is not a bool (a header may hold 3.0 or true)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -73,7 +68,7 @@ class ModelConfig:
     aux_dim: int | None = None
     aux_encoder_dims: tuple = (128,)
     aux_attach: str = "both"          # "both" | "source" | "target"
-    map_stop_gradient: bool = False   # mapping loss: treat z_T as a constant target
+    map_stop_gradient: bool = False   # the mapping loss moves z_T too; kept in headers
     cold_fraction: float = 0.1
 
     def validate(self):
@@ -84,15 +79,12 @@ class ModelConfig:
                 "aux_dim": [] if self.aux_dim is None else [self.aux_dim],
                 **{key: getattr(self, key) for key in _DIMS_FIELDS}}
         for name, values in ints.items():
-            if not all(map(is_int, values)):
-                raise ValueError(f"{name} must be of integer type, got {getattr(self, name)!r}")
-        # then the real and bool fields: a header may hold true, "1" or null
+            require(name, getattr(self, name), all(map(is_int, values)), "of integer type")
+        # then the real fields: a header may hold true, "1" or null
         for name in ("beta", "lambda_reg", "lr", "cold_fraction"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{name} must be an int or a float, got {value!r}")
-        if not isinstance(self.map_stop_gradient, bool):
-            raise ValueError(f"map_stop_gradient must be a bool, got {self.map_stop_gradient!r}")
+            require(name, value, isinstance(value, (int, float)) and not isinstance(value, bool),
+                    "an int or a float")
         for name, ok, rule in (
             ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
             ("beta", 0 <= self.beta < math.inf, "finite and >= 0"),
@@ -104,12 +96,14 @@ class ModelConfig:
             ("seed", self.seed >= 0, ">= 0"),
             ("cold_fraction", 0 < self.cold_fraction < 1, "in (0, 1)"),
             ("inference_mode", self.inference_mode == "mean", "'mean'"),
+            ("map_stop_gradient", self.map_stop_gradient is False, "False"),
+            *((key, min(getattr(self, key), default=0) >= 1, "a non-empty list of integers >= 1")
+              for key in _DIMS_FIELDS),
             ("aux_attach", self.aux_attach in ("both", "source", "target"),
              "'both', 'source' or 'target'"),
             ("aux_dim", self.variant != "aux" or bool(self.aux_dim), "set for the aux variant"),
         ):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
+            require(name, getattr(self, name), ok, rule)
         return self
 
     def to_dict(self):
@@ -130,9 +124,8 @@ class _Encoder:
     """Tanh hidden stack with parallel identity mu / logvar heads."""
 
     def __init__(self, input_dim, hidden_dims, latent_dim, extra_head_input=0):
-        self.input_dim = input_dim
         dims = [input_dim] + list(hidden_dims)
-        self.hidden = DenseStack.create(dims, ["tanh"] * (len(dims) - 1))
+        self.hidden = DenseStack(dims, ["tanh"] * (len(dims) - 1))
         # the heads read the hidden output, then the sub-encoder's, if any
         self.main_width = dims[-1]
         head_in = dims[-1] + extra_head_input
@@ -145,24 +138,19 @@ class _Encoder:
         r None stands for `rows` all-zero input rows, whose first hidden
         layer runs no matmul.
         """
-        if r is not None:
-            h = self.hidden.apply(r)
-        elif self.hidden.layers:
-            h = self.hidden.forward_zeros(rows)
-        else:  # no hidden layer: the heads read the zero rows themselves
-            h = np.zeros((rows, self.input_dim))
+        h = self.hidden.forward_zeros(rows) if r is None else self.hidden.forward(r)[-1]
         h_comb = h if sub_out is None else np.concatenate([h, sub_out], axis=1)
-        return self.mu_head.forward(h_comb)[0]
+        return self.mu_head.forward(h_comb)
 
     def forward(self, r, eps, sub_out=None):
         """The LatentState of one training pass, which backward reads."""
-        h, h_caches = self.hidden.forward(r)
-        h_comb = h if sub_out is None else np.concatenate([h, sub_out], axis=1)
-        mu, mu_cache = self.mu_head.forward(h_comb)
-        logvar, lv_cache = self.logvar_head.forward(h_comb)
+        acts = self.hidden.forward(r)
+        h = acts[-1] if sub_out is None else np.concatenate([acts[-1], sub_out], axis=1)
+        mu = self.mu_head.forward(h)
+        logvar = self.logvar_head.forward(h)
         sigma = np.exp(0.5 * logvar)
         return LatentState(mu, logvar, eps, mu + sigma * eps, losses.kl_divergence(mu, logvar),
-                           sigma, h_caches, mu_cache, lv_cache)
+                           sigma, acts, h)
 
     def backward(self, g_z, state, jobs):
         """Queue the encoder's weight grads on jobs; returns the sub-encoder slice grad (or None).
@@ -173,10 +161,10 @@ class _Encoder:
         g_mu_kl, g_lv_kl = state.kl[1]
         g_mu = g_z + g_mu_kl
         g_lv = g_z * (0.5 * state.sigma * state.eps) + g_lv_kl
-        g_hc = self.mu_head.backward(g_mu, state.mu_cache, jobs)
-        g_hc += self.logvar_head.backward(g_lv, state.lv_cache, jobs)
-        g_sub = g_hc[:, self.main_width:] if self.mu_head.shape[1] > self.main_width else None
-        self.hidden.backward(g_hc[:, :self.main_width], state.h_caches, jobs, input_grad=False)
+        g_h = self.mu_head.backward(g_mu, state.h, state.mu, jobs)
+        g_h += self.logvar_head.backward(g_lv, state.h, state.logvar, jobs)
+        g_sub = g_h[:, self.main_width:] if self.mu_head.shape[1] > self.main_width else None
+        self.hidden.backward(g_h[:, :self.main_width], state.acts, jobs, input_grad=False)
         return g_sub
 
     def named_layers(self, prefix):
@@ -187,7 +175,7 @@ class _Encoder:
 def _make_decoder(input_dim, hidden_dims, output_dim):
     dims = [input_dim] + list(hidden_dims) + [output_dim]
     activations = ["tanh"] * len(hidden_dims) + ["identity"]
-    return DenseStack.create(dims, activations)
+    return DenseStack(dims, activations)
 
 
 class _ModelBase:
@@ -270,7 +258,7 @@ class LinkedVAE(_ModelBase):
         self.sub_encoder = None
         if self.aux_attached:
             dims = [config.aux_dim] + list(config.aux_encoder_dims)
-            self.sub_encoder = DenseStack.create(dims, ["tanh"] * (len(dims) - 1))
+            self.sub_encoder = DenseStack(dims, ["tanh"] * (len(dims) - 1))
 
         named = [
             *self.enc_s.named_layers("enc_S"),
@@ -287,37 +275,38 @@ class LinkedVAE(_ModelBase):
     # -- forward pieces ----------------------------------------------------
 
     def _sub_outputs(self, aux):
-        """(sub-encoder output for enc_S, for enc_T, caches); None where not attached."""
+        """(sub-encoder output for enc_S, for enc_T, its activations); None where not attached."""
         if not self.aux_attached:
             return None, None, None
         if aux is None:
             raise ValueError("aux vectors required for this variant")
-        out, caches = self.sub_encoder.forward(aux)
-        return (out if "S" in self.aux_attached else None,
-                out if "T" in self.aux_attached else None, caches)
+        acts = self.sub_encoder.forward(aux)
+        return (acts[-1] if "S" in self.aux_attached else None,
+                acts[-1] if "T" in self.aux_attached else None, acts)
 
     def forward(self, r_s, r_t, pos, eps, aux=None):
         """Training forward pass through both reconstructions; returns a state dict for backward().
 
-        Its "terms" maps each loss term the variant passes, named and ordered
-        as the LossBreakdown fields, to its (value, gradient).
+        Its "dec_s", "dec_t" and "sub" are the decoders' and the sub-encoder's
+        activation lists (None without one): the logits are dec_t[-1], and the
+        target decoder's input dec_t[0] is the map layer's output in the
+        cold-start variant. Its "terms" maps each loss term the variant
+        passes, named and ordered as the LossBreakdown fields, to its (value,
+        gradient).
         """
         pos_s, pos_t = pos
         eps_s, eps_t = eps
-        sub_s, sub_t, sub_caches = self._sub_outputs(aux)
+        sub_s, sub_t, sub = self._sub_outputs(aux)
         st_s = self.enc_s.forward(r_s, eps_s, sub_s)
         st_t = self.enc_t.forward(r_t, eps_t, sub_t)
-        a_s, dec_s_caches = self.dec_s.forward(st_s.z)
-        if self.use_map:
-            z_prime, map_cache = self.map_layer.forward(st_s.z)
-        else:
-            z_prime, map_cache = merge_latents(st_s.z, st_t.z), None
-        a_t, dec_t_caches = self.dec_t.forward(z_prime)
+        dec_s = self.dec_s.forward(st_s.z)
+        z_prime = self.map_layer.forward(st_s.z) if self.use_map else merge_latents(st_s.z, st_t.z)
+        dec_t = self.dec_t.forward(z_prime)
         cfg, batch = self.config, r_s.shape[0]
         terms = {
-            "recon_source": losses.masked_recon(a_s, pos_s, cfg.beta, batch),
+            "recon_source": losses.masked_recon(dec_s[-1], pos_s, cfg.beta, batch),
             "kl_source": st_s.kl,
-            "recon_target": losses.masked_recon(a_t, pos_t, cfg.beta, batch),
+            "recon_target": losses.masked_recon(dec_t[-1], pos_t, cfg.beta, batch),
             "kl_target": st_t.kl,
             # the L2 gradient is added in each layer's weight-gradient job
             "reg": (losses.l2_reg(self._params, cfg.lambda_reg), None),
@@ -326,11 +315,8 @@ class LinkedVAE(_ModelBase):
             terms["mmd"] = losses.mmd_linear(st_s.z, st_t.z)
         if self.use_map:
             terms["map_loss"] = losses.mapping_loss(z_prime, st_t.z)
-        return {
-            "state_s": st_s, "state_t": st_t, "a_s": a_s, "a_t": a_t, "terms": terms,
-            "dec_s_caches": dec_s_caches, "dec_t_caches": dec_t_caches,
-            "map_cache": map_cache, "sub_caches": sub_caches,
-        }
+        return {"state_s": st_s, "state_t": st_t, "dec_s": dec_s, "dec_t": dec_t, "sub": sub,
+                "terms": terms}
 
     # -- backward ----------------------------------------------------------
 
@@ -341,16 +327,14 @@ class LinkedVAE(_ModelBase):
         L = cfg.latent_dim
         jobs = []
 
-        g_z_s = self.dec_s.backward(terms["recon_source"][1], fwd["dec_s_caches"], jobs)
-        g_dec_t_in = self.dec_t.backward(terms["recon_target"][1], fwd["dec_t_caches"], jobs)
+        g_z_s = self.dec_s.backward(terms["recon_source"][1], fwd["dec_s"], jobs)
+        g_dec_t_in = self.dec_t.backward(terms["recon_target"][1], fwd["dec_t"], jobs)
 
         if self.use_map:
             g_map = terms["map_loss"][1]
             g_zp = g_dec_t_in + g_map
-            g_z_t = np.zeros_like(st_t.z)
-            if not cfg.map_stop_gradient:
-                g_z_t -= g_map
-            g_z_s += self.map_layer.backward(g_zp, fwd["map_cache"], jobs)
+            g_z_t = 0.0 - g_map   # the mapping loss's gradient w.r.t. z_T
+            g_z_s += self.map_layer.backward(g_zp, st_s.z, fwd["dec_t"][0], jobs)
         else:
             g_z_s += g_dec_t_in[:, :L]
             g_z_t = g_dec_t_in[:, L:].copy()
@@ -365,7 +349,7 @@ class LinkedVAE(_ModelBase):
 
         if self.sub_encoder is not None:
             g_sub = sum(g for g in (g_sub_s, g_sub_t) if g is not None)
-            self.sub_encoder.backward(g_sub, fwd["sub_caches"], jobs, input_grad=False)
+            self.sub_encoder.backward(g_sub, fwd["sub"], jobs, input_grad=False)
         weight_grads_on_cpus(jobs, cfg.lambda_reg)
         return self._grads
 
@@ -399,11 +383,11 @@ class LinkedVAE(_ModelBase):
             source = self.encode_source(r_s, aux)
         z_s = source[0]
         if self.use_map:
-            z_prime, _ = self.map_layer.forward(z_s)
+            z_prime = self.map_layer.forward(z_s)
         else:
             z_t = self.encode_target(r_t, source) if target is None else target
             z_prime = merge_latents(z_s, z_t)
-        return self.dec_t.apply(z_prime)
+        return self.dec_t.forward(z_prime)[-1]
 
 
 class SingleVAE(_ModelBase):
@@ -434,24 +418,24 @@ class SingleVAE(_ModelBase):
         (eps_x,) = eps
         x = self._input(r_s, r_t)
         state = self.enc.forward(x, eps_x)
-        a, dec_caches = self.dec.forward(state.z)
+        dec = self.dec.forward(state.z)
         cfg = self.config
-        terms = {"recon_target": losses.masked_recon(a, pos_x, cfg.beta, x.shape[0]),
+        terms = {"recon_target": losses.masked_recon(dec[-1], pos_x, cfg.beta, x.shape[0]),
                  "kl_target": state.kl,
                  "reg": (losses.l2_reg(self._params, cfg.lambda_reg), None)}
-        return {"state": state, "a": a, "dec_caches": dec_caches, "terms": terms}
+        return {"state": state, "dec": dec, "terms": terms}
 
     def backward(self, fwd):
         """The input-gradient chain on this thread, then every weight gradient on every CPU."""
         jobs = []
-        g_z = self.dec.backward(fwd["terms"]["recon_target"][1], fwd["dec_caches"], jobs)
+        g_z = self.dec.backward(fwd["terms"]["recon_target"][1], fwd["dec"], jobs)
         self.enc.backward(g_z, fwd["state"], jobs)
         weight_grads_on_cpus(jobs, self.config.lambda_reg)
         return self._grads
 
     def predict_scores(self, r_s, r_t, aux=None):
         """Target-item logits from the posterior mean (z = mu), the ranking scores."""
-        a = self.dec.apply(self.enc.mean(self._input(r_s, r_t)))
+        a = self.dec.forward(self.enc.mean(self._input(r_s, r_t)))[-1]
         return a[:, self.n_source:] if self.config.variant == "merged" else a
 
 

@@ -271,7 +271,7 @@ class DenseLayer:
         self.w = self.b = self.gw = self.gb = self.span = self.grad_span = None
 
     def forward(self, x):
-        """Returns (y, cache); x has shape (batch, shape[1])."""
+        """The output y; x has shape (batch, shape[1])."""
         if x.shape[1] != self.w.shape[1]:
             raise ValueError(
                 f"input dim {x.shape[1]} != layer in_dim {self.w.shape[1]}"
@@ -279,8 +279,7 @@ class DenseLayer:
         # the bias add and the activation write into the matmul's own output
         a = matmul_halves(x, self.w.T)
         a += self.b
-        y = _act_forward(self.activation, a)
-        return y, (x, y)
+        return _act_forward(self.activation, a)
 
     def forward_zeros(self, rows):
         """forward()'s y for `rows` all-zero input rows, without the matmul.
@@ -292,16 +291,16 @@ class DenseLayer:
         a += self.b
         return _act_forward(self.activation, a)
 
-    def backward(self, grad_y, cache, jobs, input_grad=True):
-        """Gradient w.r.t. output -> grad_x; queues this layer's weight gradients.
+    def backward(self, grad_y, x, y, jobs, input_grad=True):
+        """Gradient w.r.t. output -> grad_x, given forward's input x and output y.
 
-        (self, grad_a, x) goes on jobs, for weight_grads_on_cpus to overwrite
-        gw and gb once the whole chain has run, so nothing may write grad_a
-        or x in place after this call. Without input_grad (an input layer)
-        the result is None.
+        Queues (self, grad_a, x) on jobs, for weight_grads_on_cpus to
+        overwrite gw and gb once the whole chain has run, so nothing may
+        write grad_a or x in place after this call. Without input_grad (an
+        input layer) the result is None.
         """
-        grad_a = _act_backward(self.activation, grad_y, cache[1])
-        jobs.append((self, grad_a, cache[0]))
+        grad_a = _act_backward(self.activation, grad_y, y)
+        jobs.append((self, grad_a, x))
         if not input_grad:
             return None
         return self.backward_from_preact(grad_a)
@@ -344,40 +343,31 @@ def weight_grads_on_cpus(jobs, lambda_reg):
 class DenseStack:
     """A chain of DenseLayers applied in order."""
 
-    def __init__(self, layers):
-        self.layers = list(layers)
-
-    @classmethod
-    def create(cls, dims, activations) -> "DenseStack":
+    def __init__(self, dims, activations):
         """dims = [in, h1, ..., out]; activations has len(dims)-1 entries."""
         if len(activations) != len(dims) - 1:
             raise ValueError("one activation per layer required")
-        return cls(DenseLayer(dims[k], dims[k + 1], activations[k])
-                   for k in range(len(dims) - 1))
+        self.layers = [DenseLayer(n_in, n_out, act)
+                       for n_in, n_out, act in zip(dims, dims[1:], activations)]
 
     def forward(self, x):
-        caches = []
+        """The activation list [x, y1, ..., yn]: the input and each layer's output."""
+        acts = [x]
         for layer in self.layers:
-            x, cache = layer.forward(x)
-            caches.append(cache)
-        return x, caches
+            acts.append(layer.forward(acts[-1]))
+        return acts
 
     def forward_zeros(self, rows):
         """forward()'s output for `rows` all-zero input rows; the first layer runs no matmul."""
         first, *rest = self.layers
         x = first.forward_zeros(rows)
         for layer in rest:
-            x = layer.forward(x)[0]
+            x = layer.forward(x)
         return x
 
-    def apply(self, x):
-        """forward()'s output alone: each activation is freed once the next is computed."""
-        for layer in self.layers:
-            x = layer.forward(x)[0]
-        return x
-
-    def backward(self, grad_y, caches, jobs, input_grad=True):
-        """Backprop through the stack; returns the gradient w.r.t. its input.
+    def backward(self, grad_y, acts, jobs, input_grad=True):
+        """Backprop through the stack from forward()'s activation list; returns
+        the gradient w.r.t. its input.
 
         Every layer queues its weight gradients on jobs (see
         DenseLayer.backward). Without input_grad the first layer computes no
@@ -385,7 +375,7 @@ class DenseStack:
         """
         grad = grad_y
         for k in range(len(self.layers) - 1, -1, -1):
-            grad = self.layers[k].backward(grad, caches[k], jobs,
+            grad = self.layers[k].backward(grad, acts[k], acts[k + 1], jobs,
                                            input_grad=input_grad or k > 0)
         return grad
 

@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, read_container, write_container
+from .data import DataError, is_int, read_container, require, write_container
 from .losses import LossBreakdown
-from .model import ABLATION_VARIANTS, ModelConfig, architecture, build_model, is_int
+from .model import ABLATION_VARIANTS, ModelConfig, architecture, build_model
 from .nn import Adam, NumericError, assert_all_finite, named_rng
 
 CHECKPOINT_MAGIC = b"XDV1"
@@ -196,20 +196,22 @@ def load_checkpoint(path, fingerprint=None):
     # Header fields come from outside the program: a missing key, a wrong type
     # or a bad value anywhere below is a malformed file, not a crash.
     try:
+        # the check above compared with ==, which true and 1.0 pass
+        version, seed, dims = header["format_version"], header["seed"], header["dims"]
+        require("format_version", version, is_int(version), "of integer type")
         config = ModelConfig.from_dict(header["config"])
-        variant = header["variant"]
-        dims = header["dims"]
+        # the top-level echoes of two config fields
+        require("variant", header["variant"], header["variant"] == config.variant,
+                f"config.variant, {config.variant!r}")
+        require("seed", seed, is_int(seed) and seed == config.seed, f"config.seed, {config.seed}")
         for name in ("n_source", "n_target"):
-            if not is_int(dims[name]):
-                raise ValueError(f"dims.{name} must be of integer type, got {dims[name]!r}")
+            require(f"dims.{name}", dims[name], is_int(dims[name]), "of integer type")
         model = architecture(config, dims["n_source"], dims["n_target"])
         declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
     except (KeyError, TypeError, ValueError) as e:
         raise DataError(
             f"{path}: malformed checkpoint header ({type(e).__name__}: {e})"
         ) from None
-    if config.variant != variant:
-        raise DataError(f"{path}: variant mismatch between header fields")
     # the header and the body size are checked before the store is allocated,
     # so a forged size is a data error, not an allocation attempt
     expected = model.tensor_shapes()

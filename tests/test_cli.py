@@ -333,32 +333,65 @@ INTEGER_FIELD_DEFECTS = {
        for key in ("n_source", "n_target")},
 }
 
-# (field the error names, edit) per defect of a real or bool field in a
-# checkpoint's header; each used to load, or to end in a TypeError that did
-# not name the field
+# (field the error names, edit) per defect of a checkpoint header field that
+# is not about an integer type; each used to load, to end in an error that did
+# not name the field, or (aux_encoder_dims [] in an aux checkpoint) in an
+# IndexError traceback
 TYPED_FIELD_DEFECTS = {
     "bool-lr": ("lr", lambda h: h["config"].update(lr=True)),
     "bool-lambda-reg": ("lambda_reg", lambda h: h["config"].update(lambda_reg=False)),
     "string-map-stop-gradient": ("map_stop_gradient",
                                  lambda h: h["config"].update(map_stop_gradient="no")),
+    "true-map-stop-gradient": ("map_stop_gradient",
+                               lambda h: h["config"].update(map_stop_gradient=True)),
     "string-beta": ("beta", lambda h: h["config"].update(beta="1")),
     "null-beta": ("beta", lambda h: h["config"].update(beta=None)),
     "string-cold-fraction": ("cold_fraction", lambda h: h["config"].update(cold_fraction="0.5")),
+    "empty-enc-dims-source": ("enc_dims_source", lambda h: h["config"].update(enc_dims_source=[])),
+    "zero-enc-dims-target": ("enc_dims_target", lambda h: h["config"].update(enc_dims_target=[0])),
+    "empty-aux-encoder-dims": ("aux_encoder_dims",
+                               lambda h: h["config"].update(aux_encoder_dims=[])),
+    "bool-format-version": ("format_version", lambda h: h.update(format_version=True)),
+    "float-format-version": ("format_version", lambda h: h.update(format_version=1.0)),
+    "seed-not-config-seed": ("seed", lambda h: h.update(seed=999)),
 }
 
+
+def _repeat_first(ids):
+    ids[1] = ids[0]
+
+
+# (what the error names, edit) per defect of a bundle header; None where the
+# error names no field. From "string-split-seed" on, each used to load.
 BUNDLE_HEADER_DEFECTS = {
-    "missing-blobs": lambda h: h.pop("blobs"),
-    "blob-dtype-not-a-string": lambda h: h["blobs"][0].update(dtype=7),
-    "missing-user-index": lambda h: h.pop("user_index"),
-    "user-index-not-a-list": lambda h: h.update(user_index=5),
-    "missing-item-index": lambda h: h["domains"]["source"].pop("item_index"),
-    "null-row-lengths": lambda h: h["domains"]["target"].update(row_lengths=None),
-    "missing-has-ts": lambda h: h["domains"]["target"].pop("has_ts"),
-    "missing-provenance": lambda h: h.pop("provenance"),
-    "provenance-not-an-object": lambda h: h.update(provenance=5),
-    "missing-aux-dim": lambda h: h.pop("aux_dim"),
-    "missing-split-seed": lambda h: h["split"].pop("seed"),
-    "missing-split-policy": lambda h: h["split"].pop("policy"),
+    "missing-blobs": ("'blobs'", lambda h: h.pop("blobs")),
+    "blob-dtype-not-a-string": ("blob 'source.rows'", lambda h: h["blobs"][0].update(dtype=7)),
+    "missing-user-index": ("'user_index'", lambda h: h.pop("user_index")),
+    "user-index-not-a-list": ("user_index", lambda h: h.update(user_index=5)),
+    "missing-item-index": ("'item_index'", lambda h: h["domains"]["source"].pop("item_index")),
+    "null-row-lengths": (None, lambda h: h["domains"]["target"].update(row_lengths=None)),
+    "missing-has-ts": ("'has_ts'", lambda h: h["domains"]["target"].pop("has_ts")),
+    "missing-provenance": ("'provenance'", lambda h: h.pop("provenance")),
+    "provenance-not-an-object": ("provenance", lambda h: h.update(provenance=5)),
+    "missing-aux-dim": ("'aux_dim'", lambda h: h.pop("aux_dim")),
+    "missing-split-seed": ("'seed'", lambda h: h["split"].pop("seed")),
+    "missing-split-policy": ("'policy'", lambda h: h["split"].pop("policy")),
+    "string-split-seed": ("split.seed", lambda h: h["split"].update(seed="x")),
+    "float-split-seed": ("split.seed", lambda h: h["split"].update(seed=1.5)),
+    "list-split-policy": ("split.policy", lambda h: h["split"].update(policy=[1])),
+    "wrong-n-negatives": ("split.n_negatives", lambda h: h["split"].update(n_negatives=5)),
+    "wrong-m": ("m must", lambda h: h.update(m=10**9)),
+    "repeated-user-id": ("user_index", lambda h: _repeat_first(h["user_index"])),
+    "int-user-id": ("user_index", lambda h: h["user_index"].__setitem__(0, 7)),
+    "list-user-id": ("user_index", lambda h: h["user_index"].__setitem__(0, ["u"])),
+    "repeated-item-id": ("domains.target.item_index",
+                         lambda h: _repeat_first(h["domains"]["target"]["item_index"])),
+    "int-item-id": ("domains.source.item_index",
+                    lambda h: h["domains"]["source"]["item_index"].__setitem__(0, 3)),
+    "string-has-ts": ("domains.target.has_ts",
+                      lambda h: h["domains"]["target"].update(has_ts="yes")),
+    "bool-version": ("version", lambda h: h.update(version=True)),
+    "float-version": ("version", lambda h: h.update(version=1.0)),
 }
 
 
@@ -401,11 +434,13 @@ class TestEval:
         assert f"{field} must be of integer type" in err
 
     @pytest.mark.parametrize("defect", sorted(TYPED_FIELD_DEFECTS))
-    def test_mistyped_field_exit_two(self, prepared, trained, tmp_path, capsys, defect):
+    def test_mistyped_field_exit_two(self, aux_bundle_models, tmp_path, capsys, defect):
+        # the aux variant reads every config field, aux_encoder_dims too
+        bundle, models = aux_bundle_models
         field, edit = TYPED_FIELD_DEFECTS[defect]
         bad = tmp_path / "bad.xdv"
-        rewrite_header(trained, bad, edit)
-        code = main(["eval", "--model", str(bad), "--bundle", str(prepared),
+        rewrite_header(models["aux"], bad, edit)
+        code = main(["eval", "--model", str(bad), "--bundle", str(bundle),
                      "--out", str(tmp_path / "x")])
         assert code == 2
         assert f"malformed checkpoint header (ValueError: {field} must be" in capsys.readouterr().err
@@ -434,6 +469,17 @@ class TestEval:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    def test_unknown_top_level_key_is_ignored(self, prepared, trained, tmp_path):
+        # only unknown config keys are rejected (HEADER_DEFECTS "unknown-config-key")
+        extra = tmp_path / "extra.xdv"
+        rewrite_header(trained, extra, lambda h: h.update(note="not a field"))
+        reports = []
+        for model, out in ((trained, "a"), (extra, "b")):
+            assert main(["eval", "--model", str(model), "--bundle", str(prepared),
+                         "--protocol", "standard", "--out", str(tmp_path / out)]) == 0
+            reports.append(json.loads((tmp_path / f"{out}.json").read_text())["reports"])
+        assert reports[0] == reports[1]
+
     def test_sampled_inference_checkpoint_names_the_field(self, prepared, trained, tmp_path,
                                                            capsys):
         bad = tmp_path / "bad.xdv"
@@ -448,14 +494,17 @@ class TestEval:
     @pytest.mark.parametrize("defect", sorted(BUNDLE_HEADER_DEFECTS))
     def test_malformed_bundle_header_exit_two(self, prepared, trained, tmp_path, capsys,
                                               defect):
+        named, edit = BUNDLE_HEADER_DEFECTS[defect]
         bad = tmp_path / "bad.xdb"
-        rewrite_header(prepared, bad, BUNDLE_HEADER_DEFECTS[defect])
+        rewrite_header(prepared, bad, edit)
         code = main([
             "eval", "--model", str(trained), "--bundle", str(bad),
             "--out", str(tmp_path / "x"),
         ])
         assert code == 2
-        assert "malformed bundle header" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed bundle header" in err
+        assert named is None or named in err
 
     @pytest.mark.parametrize("defect, message", [
         (_held_out_outside_row, "held_out item outside"),

@@ -435,14 +435,14 @@ class TestDegradedOnCpus:
                 rows.append(weakref.ref(out))
             return out
 
-        decode = model.dec_t.apply
+        decode = model.dec_t.forward
 
         def decoder(z):
             alive.append(sum(r() is not None for r in rows))
             return decode(z)
 
         monkeypatch.setattr(data.DomainMatrix, "to_dense", dense)
-        monkeypatch.setattr(model.dec_t, "apply", decoder)
+        monkeypatch.setattr(model.dec_t, "forward", decoder)
         evaluate.evaluate_degraded(model, view, split, DEGRADE_FRACTIONS, seed=7)
         assert len(rows) == 4 and len(alive) == 5   # 0.0 builds no rows
         # each thread drops its rows before decoding; another may hold its own

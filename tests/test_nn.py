@@ -32,7 +32,7 @@ from conftest import cpu_helpers, finite_diff_check, make_layer, make_store, pat
 
 def make_stack(dims, activations, rng):
     """Glorot-initialised DenseStack and its (params, grads) stores."""
-    stack = DenseStack.create(dims, activations)
+    stack = DenseStack(dims, activations)
     params, grads = bind_layers(stack.named_layers("net"))
     init_weights(params, rng)
     return stack, params, grads
@@ -63,12 +63,12 @@ class TestGlorotInit:
 class TestDenseForward:
     def test_identity_layer_passes_through(self):
         layer = make_layer(np.eye(2), np.zeros(2), "identity")
-        y, _ = layer.forward(np.array([[0.3, -0.5]]))
+        y = layer.forward(np.array([[0.3, -0.5]]))
         assert np.allclose(y, [[0.3, -0.5]])
 
     def test_tanh_of_zero_is_zero(self):
         layer = make_layer(np.ones((3, 2)), np.zeros(3), "tanh")
-        y, _ = layer.forward(np.zeros((1, 2)))
+        y = layer.forward(np.zeros((1, 2)))
         assert np.allclose(y, 0.0)
 
     def test_shape_mismatch_raises(self):
@@ -79,7 +79,7 @@ class TestDenseForward:
     def test_tanh_output_strictly_inside_pm_one(self):
         rng = np.random.default_rng(4)
         layer = make_layer(glorot_init(6, 4, rng), np.zeros(4), "tanh")
-        y, _ = layer.forward(rng.standard_normal((10, 6)))
+        y = layer.forward(rng.standard_normal((10, 6)))
         assert np.all(y > -1.0) and np.all(y < 1.0)
 
 
@@ -98,28 +98,29 @@ class TestDenseInPlace:
         layer = make_layer(rng.standard_normal((7, 5)), rng.standard_normal(7), activation)
         x = 3.0 * rng.standard_normal((9, 5))
         x_before = x.copy()
-        y, (x_cached, y_cached) = layer.forward(x)
+        y = layer.forward(x)
         expected = self.REFERENCE[activation](x @ layer.w.T + layer.b)
         assert np.array_equal(y, expected)
-        assert np.array_equal(x, x_before) and x_cached is x and y_cached is y
+        assert np.array_equal(x, x_before)
 
     def test_stack_without_input_grad_writes_the_same_weight_grads(self):
         rng = np.random.default_rng(13)
         stack, params, grads = make_stack([6, 5, 4, 3], ["tanh", "tanh", "identity"], rng)
         x = rng.standard_normal((8, 6))
         grad_y = rng.standard_normal((8, 3))
-        y, caches = stack.forward(x)
+        acts = stack.forward(x)
+        assert acts[0] is x and len(acts) == len(stack.layers) + 1
         jobs = []
-        gx = stack.backward(grad_y, caches, jobs)
+        gx = stack.backward(grad_y, acts, jobs)
         weight_grads_on_cpus(jobs, 0.0)
         full = grads.flat.copy()
         grads.flat[...] = np.nan
         jobs = []
-        assert stack.backward(grad_y, caches, jobs, input_grad=False) is None
+        assert stack.backward(grad_y, acts, jobs, input_grad=False) is None
         # the chain writes no gradient; it queues each layer, last first, with its own input
         assert np.isnan(grads.flat).all()
         assert [layer for layer, _, _ in jobs] == stack.layers[::-1]
-        assert all(x_in is cache[0] for (_, _, x_in), cache in zip(jobs, caches[::-1]))
+        assert all(x_in is a for (_, _, x_in), a in zip(jobs, acts[-2::-1]))
         weight_grads_on_cpus(jobs, 0.0)
         assert gx.shape == x.shape
         assert grads.flat.tobytes() == full.tobytes()
@@ -137,10 +138,11 @@ class TestDenseInPlace:
         assert layer.gw.tobytes() + layer.gb.tobytes() == before
 
 
-def backprop(net, grad_y, cache):
-    """Run a layer's or a stack's backward and then its queued weight gradients."""
+def backprop(net, grad_y, *inputs):
+    """Run a layer's or a stack's backward and then its queued weight gradients;
+    inputs are a layer's forward input and output, or a stack's activation list."""
     jobs = []
-    grad_x = net.backward(grad_y, cache, jobs)
+    grad_x = net.backward(grad_y, *inputs, jobs)
     weight_grads_on_cpus(jobs, 0.0)
     return grad_x
 
@@ -149,10 +151,11 @@ class TestDenseBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(0)
         layer = make_layer(glorot_init(4, 3, rng), np.zeros(3), "tanh")
-        y, cache = layer.forward(rng.standard_normal((5, 4)))
+        x = rng.standard_normal((5, 4))
+        y = layer.forward(x)
         layer.gw[...] = 1.0
         layer.gb[...] = 1.0
-        gx = backprop(layer, np.zeros_like(y), cache)
+        gx = backprop(layer, np.zeros_like(y), x, y)
         # the weight gradients overwrite the gradient views rather than adding to them
         assert not gx.any() and not layer.gw.any() and not layer.gb.any()
 
@@ -163,8 +166,8 @@ class TestDenseBackward:
         layer = make_layer(w, np.zeros(3), "identity")
         x = rng.standard_normal((1, 4))
         t = rng.standard_normal((1, 3))
-        y, cache = layer.forward(x)
-        backprop(layer, 2.0 * (y - t), cache)
+        y = layer.forward(x)
+        backprop(layer, 2.0 * (y - t), x, y)
         assert np.allclose(layer.gw, 2.0 * (y - t).T @ x)
 
     def test_stack_matches_finite_differences(self):
@@ -174,11 +177,11 @@ class TestDenseBackward:
         t = rng.random((6, 3))
 
         def loss():
-            y, _ = stack.forward(x)
+            y = stack.forward(x)[-1]
             return float(((y - t) ** 2).sum())
 
-        y, caches = stack.forward(x)
-        backprop(stack, 2.0 * (y - t), caches)
+        acts = stack.forward(x)
+        backprop(stack, 2.0 * (acts[-1] - t), acts)
         assert finite_diff_check(loss, params, grads) < 1e-6
 
 
@@ -196,10 +199,10 @@ class TestWeightGradsL2:
         rng = np.random.default_rng(15)
         stack, params, grads = make_stack([23, 11, 7, 3], ["tanh", "tanh", "identity"], rng)
         params.flat[:] = rng.standard_normal(params.flat.size)
-        y, caches = stack.forward(rng.standard_normal((6, 23)))
-        grad_y = rng.standard_normal(y.shape)
+        acts = stack.forward(rng.standard_normal((6, 23)))
+        grad_y = rng.standard_normal(acts[-1].shape)
         jobs = []
-        stack.backward(grad_y, caches, jobs)
+        stack.backward(grad_y, acts, jobs)
 
         def grads_after(lambda_reg):
             grads.flat[...] = np.nan
@@ -235,7 +238,7 @@ class TestParamStore:
             store["a"] = np.zeros(2)
 
     def test_bind_moves_weights_into_store(self):
-        stack = DenseStack.create([3, 4, 2], ["tanh", "identity"])
+        stack = DenseStack([3, 4, 2], ["tanh", "identity"])
         assert all(layer.w is None for layer in stack.layers)
         params, grads = bind_layers(stack.named_layers("net"))
         assert list(params) == ["net.0.W", "net.0.b", "net.1.W", "net.1.b"]
@@ -248,7 +251,7 @@ class TestParamStore:
             assert np.shares_memory(layer.gw, grads.flat)
 
     def test_init_weights_matches_per_layer_glorot_in_store_order(self):
-        stack = DenseStack.create([5, 4, 3, 2], ["tanh", "tanh", "identity"])
+        stack = DenseStack([5, 4, 3, 2], ["tanh", "tanh", "identity"])
         params, _ = bind_layers(stack.named_layers("net"))
         init_weights(params, np.random.default_rng(8))
         rng = np.random.default_rng(8)
