@@ -12,7 +12,6 @@ import argparse
 import functools
 import hashlib
 import json
-import math
 import os
 import queue
 import sys
@@ -232,10 +231,11 @@ def cmd_prepare(args, inputs):
 # train
 
 
-def _model_config(args, **fields):
+def _model_config(args, flags=None, **fields):
     """ModelConfig from the model flags train and ablate share, then fields.
 
-    A value that ModelConfig.validate rejects is a usage error naming its flag.
+    A value that ModelConfig.validate rejects is a usage error naming its
+    flag, which `flags` maps a field to when the flag is not named after it.
     """
     dims = tuple(_parse_list(args.dims, "--dims", int))
     if min(dims) < 1:
@@ -248,7 +248,8 @@ def _model_config(args, **fields):
     except ValueError as e:
         # validate's message starts with the field name, the flag's name with "_" for "-"
         field, _, rule = str(e).partition(" ")
-        raise CliError(f"--{field.replace('_', '-')} {rule}") from None
+        flag = (flags or {}).get(field, f"--{field.replace('_', '-')}")
+        raise CliError(f"{flag} {rule}") from None
 
 
 def _training_view(bundle, split, config):
@@ -357,11 +358,8 @@ def cmd_ablate(args, inputs):
     # the bundle is read
     if args.beta_sweep:
         betas = _parse_list(args.beta_sweep, "--beta-sweep", float)
-        for beta in betas:
-            # ModelConfig.validate's rule for beta, named after this flag
-            _check("--beta-sweep", beta, 0 <= beta < math.inf, "finite and >= 0")
         runs = [(f"generic-b{beta:g}", "beta-sweep", {"beta": beta},
-                 _model_config(args, beta=beta)) for beta in betas]
+                 _model_config(args, {"beta": "--beta-sweep"}, beta=beta)) for beta in betas]
         # a repeat would train the same model again, and two values that print
         # alike would report two runs under one label
         labels = {label for label, *_ in runs}

@@ -9,8 +9,9 @@ evaluation protocols. Everything is seeded explicitly and deterministic.
 from __future__ import annotations
 
 import json
-import numbers
+import math
 import os
+import reprlib
 import struct
 from collections import defaultdict
 from contextlib import contextmanager
@@ -131,24 +132,18 @@ def _indptr(lengths):
 
 
 def _check_rows(mat):
-    """Reject CSR arrays that break the DomainMatrix invariants: one row per
-    user, item positions in [0, n_items) rising strictly, aligned timestamps."""
-    m, indptr, indices = len(mat.user_index), mat.indptr, mat.indices
-    if (indptr.shape != (m + 1,) or indices.ndim != 1 or indptr[0] != 0
-            or (np.diff(indptr) < 0).any() or indptr[-1] != indices.size):
-        raise DataError(
-            f"{mat.domain} row lengths do not split {indices.size} entries over {m} users"
-        )
+    """Reject CSR rows whose item positions leave [0, n_items) or do not rise
+    strictly. A loaded bundle's header gives its row layout (BUNDLE_FIELDS)."""
+    indptr, indices = mat.indptr, mat.indices
     if indices.size and (indices.min() < 0 or indices.max() >= mat.n_items):
-        raise DataError(f"{mat.domain} item index outside [0, {mat.n_items})")
+        raise DataError(f"{mat.domain} item index outside [0, {mat.n_items}), the length of "
+                        f"domains.{mat.domain}.item_index")
     rising = np.diff(indices) > 0
     starts = indptr[1:-1]
     # a row may start below where the previous one ended
     rising[starts[(starts > 0) & (starts < indices.size)] - 1] = True
     if not rising.all():
         raise DataError(f"{mat.domain} row not strictly increasing")
-    if mat.ts is not None and mat.ts.shape != indices.shape:
-        raise DataError(f"{mat.domain} timestamps do not align with rows")
 
 
 @dataclass
@@ -730,25 +725,6 @@ def write_container(path, magic, header):
         yield fh
 
 
-def is_int(value):
-    """True for an integer that is not a bool (a header may hold 3.0 or true)."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def require(name, value, ok, rule):
-    """Raise ValueError "<name> must be <rule>, got <value>" unless ok; name is a header field."""
-    if not ok:
-        raise ValueError(f"{name} must be {rule}, got {value!r}")
-
-
-def _id_list(name, ids):
-    """A header's user or item ids, which must be distinct strings."""
-    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)
-            and len(set(ids)) == len(ids)):
-        raise ValueError(f"{name} must be a list of distinct strings")
-    return ids
-
-
 def read_container(path, magic, what, fingerprint=None):
     """(file bytes, header object, offset of the first blob) of a container.
 
@@ -771,6 +747,91 @@ def read_container(path, magic, what, fingerprint=None):
     if not isinstance(header, dict):
         raise DataError(f"{path}: corrupt header (not a JSON object)")
     return raw, header, 8 + head_len
+
+
+# JSON type name -> (Python types, text); an integer field takes no float
+JSON_TYPES = {"int": ((int,), "of integer type"), "number": ((int, float), "of number type"),
+              "string": ((str,), "of string type"), "bool": ((bool,), "of bool type"),
+              "list": ((list,), "of list type"), "object": ((dict,), "of object type"),
+              "null": ((type(None),), "null")}
+
+
+def at_least(low):
+    return f">= {low}", lambda v, doc: v >= low
+
+
+def one_of(*values):
+    return f"one of {values}", lambda v, doc: v in values
+
+
+def check_fields(doc, table, context=None, root="header"):
+    """Raise DataError for the first field of the JSON object doc that breaks its row.
+
+    A row is (dotted path, JSON_TYPES names joined by "|", rule): "*" is each
+    list item, a null its row allows holds no field, and the rule is None,
+    (text, test(value, doc)), or the table of an object that may hold no other
+    key (root names doc in its messages). Every type is checked before any
+    rule. The README's "File formats" gives the message form; context, when
+    given, makes it "<context> (ValueError: <message>)".
+    """
+    def fail(name, text, value, item=None):
+        at = "" if item is None else f" (item {item})"
+        raise DataError(f"{name} must be {text}, got {reprlib.repr(value)}{at}")
+
+    # a null holds no field only where its own row allows it
+    nullable = {path for path, types, _ in table if "null" in types.split("|")}
+
+    def fields(path):
+        """(name, values, indexed) of each place at path: a list's name and its
+        items, indexed, when path ends in "*", else a field's name and [value]."""
+        keys, found = path.split("."), [("", doc)]
+        for depth, key in enumerate(keys):
+            step = []
+            for name, node in found:
+                if node is None and ".".join(keys[:depth]) in nullable:
+                    continue
+                is_list = key == "*"
+                if not isinstance(node, list if is_list else dict):
+                    fail(name, JSON_TYPES["list" if is_list else "object"][1], node)
+                if is_list and depth == len(keys) - 1:
+                    step.append((name, node))
+                elif is_list:
+                    step += [(f"{name}.{k}", item) for k, item in enumerate(node)]
+                elif key not in node:
+                    raise DataError(f"{name or root} has no field {key!r}")
+                else:
+                    step.append((f"{name}.{key}".lstrip("."), node[key]))
+            found = step
+        if keys[-1] == "*":
+            return [(name, items, True) for name, items in found]
+        return [(name, [value], False) for name, value in found]
+
+    try:
+        for path, types, _ in table:
+            classes = sum((JSON_TYPES[t][0] for t in types.split("|")), ())
+            text = " or ".join(JSON_TYPES[t][1] for t in types.split("|"))
+            for name, values, indexed in fields(path):
+                # values of JSON's own types pass at once; a bool is never an int
+                if set(map(type, values)) <= set(classes):
+                    continue
+                for k, value in enumerate(values):
+                    if not isinstance(value, classes) or (isinstance(value, bool)
+                                                          and bool not in classes):
+                        fail(name, text, value, k if indexed else None)
+        for path, _, rule in table:
+            for name, values, indexed in fields(path) if rule else ():
+                for k, value in enumerate(values):
+                    if isinstance(rule, list):
+                        unknown = sorted(set(value) - {row[0].split(".")[0] for row in rule})
+                        if unknown:
+                            raise DataError(f"{name} has unknown field {unknown[0]!r}")
+                        check_fields(value, rule, root=name)
+                    elif not rule[1](value, doc):
+                        fail(name, rule[0], value, k if indexed else None)
+    except DataError as e:
+        if context is None:
+            raise
+        raise DataError(f"{context} (ValueError: {e})") from None
 
 
 def save_bundle(bundle, path, split=None):
@@ -822,10 +883,6 @@ def _check_split(held_out, negatives, target):
     """Reject a leave-one-out split that does not fit the bundle's target rows:
     each held-out item must be a positive of its user and no negative may be."""
     m = len(target.user_index)
-    if held_out.shape != (m,) or negatives.ndim != 2 or negatives.shape[0] != m:
-        raise DataError(
-            f"split shapes {held_out.shape} and {negatives.shape} do not fit {m} users"
-        )
     for name, a in (("held_out", held_out), ("negatives", negatives)):
         if a.size and (a.min() < 0 or a.max() >= target.n_items):
             raise DataError(f"split {name} index outside [0, {target.n_items})")
@@ -836,60 +893,91 @@ def _check_split(held_out, negatives, target):
         raise DataError("split negative among its user's target positives")
 
 
+def _blobs(header):
+    """(name, dtype, shape) of each blob that a bundle header's other fields
+    declare, in the order save_bundle writes them: every blob is little-endian
+    int64 but the float32 aux vectors, whose shape is checked where they are read."""
+    m, split, blobs = header["m"], header["split"], []
+    for d in ("source", "target"):
+        dom = header["domains"][d]
+        size = [sum(dom["row_lengths"])]
+        blobs += [(f"{d}.rows", "<i8", size)] + [(f"{d}.ts", "<i8", size)] * dom["has_ts"]
+    if split is not None:
+        blobs += [("split.held_out", "<i8", [m]),
+                  ("split.negatives", "<i8", [m, split["n_negatives"]])]
+    return blobs + [("aux", "<f4", None)] * (header["aux_dim"] is not None)
+
+
+_DISTINCT = ("a list of distinct ids", lambda v, h: len(set(v)) == len(v))
+
+# The bundle header (see check_fields). Each blob's size is checked against
+# the file where the blobs are read.
+BUNDLE_FIELDS = [
+    ("version", "int", None),
+    ("user_index", "list", _DISTINCT),
+    ("user_index.*", "string", None),
+    ("m", "int", ("the number of user_index ids", lambda v, h: v == len(h["user_index"]))),
+    ("provenance", "object", None),
+    *(row for d in ("source", "target") for row in (
+        (f"domains.{d}.item_index", "list", _DISTINCT),
+        (f"domains.{d}.item_index.*", "string", None),
+        (f"domains.{d}.row_lengths", "list", (
+            "m row lengths >= 0", lambda v, h: len(v) == h["m"] and min(v, default=0) >= 0)),
+        (f"domains.{d}.row_lengths.*", "int", None),
+        (f"domains.{d}.has_ts", "bool", None),
+    )),
+    ("split", "object|null", None),
+    ("aux_dim", "int|null", None),
+    ("blobs.*.name", "string", None),
+    ("blobs.*.dtype", "string", None),
+    # numpy refuses a shape whose nonzero sides multiply past its index range
+    ("blobs.*.shape", "list", ("under 2**56 cells, a side of 0 counted as 1",
+                               lambda v, h: math.prod(n or 1 for n in v) < 2**56)),
+    ("blobs.*.shape.*", "int", at_least(0)),
+    ("blobs", "list", (
+        "the blobs, in order, that domains, split and aux_dim declare (rows sized by the "
+        "row lengths, split.negatives m by split.n_negatives)",
+        lambda v, h: _blobs(h) == [(b["name"], b["dtype"], None if b["name"] == "aux"
+                                    else b["shape"]) for b in v])),
+    ("split.seed", "int", at_least(0)),
+    ("split.policy", "string", one_of(*LOO_POLICIES)),
+    ("split.n_negatives", "int", None),
+]
+
+
 def load_bundle(path, fingerprint=None):
     """Inverse of save_bundle; returns (bundle, split-or-None). `fingerprint`,
     when given, is called with the file bytes."""
     raw, header, at = read_container(path, BUNDLE_MAGIC, "a bundle file", fingerprint)
     if header.get("version") != BUNDLE_VERSION:
         raise DataError(f"{path}: unsupported bundle version {header.get('version')}")
-    # Header fields come from outside the program: a missing key, a wrong type
-    # or a bad value anywhere in the decoding is a malformed file, not a crash.
     try:
+        check_fields(header, BUNDLE_FIELDS, "malformed bundle header")
         return _decode_bundle(raw, at, header)
     except DataError as e:
         raise DataError(f"{path}: {e}") from None
-    except (KeyError, TypeError, ValueError, OverflowError) as e:
-        raise DataError(
-            f"{path}: malformed bundle header ({type(e).__name__}: {e})"
-        ) from None
 
 
 def _decode_bundle(raw, at, header):
-    """Blobs from offset `at` and header fields into (bundle, split-or-None)."""
-    # the caller compared version with ==, which true and 1.0 pass
-    require("version", header["version"], is_int(header["version"]), "of integer type")
+    """Blobs from offset `at` and the fields of a checked header into (bundle, split-or-None)."""
     arrays = {}
-    for entry in header["blobs"]:
-        # every blob is little-endian int64 but the float32 aux vectors; the
-        # declared dtype is compared, never parsed (np.dtype(",i8") is a SyntaxError)
-        dtype = np.dtype("<f4" if entry["name"] == "aux" else "<i8")
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        if entry["dtype"] != dtype.str or count < 0:
-            raise ValueError(f"blob {entry['name']!r} declared {entry['dtype']!r} {entry['shape']}")
+    for k, entry in enumerate(header["blobs"]):
+        dtype, count = np.dtype(entry["dtype"]), math.prod(entry["shape"])
         if at + count * dtype.itemsize > len(raw):
-            raise DataError(f"truncated file at blob {entry['name']!r}")
+            raise DataError(f"truncated file at blob {entry['name']!r} (blobs.{k})")
         arrays[entry["name"]] = np.frombuffer(raw, dtype, count, at).reshape(entry["shape"]).copy()
         at += count * dtype.itemsize
     if at != len(raw):
         raise DataError("trailing bytes after declared blobs")
 
-    users = _id_list("user_index", header["user_index"])
-    m = header["m"]
-    require("m", m, is_int(m) and m == len(users), f"{len(users)}, the ids in user_index")
-
     def mat(domain):
         dom = header["domains"][domain]
-        items = _id_list(f"domains.{domain}.item_index", dom["item_index"])
-        has_ts = dom["has_ts"]
-        require(f"domains.{domain}.has_ts", has_ts, isinstance(has_ts, bool), "a bool")
+        # the row lengths are >= 0 and sum to the row blob's size, so they fit int64
         indptr = _indptr(np.asarray(dom["row_lengths"], dtype=np.int64))
-        rows_blob, ts_blob = (f"{domain}.{kind}" for kind in ("rows", "ts"))
-        return DomainMatrix(domain, users, items, indptr, arrays[rows_blob],
-                            arrays[ts_blob] if has_ts else None)
+        return DomainMatrix(domain, header["user_index"], dom["item_index"], indptr,
+                            arrays[f"{domain}.rows"], arrays.get(f"{domain}.ts"))
 
-    provenance = header["provenance"]
-    require("provenance", provenance, isinstance(provenance, dict), "an object")
-    bundle = DatasetBundle(mat("source"), mat("target"), provenance=provenance)
+    bundle = DatasetBundle(mat("source"), mat("target"), provenance=header["provenance"])
     if header["aux_dim"] is not None:
         shape = arrays["aux"].shape
         if len(shape) != 2 or shape[1] != header["aux_dim"] or shape[1] < 1:
@@ -902,12 +990,7 @@ def _decode_bundle(raw, at, header):
     split = None
     if header["split"] is not None:
         meta = header["split"]
-        seed, policy, n_negatives = meta["seed"], meta["policy"], meta["n_negatives"]
-        require("split.seed", seed, is_int(seed) and seed >= 0, "an integer >= 0")
-        require("split.policy", policy, policy in LOO_POLICIES, f"one of {LOO_POLICIES}")
-        split = LeaveOneOutSplit(arrays["split.held_out"], arrays["split.negatives"], seed, policy)
+        split = LeaveOneOutSplit(arrays["split.held_out"], arrays["split.negatives"],
+                                 meta["seed"], meta["policy"])
         _check_split(split.held_out, split.negatives, bundle.target)
-        width = split.negatives.shape[1]
-        require("split.n_negatives", n_negatives, is_int(n_negatives) and n_negatives == width,
-                f"{width}, the columns of split.negatives")
     return bundle, split

@@ -17,12 +17,12 @@ them, and scores are logits too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import losses
-from .data import is_int, require
+from .data import at_least, check_fields, one_of
 from .nn import (DenseLayer, DenseStack, bind_layers, init_weights, tensor_shapes,
                  weight_grads_on_cpus)
 
@@ -50,6 +50,34 @@ class LatentState:
 
 # the layer-width lists of a config: tuples in memory, lists in a header
 _DIMS_FIELDS = ("enc_dims_source", "enc_dims_target", "aux_encoder_dims")
+# Two header fields allow one value each, so no config holds them and to_dict
+# writes them: scores come from the posterior mean, and the mapping loss moves
+# z_T as well as the map.
+PINNED = {"inference_mode": "mean", "map_stop_gradient": False}
+_FINITE = ("finite and >= 0", lambda v, config: 0 <= v < math.inf)
+
+# A config as a header holds it (see data.check_fields): a checkpoint's config
+# object, what validate checks, and what the CLI's model flags must pass.
+CONFIG_FIELDS = [
+    ("variant", "string", one_of(*VARIANTS)),
+    ("beta", "number", _FINITE),
+    ("lambda_reg", "number", _FINITE),
+    ("lr", "number", ("finite and > 0", lambda v, config: 0 < v < math.inf)),
+    ("batch_size", "int", at_least(1)),
+    ("epochs", "int", at_least(0)),
+    ("latent_dim", "int", at_least(1)),
+    ("seed", "int", at_least(0)),
+    ("aux_dim", "int|null", ("null or >= 1, and set for the aux variant",
+                             lambda v, config: v >= 1 if v is not None
+                             else config["variant"] != "aux")),
+    ("aux_attach", "string", one_of("both", "source", "target")),
+    ("cold_fraction", "number", ("in (0, 1)", lambda v, config: 0 < v < 1)),
+    # every encoder and sub-encoder has a hidden layer
+    *((key, "list", ("non-empty", lambda v, config: len(v) > 0)) for key in _DIMS_FIELDS),
+    *((f"{key}.*", "int", at_least(1)) for key in _DIMS_FIELDS),
+    ("inference_mode", "string", ("'mean'", lambda v, config: v == PINNED["inference_mode"])),
+    ("map_stop_gradient", "bool", ("False", lambda v, config: v == PINNED["map_stop_gradient"])),
+]
 
 
 @dataclass
@@ -64,55 +92,28 @@ class ModelConfig:
     enc_dims_source: tuple = (256,)
     enc_dims_target: tuple = (256,)
     seed: int = 0
-    inference_mode: str = "mean"     # scores come from the posterior mean; kept in headers
     aux_dim: int | None = None
     aux_encoder_dims: tuple = (128,)
     aux_attach: str = "both"          # "both" | "source" | "target"
-    map_stop_gradient: bool = False   # the mapping loss moves z_T too; kept in headers
     cold_fraction: float = 0.1
 
     def validate(self):
-        """Raise ValueError for the first bad field; the message starts with its name."""
-        # integer fields first: a header may hold 3.0 or true where 3 or 1 belongs
-        ints = {"batch_size": [self.batch_size], "epochs": [self.epochs],
-                "latent_dim": [self.latent_dim], "seed": [self.seed],
-                "aux_dim": [] if self.aux_dim is None else [self.aux_dim],
-                **{key: getattr(self, key) for key in _DIMS_FIELDS}}
-        for name, values in ints.items():
-            require(name, getattr(self, name), all(map(is_int, values)), "of integer type")
-        # then the real fields: a header may hold true, "1" or null
-        for name in ("beta", "lambda_reg", "lr", "cold_fraction"):
-            value = getattr(self, name)
-            require(name, value, isinstance(value, (int, float)) and not isinstance(value, bool),
-                    "an int or a float")
-        for name, ok, rule in (
-            ("variant", self.variant in VARIANTS, f"one of {VARIANTS}"),
-            ("beta", 0 <= self.beta < math.inf, "finite and >= 0"),
-            ("lambda_reg", 0 <= self.lambda_reg < math.inf, "finite and >= 0"),
-            ("lr", 0 < self.lr < math.inf, "finite and > 0"),
-            ("batch_size", self.batch_size >= 1, ">= 1"),
-            ("epochs", self.epochs >= 0, ">= 0"),
-            ("latent_dim", self.latent_dim >= 1, ">= 1"),
-            ("seed", self.seed >= 0, ">= 0"),
-            ("cold_fraction", 0 < self.cold_fraction < 1, "in (0, 1)"),
-            ("inference_mode", self.inference_mode == "mean", "'mean'"),
-            ("map_stop_gradient", self.map_stop_gradient is False, "False"),
-            *((key, min(getattr(self, key), default=0) >= 1, "a non-empty list of integers >= 1")
-              for key in _DIMS_FIELDS),
-            ("aux_attach", self.aux_attach in ("both", "source", "target"),
-             "'both', 'source' or 'target'"),
-            ("aux_dim", self.variant != "aux" or bool(self.aux_dim), "set for the aux variant"),
-        ):
-            require(name, getattr(self, name), ok, rule)
+        """Raise DataError for the first field that breaks CONFIG_FIELDS; the
+        message starts with its name."""
+        check_fields(self.to_dict(), CONFIG_FIELDS, root="config")
         return self
 
     def to_dict(self):
-        return {k: list(v) if k in _DIMS_FIELDS else v for k, v in asdict(self).items()}
+        return {**{k: list(v) if k in _DIMS_FIELDS else v for k, v in asdict(self).items()},
+                **PINNED}
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**{k: tuple(v) if k in _DIMS_FIELDS else v
-                      for k, v in dict(d).items()}).validate()
+        """The config of a header's config object d, such as to_dict() gives; a
+        field that breaks CONFIG_FIELDS, or a key that none names, raises DataError."""
+        check_fields({"config": d}, [("config", "object", CONFIG_FIELDS)])
+        return cls(**{f.name: tuple(d[f.name]) if f.name in _DIMS_FIELDS else d[f.name]
+                      for f in fields(cls)})
 
 
 def merge_latents(z_source, z_target):

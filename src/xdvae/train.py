@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import DataError, is_int, read_container, require, write_container
+from .data import DataError, at_least, check_fields, read_container, write_container
 from .losses import LossBreakdown
-from .model import ABLATION_VARIANTS, ModelConfig, architecture, build_model
+from .model import ABLATION_VARIANTS, CONFIG_FIELDS, ModelConfig, architecture, build_model
 from .nn import Adam, NumericError, assert_all_finite, named_rng
 
 CHECKPOINT_MAGIC = b"XDV1"
@@ -88,7 +88,6 @@ def train(bundle, config: ModelConfig, early_stop=False):
     already removed; cold-start restricted to its train users). For the aux
     variant the bundle must carry aux_vectors.
     """
-    config.validate()
     if bundle.m == 0:
         raise DataError("the training bundle has no users")
     n_s, n_t = bundle.source.n_items, bundle.target.n_items
@@ -171,6 +170,21 @@ def train(bundle, config: ModelConfig, early_stop=False):
 # ParamStore buffer. Round trips are bit-exact at storage precision.
 
 
+# The checkpoint header (see data.check_fields). The tensor list must be the
+# architecture that config and dims give, and the body must hold it.
+CHECKPOINT_FIELDS = [
+    ("format_version", "int", None),
+    ("config", "object", CONFIG_FIELDS),
+    # the top-level echoes of two config fields
+    ("variant", "string", ("config.variant", lambda v, h: v == h["config"]["variant"])),
+    ("seed", "int", ("config.seed", lambda v, h: v == h["config"]["seed"])),
+    ("dims.n_source", "int", at_least(1)),
+    ("dims.n_target", "int", at_least(1)),
+    ("tensors.*.name", "string", None),
+    ("tensors.*.shape.*", "int", None),
+]
+
+
 def save_checkpoint(model, path):
     params = model.params()
     header = {
@@ -193,25 +207,10 @@ def load_checkpoint(path, fingerprint=None):
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"
         )
-    # Header fields come from outside the program: a missing key, a wrong type
-    # or a bad value anywhere below is a malformed file, not a crash.
-    try:
-        # the check above compared with ==, which true and 1.0 pass
-        version, seed, dims = header["format_version"], header["seed"], header["dims"]
-        require("format_version", version, is_int(version), "of integer type")
-        config = ModelConfig.from_dict(header["config"])
-        # the top-level echoes of two config fields
-        require("variant", header["variant"], header["variant"] == config.variant,
-                f"config.variant, {config.variant!r}")
-        require("seed", seed, is_int(seed) and seed == config.seed, f"config.seed, {config.seed}")
-        for name in ("n_source", "n_target"):
-            require(f"dims.{name}", dims[name], is_int(dims[name]), "of integer type")
-        model = architecture(config, dims["n_source"], dims["n_target"])
-        declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
-    except (KeyError, TypeError, ValueError) as e:
-        raise DataError(
-            f"{path}: malformed checkpoint header ({type(e).__name__}: {e})"
-        ) from None
+    check_fields(header, CHECKPOINT_FIELDS, f"{path}: malformed checkpoint header")
+    config, dims = ModelConfig.from_dict(header["config"]), header["dims"]
+    model = architecture(config, dims["n_source"], dims["n_target"])
+    declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
     # the header and the body size are checked before the store is allocated,
     # so a forged size is a data error, not an allocation attempt
     expected = model.tensor_shapes()
@@ -219,8 +218,9 @@ def load_checkpoint(path, fingerprint=None):
         missing = sorted({n for n, _ in expected} - {n for n, _ in declared})
         extra = sorted({n for n, _ in declared} - {n for n, _ in expected})
         raise DataError(
-            f"{path}: tensor list mismatch for variant {config.variant!r} "
-            f"(missing {missing}, unexpected {extra}, or a shape or order conflict)"
+            f"{path}: tensor list mismatch for variant {config.variant!r}: tensors must "
+            f"list the architecture that config and dims give (missing {missing}, "
+            f"unexpected {extra}, or a shape or order conflict)"
         )
     have, want = len(raw) - at, 4 * sum(math.prod(shape) for _, shape in expected)
     if have != want:

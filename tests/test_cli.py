@@ -301,16 +301,29 @@ class TestTrain:
             assert bool(cpu_helpers(started)) == (n_cpus > 1)
 
 
+# (what the error names, edit) per defect of a checkpoint header. From
+# "negative-dims" on, each used to exit 2 naming no field, or (a negative
+# aux_dim) to load.
 HEADER_DEFECTS = {
-    "unknown-config-key": lambda h: h["config"].update(bogus=1),
-    "missing-dims": lambda h: h.pop("dims"),
-    "string-latent-dim": lambda h: h["config"].update(latent_dim="128"),
-    "missing-variant": lambda h: h.pop("variant"),
-    "missing-tensors": lambda h: h.pop("tensors"),
-    "tensor-without-shape": lambda h: h["tensors"][0].pop("shape"),
-    "negative-dims": lambda h: h["dims"].update(n_target=-3),
-    "zero-n-source": lambda h: h["dims"].update(n_source=0),
-    "sample-inference-mode": lambda h: h["config"].update(inference_mode="sample"),
+    "unknown-config-key": ("config has unknown field 'bogus'",
+                           lambda h: h["config"].update(bogus=1)),
+    "missing-dims": ("header has no field 'dims'", lambda h: h.pop("dims")),
+    "string-latent-dim": ("latent_dim must be of integer type",
+                          lambda h: h["config"].update(latent_dim="128")),
+    "missing-variant": ("header has no field 'variant'", lambda h: h.pop("variant")),
+    "missing-tensors": ("header has no field 'tensors'", lambda h: h.pop("tensors")),
+    "tensor-without-shape": ("tensors.0 has no field 'shape'",
+                             lambda h: h["tensors"][0].pop("shape")),
+    "sample-inference-mode": ("inference_mode must be 'mean'",
+                              lambda h: h["config"].update(inference_mode="sample")),
+    "negative-dims": ("dims.n_target must be >= 1", lambda h: h["dims"].update(n_target=-3)),
+    "zero-n-source": ("dims.n_source must be >= 1", lambda h: h["dims"].update(n_source=0)),
+    "negative-n-target": ("dims.n_target must be >= 1",
+                          lambda h: h["dims"].update(n_target=-1)),
+    "negative-aux-dim": ("aux_dim must be", lambda h: h["config"].update(aux_dim=-1)),
+    "dims-not-an-object": ("dims must be of object type", lambda h: h.update(dims=[1])),
+    "config-not-an-object": ("config must be of object type", lambda h: h.update(config=[1])),
+    "tensors-not-a-list": ("tensors must be of list type", lambda h: h.update(tensors=5)),
 }
 
 def _to_float(table, key):
@@ -354,6 +367,7 @@ TYPED_FIELD_DEFECTS = {
     "bool-format-version": ("format_version", lambda h: h.update(format_version=True)),
     "float-format-version": ("format_version", lambda h: h.update(format_version=1.0)),
     "seed-not-config-seed": ("seed", lambda h: h.update(seed=999)),
+    "negative-aux-dim": ("aux_dim", lambda h: h["config"].update(aux_dim=-1)),
 }
 
 
@@ -361,15 +375,20 @@ def _repeat_first(ids):
     ids[1] = ids[0]
 
 
-# (what the error names, edit) per defect of a bundle header; None where the
-# error names no field. From "string-split-seed" on, each used to load.
+def _set_row_lengths(h, kind):
+    lengths = h["domains"]["target"]["row_lengths"]
+    h["domains"]["target"]["row_lengths"] = [kind(n) for n in lengths]
+
+
+# (what the error names, edit) per defect of a bundle header. From
+# "string-split-seed" on, each used to load, to exit 2 naming no field, or
+# (null row lengths, a blob dtype of 7) to name no field but the exception's
+# type or the blob.
 BUNDLE_HEADER_DEFECTS = {
     "missing-blobs": ("'blobs'", lambda h: h.pop("blobs")),
-    "blob-dtype-not-a-string": ("blob 'source.rows'", lambda h: h["blobs"][0].update(dtype=7)),
     "missing-user-index": ("'user_index'", lambda h: h.pop("user_index")),
     "user-index-not-a-list": ("user_index", lambda h: h.update(user_index=5)),
     "missing-item-index": ("'item_index'", lambda h: h["domains"]["source"].pop("item_index")),
-    "null-row-lengths": (None, lambda h: h["domains"]["target"].update(row_lengths=None)),
     "missing-has-ts": ("'has_ts'", lambda h: h["domains"]["target"].pop("has_ts")),
     "missing-provenance": ("'provenance'", lambda h: h.pop("provenance")),
     "provenance-not-an-object": ("provenance", lambda h: h.update(provenance=5)),
@@ -392,6 +411,24 @@ BUNDLE_HEADER_DEFECTS = {
                       lambda h: h["domains"]["target"].update(has_ts="yes")),
     "bool-version": ("version", lambda h: h.update(version=True)),
     "float-version": ("version", lambda h: h.update(version=1.0)),
+    "null-row-lengths": ("domains.target.row_lengths",
+                         lambda h: h["domains"]["target"].update(row_lengths=None)),
+    "string-row-lengths": ("domains.target.row_lengths must be of integer type",
+                           lambda h: _set_row_lengths(h, str)),
+    "float-row-lengths": ("domains.target.row_lengths must be of integer type",
+                          lambda h: _set_row_lengths(h, float)),
+    "blobs-not-a-list": ("blobs must be of list type", lambda h: h.update(blobs=5)),
+    "blob-dtype-not-a-string": ("blobs.0.dtype", lambda h: h["blobs"][0].update(dtype=7)),
+    "blob-name-not-a-string": ("blobs.0.name", lambda h: h["blobs"][0].update(name=5)),
+    "negative-blob-shape": ("blobs.0.shape must be >= 0",
+                            lambda h: h["blobs"][0].update(shape=[-1, -1])),
+    "float-blob-shape": ("blobs.0.shape must be of integer type",
+                         lambda h: h["blobs"][0].update(shape=[1.5])),
+    "domains-not-an-object": ("domains must be of object type", lambda h: h.update(domains=[1])),
+    "split-not-an-object": ("split must be of object type or null",
+                            lambda h: h.update(split=[1])),
+    "string-aux-dim": ("aux_dim must be of integer type or null",
+                       lambda h: h.update(aux_dim="x")),
 }
 
 
@@ -407,14 +444,17 @@ class TestEval:
     @pytest.mark.parametrize("defect", sorted(HEADER_DEFECTS))
     def test_malformed_checkpoint_header_exit_two(self, prepared, trained, tmp_path, capsys,
                                                   defect):
+        named, edit = HEADER_DEFECTS[defect]
         bad = tmp_path / "bad.xdv"
-        rewrite_header(trained, bad, HEADER_DEFECTS[defect])
+        rewrite_header(trained, bad, edit)
         code = main([
             "eval", "--model", str(bad), "--bundle", str(prepared),
             "--out", str(tmp_path / "x"),
         ])
         assert code == 2
-        assert "malformed checkpoint header" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "malformed checkpoint header" in err
+        assert named in err
 
     @pytest.mark.parametrize("protocol", ["standard", "degrade", "coldstart"])
     @pytest.mark.parametrize("defect", sorted(INTEGER_FIELD_DEFECTS))
@@ -483,7 +523,7 @@ class TestEval:
     def test_sampled_inference_checkpoint_names_the_field(self, prepared, trained, tmp_path,
                                                            capsys):
         bad = tmp_path / "bad.xdv"
-        rewrite_header(trained, bad, HEADER_DEFECTS["sample-inference-mode"])
+        rewrite_header(trained, bad, HEADER_DEFECTS["sample-inference-mode"][1])
         code = main([
             "eval", "--model", str(bad), "--bundle", str(prepared),
             "--out", str(tmp_path / "x"),
@@ -504,7 +544,7 @@ class TestEval:
         assert code == 2
         err = capsys.readouterr().err
         assert "malformed bundle header" in err
-        assert named is None or named in err
+        assert named in err
 
     @pytest.mark.parametrize("defect, message", [
         (_held_out_outside_row, "held_out item outside"),

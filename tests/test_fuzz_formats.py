@@ -4,10 +4,14 @@ structural checks, never in another exception. Damaged label and aux files
 must end `prepare` in exit 0 or 2."""
 
 import contextlib
+import copy
 import io
 import json
+import re
 import struct
 import warnings
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -205,6 +209,62 @@ def test_container_fault_message(originals, tmp_path, kind, fault):
         LOADERS[kind](path)
     what = {"bundle": "a bundle file", "checkpoint": "a checkpoint"}[kind]
     assert str(err.value) == f"{path}: " + message.format(what=what, kind=kind)
+
+
+# what every header field is swept through: a value of each JSON type, and
+# the integers at the edges of a rule
+SWEEP_VALUES = [None, True, 0.5, "x", [], {}, 0, -1, 2**63]
+SAVERS = {
+    "bundle": lambda loaded, path: data.save_bundle(loaded[0], path, split=loaded[1]),
+    "checkpoint": lambda loaded, path: save_checkpoint(loaded[0], path),
+}
+
+
+def _fields(node, path=()):
+    """The path of every field below a JSON value, objects and lists included."""
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield (*path, key)
+            yield from _fields(child, (*path, key))
+
+
+def _names_field(message, path):
+    """Whether message names the field at path or an ancestor as a dotted
+    path; a checkpoint names its config fields bare."""
+    names = {".".join(map(str, path[:n])) for n in range(1, len(path) + 1)}
+    if path[0] == "config":
+        names |= {".".join(map(str, path[1:n])) for n in range(2, len(path) + 1)}
+    return any(re.search(rf"(?<![\w.]){re.escape(name)}(?![\w.])", message) for name in names)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_every_header_field_swept(originals, tmp_path, kind):
+    # Each field of the toy file's header, a leaf or an object or list,
+    # replaced by each sweep value, ends in a DataError naming the field or an
+    # ancestor (the version key's is the "unsupported version" of
+    # CONTAINER_FAULTS), or loads an object that saves back to the same
+    # bytes: every other field as in the original, and the field read as
+    # written (a split seed of 0 is a valid header).
+    raw = originals[kind]
+    (head_len,) = struct.unpack("<I", raw[4:8])
+    header, body = json.loads(raw[8:8 + head_len]), raw[8 + head_len:]
+    path, again = tmp_path / f"t.{kind}", tmp_path / f"again.{kind}"
+    for leaf in _fields(header):
+        for value in SWEEP_VALUES:
+            damaged = copy.deepcopy(header)
+            reduce(getitem, leaf[:-1], damaged)[leaf[-1]] = value
+            head = json.dumps(damaged, sort_keys=True, separators=(",", ":")).encode()
+            path.write_bytes(MAGIC[kind] + struct.pack("<I", len(head)) + head + body)
+            try:
+                loaded = LOADERS[kind](path)
+            except DataError as e:
+                message = str(e).removeprefix(f"{path}: ")
+                unsupported = leaf == (VERSION_KEY[kind],) and message.startswith(
+                    f"unsupported {kind} version ")
+                assert unsupported or _names_field(message, leaf), (leaf, value, message)
+                continue
+            SAVERS[kind](loaded, again)
+            assert again.read_bytes() == path.read_bytes(), (leaf, value)
 
 
 # line faults: (line bytes, field separator, drawn index) -> damaged line
