@@ -54,8 +54,10 @@ class Ratings:
 
     def select(self, mask):
         """The same log reduced to the lines where mask holds."""
-        return replace(self, user=self.user[mask], item=self.item[mask],
-                       rating=self.rating[mask], ts=self.ts[mask], has_ts=self.has_ts[mask])
+        # one scan of the mask; a mask per column scans it once per column
+        at = np.flatnonzero(mask)
+        return replace(self, user=self.user[at], item=self.item[at],
+                       rating=self.rating[at], ts=self.ts[at], has_ts=self.has_ts[at])
 
 
 @dataclass
@@ -291,9 +293,10 @@ class _IdCodes:
     `first_seen` maps an id to its code, a new id getting the count of ids
     before it. A canonical block hands its ids over as packed keys: an id's
     bytes zero-padded to ID_BYTES and read as two uint64 words, which no two
-    ids share since ID_CHARS has no zero byte. Keys seen before are found in a
-    cache sorted by a hash of the key, so only new ids are decoded and looked
-    up in `first_seen`.
+    ids share since ID_CHARS has no zero byte. Only the first line of each run
+    of one key is looked up, since a log grouped by user repeats each user id
+    for many lines in a row. Keys seen before are found in a cache sorted by a
+    hash of the key, so only new ids are decoded and looked up in `first_seen`.
     """
 
     def __init__(self):
@@ -305,27 +308,38 @@ class _IdCodes:
 
     def lookup(self, keys):
         """Codes of (n, 2) packed keys; None if two distinct keys share a hash."""
-        h = keys[:, 1] * _MIX
-        h ^= keys[:, 0]  # the key itself for ids of up to 8 bytes
-        hashes, first, inverse = np.unique(h, return_index=True, return_inverse=True)
-        distinct = keys[first]
+        # rows of a 2-d array are gathered with take: indexing with an array
+        # copies them about ten times slower
+        changed = keys[1:] != keys[:-1]
+        starts = np.flatnonzero(np.concatenate(([True], changed[:, 0] | changed[:, 1])))
+        runs = keys.take(starts, axis=0)  # the other lines of a run hold its first one's key
+        h = runs[:, 1] * _MIX
+        h ^= runs[:, 0]  # the key itself for ids of up to 8 bytes
+        # with no return_index, np.unique sorts unstably; any run of a hash
+        # may stand for it, as every run is checked against it below
+        hashes, inverse = np.unique(h, return_inverse=True)
+        rep = np.empty(hashes.size, np.int64)
+        rep[inverse] = np.arange(inverse.size)
+        distinct = runs.take(rep, axis=0)
         at = np.searchsorted(self.hashes, hashes)
         seen = np.zeros(hashes.size, bool)
         if self.hashes.size:
             seen = self.hashes[np.minimum(at, self.hashes.size - 1)] == hashes
-        if (distinct[inverse] != keys).any() or (self.keys[at[seen]] != distinct[seen]).any():
+        old, new = np.flatnonzero(seen), np.flatnonzero(~seen)
+        if ((distinct.take(inverse, axis=0) != runs).any()
+                or (self.keys.take(at[old], axis=0) != distinct.take(old, axis=0)).any()):
             return None
         codes = np.empty(hashes.size, np.int64)
-        codes[seen] = self.codes[at[seen]]
-        new = ~seen
-        if new.any():
+        codes[old] = self.codes[at[old]]
+        if new.size:
+            fresh = distinct.take(new, axis=0)
             # the key words as little-endian bytes are the id's bytes again
-            ids = distinct[new].astype("<u8").view(f"S{ID_BYTES}").ravel().tolist()
+            ids = fresh.astype("<u8").view(f"S{ID_BYTES}").ravel().tolist()
             codes[new] = [self.first_seen[x.decode("latin-1")] for x in ids]
             self.hashes = np.insert(self.hashes, at[new], hashes[new])
-            self.keys = np.insert(self.keys, at[new], distinct[new], axis=0)
+            self.keys = np.insert(self.keys, at[new], fresh, axis=0)
             self.codes = np.insert(self.codes, at[new], codes[new])
-        return codes[inverse]
+        return np.repeat(codes[inverse], np.diff(starts, append=len(keys)))
 
 
 def _within(x, lo, hi):
@@ -513,9 +527,13 @@ def binarize_and_filter(source, target, threshold=4, min_target_positives=2):
 
     def positives(ratings):
         """Ascending packed keys user * n_items + item, with each pair's last ts."""
-        at = np.flatnonzero(ratings.rating >= threshold)[::-1]  # last line first
-        keys, first = np.unique(ratings.user[at] * n_items + ratings.item[at], return_index=True)
-        return keys, ratings.ts[at[first]], ratings.has_ts[at[first]]
+        at = np.flatnonzero(ratings.rating >= threshold)
+        keys = ratings.user[at] * n_items + ratings.item[at]
+        order = np.argsort(keys)  # unstable: a pair's lines come in any order
+        keys, at = keys[order], at[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))  # keys are >= 0
+        last = np.maximum.reduceat(at, starts)
+        return keys[starts], ratings.ts[last], ratings.has_ts[last]
 
     pos_s, pos_t = positives(source), positives(target)
     count_s, count_t = (np.bincount(p[0] // n_items, minlength=n_users) for p in (pos_s, pos_t))

@@ -258,6 +258,28 @@ class TestSplitDomains:
         assert {x[1] for x in rows_of(src)} & {x[1] for x in rows_of(tgt)} == set()
 
 
+@st.composite
+def repeated_pair_logs(draw):
+    """(format, text, item labels) of up to 300 lines over at most 3 users and 4
+    items, so that (user, item) pairs repeat, with ratings on both sides of any
+    threshold. Each domain's lines all have a timestamp, none has, or some have."""
+    fmt = draw(st.sampled_from(["movielens-dat", "csv"]))
+    sep = "::" if fmt == "movielens-dat" else ","
+    users = st.sampled_from(["u1", "10", "9"][:draw(st.integers(1, 3))])
+    domains = []
+    for items in (["s1", "s2"], ["t1", "t2"]):
+        stamp = draw(st.sampled_from([st.none(), st.integers(0, 10**6),
+                                      st.one_of(st.none(), st.integers(0, 10**6))]))
+        line = st.tuples(users, st.sampled_from(items), st.integers(1, 5), stamp)
+        domains += draw(st.lists(line, min_size=1, max_size=150))
+    lines = [sep.join([u, i, str(r), "" if t is None else str(t)])
+             for u, i, r, t in draw(st.permutations(domains))]
+    if fmt == "csv":
+        lines.insert(0, "user,item,rating,timestamp")
+    labels = {"s1": {"S"}, "s2": {"S"}, "t1": {"T"}, "t2": {"T"}}
+    return fmt, "\n".join(lines) + "\n", labels
+
+
 class TestBinarizeAndFilter:
     def test_user_without_target_dropped(self):
         source, target = halves(
@@ -287,6 +309,21 @@ class TestBinarizeAndFilter:
         bundle = data.binarize_and_filter(source, target)
         assert row_list(bundle.target)[0].tolist() == [0, 1]
         assert row_list(bundle.target, bundle.target.ts)[0].tolist() == [10, 20]
+
+    @given(log=repeated_pair_logs(), threshold=st.integers(1, 5),
+           min_target=st.sampled_from([1, 2]))
+    @settings(deadline=None)  # the example count comes from the active profile
+    def test_last_line_at_or_above_threshold_wins(self, scratch_dir, log, threshold,
+                                                  min_target):
+        # reference_bundle keeps a dict per user in which each later line at or
+        # above the threshold overwrites its pair's timestamp
+        fmt, text, labels = log
+        path = scratch_dir / "p.log"
+        path.write_text(text, encoding="latin-1")
+        args = (str(path), fmt, labels, {"S"}, {"T"})
+        kwargs = dict(threshold=threshold, min_target_positives=min_target)
+        assert_same_outcome(outcome(columnar_bundle, *args, **kwargs),
+                            outcome(reference_bundle, *args, **kwargs), scratch_dir)
 
     def test_min_positive_invariant_holds(self, synthetic_bundle):
         for row in row_list(synthetic_bundle.source):
@@ -545,7 +582,8 @@ class TestCanonicalBlocks:
         assert_same_outcome(got, outcome(reference_bundle, *args), scratch_dir)
 
     @pytest.mark.parametrize("fmt", ["movielens-dat", "csv"])
-    def test_benchmark_shaped_logs_never_reach_the_general_parser(self, tmp_path, fmt):
+    def test_benchmark_shaped_logs_never_reach_the_general_parser(self, tmp_path, scratch_dir,
+                                                                  fmt):
         # ML-1M: numeric ids and 9-10 digit timestamps, grouped by user; Amazon:
         # 10-byte ids in random order, one timestamp in ten left empty
         rng = np.random.default_rng(0)
@@ -554,16 +592,25 @@ class TestCanonicalBlocks:
         rating, ts = rng.integers(1, 6, n), rng.integers(956_703_932, 1_046_454_590, n)
         if fmt == "movielens-dat":
             user.sort()
+            names = [str(i) for i in range(1, 3953)]
             lines = [f"{u}::{i}::{r}::{t}" for u, i, r, t in zip(user, item, rating, ts)]
         else:
+            names = [f"B{i:09X}" for i in range(1, 3953)]
             stamps = np.where(rng.random(n) < 0.1, "", ts.astype(str))
             lines = ["user,item,rating,timestamp"] + [
                 f"A{u:09X},B{i:09X},{r},{t}" for u, i, r, t in zip(user, item, rating, stamps)]
+        # one item in five is on both sides or neither, so the split drops its lines
+        routes = [{"S"}, {"T"}, {"T"}, {"T"}, {"S", "T"}, {"X"}]
+        labels = {name: routes[k] for name, k in zip(names, rng.integers(0, 6, len(names)))}
         path = write(tmp_path, "r.log", "\n".join(lines) + "\n")
+        args = (path, fmt, labels, {"S"}, {"T"})
         with patch.object(data, "_parse_lines", wraps=data._parse_lines) as general:
             rows = rows_of(data.load_ratings(path, fmt))
+            got = outcome(columnar_bundle, *args)
         assert not general.called
         assert rows == reference_log(path, fmt)
+        assert got[0] == "ok"
+        assert_same_outcome(got, outcome(reference_bundle, *args), scratch_dir)
 
     # the file's own size; unknown (0), as for a pipe; a file read past its size
     @pytest.mark.parametrize("size", [None, 0, 100])
@@ -579,6 +626,83 @@ class TestCanonicalBlocks:
         assert rows_of(ratings) == reference_log(path, "movielens-dat")
         for col in (ratings.user, ratings.item, ratings.rating, ratings.ts, ratings.has_ts):
             assert col.base is None and col.size == len(lines)
+
+
+def blocks_of(path):
+    """The lines of each block load_ratings reads from path at the patched BLOCK."""
+    with open(path, "rb") as fh:
+        return [block.decode("latin-1").splitlines() for block in data._blocks(fh)]
+
+
+class TestIdRuns:
+    """A log grouped by user repeats each user id for many lines in a row; the
+    ids are looked up once per run, and runs cross block cuts."""
+
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("block", [64, 256, 4096, data.BLOCK])
+    def test_runs_across_block_cuts_read_like_the_reference(self, tmp_path, split, block):
+        # 700 lines per user, item runs of three
+        lines = [f"{u}::i{k // 3 % 50}::{1 + k % 5}::{k}" for u in ("u7", "10", "9")
+                 for k in range(700)]
+        if split:
+            lines.insert(350, "w1::i1::5::1")  # splits u7's lines into two runs
+        path = write(tmp_path, "r.dat", "\n".join(lines) + "\n")
+        with patch.object(data, "BLOCK", block), \
+                patch.object(data, "_parse_lines", wraps=data._parse_lines) as general:
+            rows = rows_of(data.load_ratings(path, "movielens-dat"))
+            blocks = blocks_of(path)
+        assert not general.called
+        assert rows == reference_log(path, "movielens-dat")
+        if len(blocks) > 1:
+            assert any(len({x.split("::")[0] for x in b}) == 1 for b in blocks)
+
+
+class TestHashCollisions:
+    """With the hash's mixing word at zero an id's hash is its first 8 bytes, so
+    two ids of 9-16 bytes that share them share a hash. A block holding both,
+    or one while the cache holds the other, goes to the general parser."""
+
+    ids = ("abcdefgh1", "abcdefgh22")
+
+    def expected(self, blocks, column):
+        """The blocks that hold a collision, in order: two ids of one hash in the
+        block, or one whose hash the cache holds for another id."""
+        cache, out = {}, []
+        for lines in blocks:
+            found = {x.split("::")[column] for x in lines}
+            hashes = {x[:8] for x in found}
+            if len(hashes) < len(found) or any(cache.get(x[:8], x) != x for x in found):
+                out.append(lines)
+            else:
+                cache.update((x[:8], x) for x in found)
+        return out
+
+    @pytest.mark.parametrize("column", [0, 1])
+    @pytest.mark.parametrize("later", [False, True], ids=["one-block", "later-block"])
+    def test_collision_blocks_alone_go_to_the_general_parser(self, tmp_path, column, later):
+        def line(k, x=None):
+            ids = [f"u{k % 3}", f"i{k % 4}"]
+            ids[column] = x or ids[column]
+            return "::".join([*ids, str(1 + k % 5), str(k)])
+
+        lines = [line(k) for k in range(40)]
+        one, two = self.ids
+        if later:  # the second id first appears blocks after the first
+            picks = {1: one, 2: one, 25: two, 33: one, 38: two}
+        else:  # both ids in one block, and only there
+            picks = {20: one, 21: two}
+        for k, x in picks.items():
+            lines[k] = line(k, x)
+        path = write(tmp_path, "r.dat", "\n".join(lines) + "\n")
+        with patch.object(data, "BLOCK", 64), patch.object(data, "_MIX", np.zeros(1, np.uint64)), \
+                patch.object(data, "_parse_lines", wraps=data._parse_lines) as general:
+            rows = rows_of(data.load_ratings(path, "movielens-dat"))
+            blocks = blocks_of(path)
+        want = self.expected(blocks, column)
+        assert want and [c.args[1] for c in general.call_args_list] == want
+        # the pair of one-block sits in that block
+        assert later or len(want) == 1 and all(x in "\n".join(want[0]) for x in self.ids)
+        assert rows == reference_log(path, "movielens-dat")
 
 
 # canonical lines around the one under test; at BLOCK = 64 they fill several blocks
