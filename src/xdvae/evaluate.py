@@ -156,11 +156,11 @@ def evaluate_cold_start(model, cold, bundle, ks=DEFAULT_KS, seed=None, n_negativ
     scores = model.predict_scores(r_s, None)
     indptr, at = gather_rows(bundle.target.indptr, test_users)
     items = bundle.target.indices[at]
-    # one pool per user; drawing its negatives interaction by interaction keeps
-    # the stream of one sample_negatives call per interaction
-    negatives = [sample_negatives(items[a:b], n_t, n_negatives, rng, size=b - a)
-                 for a, b in zip(indptr[:-1].tolist(), indptr[1:].tolist())]
-    ids = np.column_stack((items, np.concatenate(negatives)))
+    # each interaction draws its own negatives from its user's pool: the arrays
+    # and stream of one rng.choice call per interaction, replayed a chunk of
+    # calls at a time
+    negatives = sample_negatives(indptr, items, n_t, n_negatives, rng, draws=np.diff(indptr))
+    ids = np.column_stack((items, negatives))
     ranks = rank_first(scores[row_ids(indptr)[:, None], ids], ids)
     return _aggregate(
         ranks, ks, model.config.variant, "coldstart", seed,

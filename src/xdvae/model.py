@@ -108,10 +108,12 @@ class ModelConfig:
                 **PINNED}
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, checked=False):
         """The config of a header's config object d, such as to_dict() gives; a
-        field that breaks CONFIG_FIELDS, or a key that none names, raises DataError."""
-        check_fields({"config": d}, [("config", "object", CONFIG_FIELDS)])
+        field that breaks CONFIG_FIELDS, or a key that none names, raises DataError.
+        checked=True skips that walk for a d whose header table already made it."""
+        if not checked:
+            check_fields({"config": d}, [("config", "object", CONFIG_FIELDS)])
         return cls(**{f.name: tuple(d[f.name]) if f.name in _DIMS_FIELDS else d[f.name]
                       for f in fields(cls)})
 
@@ -183,7 +185,6 @@ class _ModelBase:
     """Shared surface: parameter store, training step, config echo."""
 
     def __init__(self, config, n_source, n_target, hosted_variants):
-        config.validate()
         if config.variant not in hosted_variants:
             raise ValueError(f"{type(self).__name__} cannot host variant {config.variant!r}")
         self.config = config
@@ -441,18 +442,19 @@ class SingleVAE(_ModelBase):
 
 
 def architecture(config, n_source, n_target):
-    """The model for config.variant with its layers unbound: shapes only, nothing allocated."""
+    """The model for config.variant with its layers unbound: shapes only, nothing
+    allocated. config must be valid (ModelConfig.validate); it is not checked here."""
     host = LinkedVAE if config.variant in LINKED_VARIANTS else SingleVAE
     return host(config, n_source, n_target)
 
 
 def build_model(config, n_source, n_target, rng=None):
-    """Instantiate the right architecture for config.variant.
+    """Instantiate the right architecture for config.variant, once config is valid.
 
     With rng, the weight matrices are Glorot-drawn in store order and biases
     are zero; without, every parameter stays zero for a checkpoint to fill.
     """
-    model = architecture(config, n_source, n_target).bind()
+    model = architecture(config.validate(), n_source, n_target).bind()
     if rng is not None:
         init_weights(model.params(), rng)
     return model

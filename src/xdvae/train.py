@@ -100,7 +100,7 @@ def train(bundle, config: ModelConfig, early_stop=False):
             )
 
     n_params = sum(math.prod(shape) for _, shape in
-                   architecture(config, n_s, n_t).tensor_shapes())
+                   architecture(config.validate(), n_s, n_t).tensor_shapes())
     try:
         # a store past the address space is refused before numpy is asked
         if 8 * n_params > np.iinfo(np.intp).max:
@@ -207,8 +207,9 @@ def load_checkpoint(path, fingerprint=None):
         raise DataError(
             f"{path}: unsupported checkpoint version {header.get('format_version')}"
         )
+    # the one walk of CONFIG_FIELDS: the table's config row
     check_fields(header, CHECKPOINT_FIELDS, f"{path}: malformed checkpoint header")
-    config, dims = ModelConfig.from_dict(header["config"]), header["dims"]
+    config, dims = ModelConfig.from_dict(header["config"], checked=True), header["dims"]
     model = architecture(config, dims["n_source"], dims["n_target"])
     declared = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
     # the header and the body size are checked before the store is allocated,

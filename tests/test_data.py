@@ -749,6 +749,55 @@ class TestMixedBlocks:
             data.load_ratings(path, "movielens-dat")
 
 
+def per_user_split(bundle, seed, policy="random", n_negatives=99):
+    """(held_out, negatives) of the per-user loop: each user's row is checked,
+    its pick drawn (or its first latest timestamp taken), then its negatives."""
+    rng = named_rng(seed, "loo-split")
+    target = bundle.target
+    held, negatives = [], []
+    for u, (a, b) in enumerate(zip(target.indptr[:-1], target.indptr[1:])):
+        row = target.indices[a:b]
+        if len(row) < 2:
+            raise DataError(
+                f"user {target.user_index[u]!r} has {len(row)} target positives, need >= 2")
+        if policy == "latest":
+            if target.ts is None:
+                raise DataError("policy 'latest' requires timestamps")
+            pick = int(np.argmax(target.ts[a:b]))
+        else:
+            pick = int(rng.integers(len(row)))
+        held.append(row[pick])
+        pool = np.setdiff1d(np.arange(target.n_items), row)
+        if len(pool) < n_negatives:
+            raise DataError(
+                f"cannot sample {n_negatives} negatives from {len(pool)} non-interacted items")
+        negatives.append(np.sort(rng.choice(pool, size=n_negatives, replace=False)))
+    return (np.array(held, dtype=np.int64),
+            np.array(negatives, dtype=np.int64).reshape(len(held), n_negatives))
+
+
+@st.composite
+def loo_bundles(draw):
+    """Bundles whose target rows hold 0, 1 or 2 positives, or nearly the whole
+    catalog, with or without timestamps (few distinct, so ties are common)."""
+    n_items = draw(st.integers(2, 40))
+    n_negatives = draw(st.integers(0, n_items))
+    # mostly rows of 2 or 3, so that many bundles pass every check
+    lengths = draw(st.lists(st.one_of(st.sampled_from([2, 2, 2, 3, 1, 0]), st.integers(0, 2).map(
+        lambda d: n_items - n_negatives - 1 + d)), max_size=6))
+    sizes = [min(max(n, 0), n_items) for n in lengths]
+    rows = [sorted(draw(st.sets(st.integers(0, n_items - 1), min_size=n, max_size=n)))
+            for n in sizes]
+    ts = None
+    if draw(st.booleans()):
+        ts = [draw(st.lists(st.integers(0, 3), min_size=len(r), max_size=len(r))) for r in rows]
+    users = [f"u{k}" for k in range(len(rows))]
+    bundle = data.DatasetBundle(make_matrix("source", users, ["s0"], [[0]] * len(rows)),
+                                make_matrix("target", users, [f"t{j}" for j in range(n_items)],
+                                            rows, ts))
+    return bundle, n_negatives
+
+
 class TestLooSplit:
     def test_two_choice_case(self):
         bundle = make_toy_bundle(m=1, n_target=4, min_target=2, seed=5)
@@ -770,6 +819,13 @@ class TestLooSplit:
         split = data.build_loo_split(bundle, seed=0, policy="latest", n_negatives=2)
         assert split.held_out[0] == 2
 
+    def test_latest_policy_takes_first_of_tied_timestamps(self):
+        bundle = make_toy_bundle(m=2, n_target=6, min_target=2)
+        bundle.target = with_rows(bundle.target, {0: [0, 2, 4], 1: [1, 3, 5]},
+                                  row_ts=[[7, 99, 99], [99, 99, 7]])
+        split = data.build_loo_split(bundle, seed=0, policy="latest", n_negatives=2)
+        assert split.held_out.tolist() == [2, 1]
+
     def test_invariants_over_users(self, synthetic_bundle):
         split = data.build_loo_split(synthetic_bundle, seed=3)
         training = data.training_bundle(synthetic_bundle, split)
@@ -786,27 +842,95 @@ class TestLooSplit:
         with pytest.raises(DataError, match="u1"):
             data.build_loo_split(bundle, seed=0, n_negatives=2)
 
+    @given(case=loo_bundles(), seed=st.integers(0, 2**32 - 1),
+           policy=st.sampled_from(data.LOO_POLICIES))
+    @settings(deadline=None)
+    def test_equals_per_user_loop(self, case, seed, policy):
+        bundle, n_negatives = case
+        got = outcome(data.build_loo_split, bundle, seed, policy, n_negatives)
+        want = outcome(per_user_split, bundle, seed, policy, n_negatives)
+        if want[0] == "error":
+            assert got == want
+        else:
+            assert got[0] == "ok"
+            pairs = ((got[1].held_out, want[1][0]), (got[1].negatives, want[1][1]))
+            for have, expected in pairs:
+                assert have.shape == expected.shape and have.dtype == expected.dtype
+                assert have.tobytes() == expected.tobytes()
+
+    def test_errors_name_the_first_failing_user(self):
+        users = ["a", "b", "c"]
+        bundle = data.DatasetBundle(
+            make_matrix("source", users, ["s0"], [[0]] * 3),
+            make_matrix("target", users, [f"t{j}" for j in range(6)],
+                        [[0, 1], [2], [0, 1, 2, 3, 4]]))
+        # b's row is too short before c's pool is too small
+        with pytest.raises(DataError, match=r"^user 'b' has 1 target positives, need >= 2$"):
+            data.build_loo_split(bundle, seed=0, n_negatives=2)
+        with pytest.raises(DataError, match=r"^policy 'latest' requires timestamps$"):
+            data.build_loo_split(bundle, seed=0, policy="latest", n_negatives=2)
+
+
+def sequential_negatives(rows, n_items, k, rng, draws, lead):
+    """(picks, negatives) of one call at a time: for each row, rng.integers(len(row))
+    when lead, then draws[u] calls rng.choice(pool, k, replace=False)."""
+    picks, out = [], []
+    for row, n in zip(rows, draws):
+        if lead:
+            picks.append(int(rng.integers(len(row))))
+        pool = np.setdiff1d(np.arange(n_items), row)
+        out += [rng.choice(pool, size=k, replace=False) for _ in range(n)]
+    return np.array(picks, dtype=np.int64), np.array(out, dtype=np.int64).reshape(len(out), k)
+
+
+@st.composite
+def sampler_cases(draw):
+    """(rows, n_items, k, draws, lead, cells): rows with pools of different
+    sizes over small catalogs, or pools of 10000 and 10001 items with k either
+    side of numpy's cut from Floyd's algorithm to the tail shuffle."""
+    lead = draw(st.booleans(), label="lead")
+    if draw(st.booleans()):
+        pop = draw(st.sampled_from([10000, 10001]))
+        k = draw(st.sampled_from([pop // 50, pop // 50 + 1]))
+        # one row at exactly pop, the others a little either side
+        lengths = [3] + draw(st.lists(st.integers(1, 5), max_size=3))
+        n_items = pop + 3
+        cells = draw(st.sampled_from([1, 3 * n_items, data.SAMPLE_CELLS]))
+    else:
+        k = draw(st.one_of(st.sampled_from([0, 1, 2, 99, 201]), st.integers(0, 12)))
+        n_items = k + draw(st.integers(1, 30))
+        lengths = draw(st.lists(st.integers(int(lead), n_items - k), max_size=6))
+        cells = draw(st.sampled_from([1, n_items, 3 * n_items, data.SAMPLE_CELLS]))
+    rows = [sorted(draw(st.sets(st.integers(0, n_items - 1), min_size=n, max_size=n)))
+            for n in lengths]
+    draws = draw(st.lists(st.integers(0, 3), min_size=len(rows), max_size=len(rows)))
+    return rows, n_items, k, draws, lead, cells
+
+
+def csr(rows):
+    return np.cumsum([0, *map(len, rows)]), np.array([j for r in rows for j in r], dtype=np.int64)
+
 
 class TestSampleNegatives:
     def test_forced_selection(self):
         rng = named_rng(0, "x")
-        out = data.sample_negatives([0], 100, 99, rng)
-        assert sorted(out.tolist()) == list(range(1, 100))
+        out = data.sample_negatives([0, 1], [0], 100, 99, rng)
+        assert sorted(out[0].tolist()) == list(range(1, 100))
 
     def test_k_zero(self):
-        assert data.sample_negatives([0], 10, 0, named_rng(0, "x")).size == 0
+        assert data.sample_negatives([0, 1], [0], 10, 0, named_rng(0, "x")).size == 0
 
     def test_insufficient_pool(self):
         with pytest.raises(DataError, match="cannot sample"):
-            data.sample_negatives([0, 1], 10, 9, named_rng(0, "x"))
+            data.sample_negatives([0, 2], [0, 1], 10, 9, named_rng(0, "x"))
 
     @given(seed=st.integers(0, 2**16), n=st.integers(20, 60), npos=st.integers(1, 10))
     @settings(max_examples=50, deadline=None)
     def test_never_overlaps_positives(self, seed, n, npos):
         rng = np.random.default_rng(seed)
-        positives = rng.choice(n, size=npos, replace=False)
+        positives = np.sort(rng.choice(n, size=npos, replace=False))
         k = min(10, n - npos)
-        out = data.sample_negatives(positives, n, k, rng)
+        out = data.sample_negatives([0, npos], positives, n, k, rng)[0]
         assert set(out.tolist()).isdisjoint(positives.tolist())
         assert len(set(out.tolist())) == k
 
@@ -814,9 +938,9 @@ class TestSampleNegatives:
            k=st.integers(0, 10), size=st.integers(0, 5))
     @settings(max_examples=50, deadline=None)
     def test_stack_equals_sequential_calls(self, seed, n, npos, k, size):
-        positives = np.random.default_rng(seed).choice(n, size=npos, replace=False)
+        positives = np.sort(np.random.default_rng(seed).choice(n, size=npos, replace=False))
         rng = named_rng(seed, "x")
-        stacked = data.sample_negatives(positives, n, k, rng, size=size)
+        stacked = data.sample_negatives([0, npos], positives, n, k, rng, draws=size)
         # reference: one call per draw, each rebuilding its pool with setdiff1d
         ref_rng = named_rng(seed, "x")
         pool = np.setdiff1d(np.arange(n), positives)
@@ -825,6 +949,40 @@ class TestSampleNegatives:
         assert stacked.shape == (size, k) and stacked.dtype == np.int64
         assert stacked.tolist() == [list(draw) for draw in sequential]
         assert rng.random() == ref_rng.random()  # both consumed the same draws
+
+    @given(case=sampler_cases(), seed=st.integers(0, 2**32 - 1))
+    @settings(deadline=None)
+    def test_replays_sequential_calls(self, case, seed):
+        rows, n_items, k, draws, lead, cells = case
+        indptr, indices = csr(rows)
+        rng, ref_rng = named_rng(seed, "x"), named_rng(seed, "x")
+        with patch.object(data, "SAMPLE_CELLS", cells):
+            got = data.sample_negatives(indptr, indices, n_items, k, rng, draws, lead)
+        picks, want = sequential_negatives(rows, n_items, k, ref_rng, draws, lead)
+        if lead:
+            assert got[0].dtype == np.int64 and got[0].tolist() == picks.tolist()
+            got = got[1]
+        assert got.shape == want.shape and got.dtype == np.int64
+        assert got.tolist() == want.tolist()
+        assert rng.random() == ref_rng.random()  # both consumed the same draws
+
+    def test_draws_a_chunk_of_calls_at_a_time(self):
+        class Recorder:
+            """A generator that records the shape of each bounds array it draws."""
+            def __init__(self, rng):
+                self.rng, self.shapes = rng, []
+
+            def integers(self, low, high, **kwargs):
+                self.shapes.append(np.shape(high))
+                return self.rng.integers(low, high, **kwargs)
+
+        indptr, indices = csr([[0], [1, 2], [], [5]] * 5)
+        rng = Recorder(named_rng(1, "x"))
+        with patch.object(data, "SAMPLE_CELLS", 3 * 10):
+            out = data.sample_negatives(indptr, indices, 10, 4, rng, draws=2)
+        # 40 calls, 3 a chunk, each with Floyd's 4 draws and the shuffle's 3
+        assert out.shape == (40, 4)
+        assert rng.shapes == [(3, 7)] * 13 + [(1, 7)]
 
 
 class TestColdStartSplit:

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from xdvae import data, losses, nn
+from xdvae import model as model_module
+from xdvae import train as train_module
 from xdvae.data import DataError, DatasetBundle
 from xdvae.model import VARIANTS
 from xdvae.nn import DenseLayer, DenseStack
@@ -206,6 +208,23 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(path)
         assert np.array_equal(loaded.params().flat,
                               model.params().flat.astype(np.float32))
+
+    def test_load_walks_the_config_table_once(self, trainable_bundle, tmp_path, monkeypatch):
+        model, _ = train(trainable_bundle, make_toy_config("generic", epochs=0))
+        path = tmp_path / "model.xdv"
+        save_checkpoint(model, path)
+        walks = []
+        real = data.check_fields
+
+        def counted(doc, table, *args, **kwargs):
+            walks.append(table is model_module.CONFIG_FIELDS)
+            return real(doc, table, *args, **kwargs)
+
+        # the header table's config row recurses through data.check_fields
+        for module in (data, model_module, train_module):
+            monkeypatch.setattr(module, "check_fields", counted)
+        load_checkpoint(path)
+        assert walks.count(True) == 1
 
     def test_truncated_file_rejected(self, trainable_bundle, tmp_path):
         model, _ = train(trainable_bundle, make_toy_config("generic", epochs=1))
