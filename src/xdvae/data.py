@@ -34,10 +34,11 @@ BLOCK = 1 << 18
 # a timestamp of at most TS_DIGITS digits, which always fits in int64.
 ID_BYTES, TS_DIGITS = 16, 18
 ID_CHARS = (ascii_letters + digits + "_.-").encode()
-# sample_negatives replays its calls a chunk at a time, about SAMPLE_CELLS
-# (call, item) cells a chunk: its "taken" bitmap holds a byte a cell and the
-# pools of its rows at most nine. On ml1m and amazon shapes 2^20 to 2^22 time
-# the same, and 2^18 is 1.4x slower.
+# _choose replays its calls a chunk at a time, the calls whose pools fill about
+# SAMPLE_CELLS cells: its "taken" bitmap holds a byte a cell. sample_negatives
+# maps SAMPLE_CELLS // n_items calls at a time, through pools of at most nine
+# bytes a (call, item) cell. On ml1m and amazon shapes 2^20 to 2^22 time the
+# same, and 2^18 is 1.4x slower.
 SAMPLE_CELLS = 1 << 20
 # Generator.choice(pool, k, replace=False) shuffles the tail of arange(pool) in
 # place of Floyd's algorithm when pool > TAIL_POOL and k > pool // TAIL_SHARE.
@@ -570,14 +571,10 @@ def sample_negatives(indptr, indices, n_items, k, rng, draws=1, lead=False):
     int64 array. With lead, each row first draws rng.integers(len(row)), and
     (those picks, the negatives) come back.
 
-    Arrays and generator state are exactly those of the sequential calls
-    rng.choice(pool, k, replace=False), pool being the items outside the row in
-    ascending order. Such a call is Floyd's algorithm and a Fisher-Yates
-    shuffle of its k picks (past numpy's cut, a shuffle of the tail of
-    arange(len(pool))), and each of its draws is one bounded integer whose
-    bound is known before anything is drawn. So a chunk of calls is drawn with
-    one rng.integers(0, highs, endpoint=True), the same bounded routine on the
-    same stream, and resolved column by column with array operations.
+    Each draw is the call rng.choice(pool, k, replace=False), pool being the
+    items outside the row in ascending order, replayed by _choose: it holds the
+    items that call picks, in the order _choose gives, and the generator ends
+    in the state the sequential calls leave.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     lengths = np.diff(indptr)
@@ -587,94 +584,153 @@ def sample_negatives(indptr, indices, n_items, k, rng, draws=1, lead=False):
         raise DataError(f"cannot sample {k} negatives from {pops[low[0]]} non-interacted items")
     draws = np.broadcast_to(np.asarray(draws, dtype=np.int64), lengths.shape)
     # one unit per call in stream order; a row's lead draw opens its first unit,
-    # and a row without calls keeps a unit for it. A bound of 0 draws nothing,
-    # so it pads a unit for free.
+    # and a row without calls keeps a unit of no picks for it
     units = np.maximum(draws, int(lead))
     unit_row = np.repeat(np.arange(len(lengths)), units)
-    first = np.zeros(len(unit_row), dtype=bool)
-    first[_indptr(units)[:-1][units > 0]] = True
     calls = np.repeat(draws > 0, units)
-    out = np.empty((len(unit_row), k), dtype=np.int64)
-    picks = np.empty(len(lengths), dtype=np.int64)
+    first = _indptr(units)[:-1]
+    bounds = None
+    if lead:
+        bounds = np.zeros(len(unit_row), dtype=np.int64)
+        bounds[first] = lengths - 1
+    picks, out = _choose(rng, pops[unit_row], np.where(calls, k, 0), bounds)
+    out = out.reshape(int(calls.sum()), k)
+    rows = unit_row[calls]
     step = max(1, SAMPLE_CELLS // max(n_items, 1))
-    for lo in range(0, len(unit_row), step):
-        rows, head, call = unit_row[lo:lo + step], first[lo:lo + step], calls[lo:lo + step]
-        pop = pops[rows]
-        tail = (pop > TAIL_POOL) & (k > pop // TAIL_SHARE)
-        highs = np.zeros((len(rows), int(lead) + max(2 * k - 1, 0)), dtype=np.int64)
-        body = highs[:, int(lead):]
-        # Floyd's j = pop - k .. pop - 1, then the shuffle's i = k - 1 .. 1; the
-        # tail shuffle's i = pop - 1 down to pop - k
-        body[:, :k] = (pop - k)[:, None] + np.arange(k)
-        body[:, k:] = np.arange(k - 1, 0, -1)
-        body[tail, :k] = (pop[tail] - 1)[:, None] - np.arange(k)
-        body[tail, k:] = 0
-        body[~call] = 0
-        if lead:
-            highs[head, 0] = lengths[rows[head]] - 1
-        drawn = rng.integers(0, highs, endpoint=True)
-        if lead:
-            picks[rows[head]] = drawn[head, 0]
-        if not k:
-            continue
-        body = drawn[:, int(lead):]
-        if tail.any():
-            pos = np.empty((k, len(rows)), dtype=np.int64)
-            pos[:, ~tail] = _floyd(body[~tail], pop[~tail], k)
-            pos[:, tail] = _tail_shuffle(body[tail, :k], pop[tail])
-        else:
-            pos = _floyd(body, pop, k)
-        # pool positions to item ids through the pools of the chunk's rows
-        r0, r1 = rows[0], rows[-1] + 1
+    for lo in range(0, len(rows) if k else 0, step):
+        # pool positions to item ids through the pools of a chunk of rows
+        chunk, local = out[lo:lo + step], rows[lo:lo + step]
+        r0, r1 = local[0], local[-1] + 1
         outside = np.ones((r1 - r0, n_items), dtype=bool)
         outside[row_ids(indptr[r0:r1 + 1]), indices[indptr[r0]:indptr[r1]]] = False
-        local = rows - r0
-        pos += _indptr(pops[r0:r1])[local]
-        cells = np.flatnonzero(outside)[pos]
-        cells -= local * n_items
-        out[lo:lo + step] = cells.T
-    out = out if calls.all() else out[calls]
-    return (picks, out) if lead else out
+        local = local - r0
+        chunk += _indptr(pops[r0:r1])[local][:, None]
+        chunk[...] = np.flatnonzero(outside)[chunk]
+        chunk -= local[:, None] * n_items
+    return (picks[first], out) if lead else out
 
 
-def _floyd(drawn, pop, k):
-    """Pool positions, (k, calls), of choice(pool, k, replace=False) by Floyd's
-    algorithm and the shuffle, from each call's row of draws: Floyd's k, then
-    the shuffle's k - 1."""
-    n, width = len(pop), int(pop.max(initial=0))
-    picks, swaps = np.split(drawn.T.copy(), [k])
-    # each call's picks as cells of one (calls, pool) "taken" bitmap
-    base = np.arange(n) * width
-    picks += base
-    taken = np.zeros(n * width, dtype=bool)
-    j = base + pop - k
-    for v in picks:
-        # a draw already taken takes j instead, which no earlier pick can be
+def _choose(rng, pops, ks, lead=None):
+    """The sequential calls rng.choice(pops[c], ks[c], replace=False): (the
+    draws rng.integers(0, lead[c], endpoint=True) that each call is preceded by
+    when lead is given, else zeros; the pool positions the calls pick,
+    concatenated in call order), as int64. The generator ends in the state
+    the calls leave.
+
+    Such a call is Floyd's algorithm, then a Fisher-Yates shuffle of its k
+    picks; past numpy's cut, pop > TAIL_POOL and k > pop // TAIL_SHARE, it is a
+    shuffle of the tail of arange(pop) alone. Each of its draws is one bounded
+    integer whose bound is known before anything is drawn, so a chunk of calls,
+    about SAMPLE_CELLS pool positions, is drawn with one rng.integers(0, highs,
+    endpoint=True): the same bounded routine on the same stream, a bound of 0
+    drawing nothing. The final shuffle is drawn but not resolved, so each
+    call's positions come in Floyd's order, the order choice(..., shuffle=False)
+    gives from the same state on Floyd's path; past the cut they come in the
+    tail shuffle's order, choice's own.
+    """
+    pops, ks = np.asarray(pops, dtype=np.int64), np.asarray(ks, dtype=np.int64)
+    led = np.zeros(len(pops), dtype=np.int64)
+    out = np.empty(int(ks.sum()), dtype=np.int64)
+    at, ends = _indptr(ks), np.cumsum(pops)
+    lo = 0
+    while lo < len(pops):
+        # the calls whose pools fit in SAMPLE_CELLS cells, and at least one
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - pops[lo] + SAMPLE_CELLS, "right")))
+        p, k = pops[lo:hi], ks[lo:hi]
+        tail = (p > TAIL_POOL) & (k > p // TAIL_SHARE)
+        bounds = None if lead is None else lead[lo:hi]
+        if k.min() == k.max() and not tail.any():
+            led[lo:hi] = _choose_one_k(rng, p, int(k[0]), bounds, out[at[lo]:at[hi]])
+        else:
+            led[lo:hi] = _choose_ragged(rng, p, k, tail, bounds, out, at[lo:hi])
+        lo = hi
+    return led, out
+
+
+def _choose_one_k(rng, p, k, lead, out):
+    """A chunk of calls that all pick k on Floyd's path: their bounds are one
+    (calls, draws) matrix, and Floyd's columns are those of its transpose."""
+    n, w0 = len(p), int(lead is not None)
+    highs = np.empty((n, w0 + max(2 * k - 1, 0)), dtype=np.int64)
+    # Floyd's j = pop - k .. pop - 1, then the shuffle's i = k - 1 .. 1
+    highs[:, w0:w0 + k] = (p - k)[:, None] + np.arange(k)
+    highs[:, w0 + k:] = np.arange(k - 1, 0, -1)
+    if w0:
+        highs[:, 0] = lead
+    drawn = rng.integers(0, highs, endpoint=True)
+    if k:
+        # each call's draws as cells of one bitmap of the calls' pools
+        base = _indptr(p)
+        cells = np.add(drawn[:, w0:w0 + k].T, base[:-1], order="C")
+        _floyd(cells, base[:-1] + p - k + np.arange(k)[:, None], base[-1])
+        np.subtract(cells.T, base[:-1, None], out=out.reshape(n, k))
+    return drawn[:, 0] if w0 else 0
+
+
+def _choose_ragged(rng, p, k, tail, lead, out, at):
+    """Any chunk of calls: their bounds lie end to end, and the columns of
+    Floyd's calls and of the tail's are jagged, the calls of each sorted by k,
+    largest first, so that column s holds the calls with k > s."""
+    w0 = int(lead is not None)
+    first = _indptr(w0 + k + np.where(tail, 0, np.maximum(k - 1, 0)))
+    highs = np.zeros(first[-1], dtype=np.int64)
+    first = first[:-1] + w0
+    if w0:
+        highs[first - 1] = lead
+    groups = []
+    for in_tail in (False, True):
+        calls = np.flatnonzero((tail == in_tail) & (k > 0))
+        if not calls.size:
+            continue
+        calls = calls[np.argsort(-k[calls], kind="stable")]
+        sizes = len(calls) - np.cumsum(np.bincount(k[calls]))[:k[calls[0]]]
+        ends = np.cumsum(sizes)
+        # entry e of the columns is draw step[e] of call calls[rank[e]]
+        step = np.repeat(np.arange(len(sizes)), sizes)
+        rank = np.arange(ends[-1]) - np.repeat(ends - sizes, sizes)
+        who = calls[rank]
+        pos = first[who] + step
+        if in_tail:
+            # the tail shuffle's i = pop - 1 down to pop - k
+            highs[pos] = p[who] - 1 - step
+            dest = at[who] + k[who] - 1 - step
+        else:
+            # Floyd's j = pop - k .. pop - 1, then the shuffle's i = k - 1 .. 1
+            highs[pos] = p[who] - k[who] + step
+            rest = slice(ends[0], None)
+            highs[pos[rest] + k[who[rest]] - 1] = k[who[rest]] - step[rest]
+            dest = at[who] + step
+        base = _indptr(p[calls])
+        shift = base[:-1][rank]
+        groups.append((in_tail, pos, shift, shift + highs[pos], dest, ends[:-1], base[-1]))
+    drawn = rng.integers(0, highs, endpoint=True)
+    for in_tail, pos, shift, marks, dest, cuts, size in groups:
+        cells = drawn[pos] + shift
+        (_tail_shuffle if in_tail else _floyd)(np.split(cells, cuts), np.split(marks, cuts), size)
+        cells -= shift
+        out[dest] = cells
+    return drawn[first - 1] if w0 else 0
+
+
+def _floyd(columns, marks, size):
+    """Floyd's picks in place, a column of calls at a time: a column holds one
+    draw of each of its calls as a cell of one bitmap of size cells, and marks
+    the cells of those calls' j. A draw already taken takes j instead, which no
+    earlier pick can be."""
+    taken = np.zeros(size, dtype=bool)
+    for v, j in zip(columns, marks):
         np.copyto(v, j, where=taken[v])
         taken[v] = True
-        j += 1
-    picks -= base
-    # the shuffle swaps position i with its draw, for i = k - 1 down to 1
-    swaps *= n
-    swaps += np.arange(n)
-    flat = picks.reshape(-1)
-    for at, row in zip(swaps, picks[:0:-1]):
-        swapped = flat[at]
-        flat[at] = row
-        row[:] = swapped
-    return picks
 
 
-def _tail_shuffle(drawn, pop):
-    """Pool positions, (k, calls), of numpy's tail shuffle: position i swaps
-    with its draw for i = pop - 1 down to pop - k, and the last k are kept."""
-    (n, k), width = drawn.shape, int(pop.max())
-    base = np.arange(n) * width
-    cells = np.tile(np.arange(width), n)
-    for s, col in enumerate(drawn.T):
-        i, at = base + pop - 1 - s, base + col
-        cells[at], cells[i] = cells[i], cells[at]
-    return cells[(base + pop - k)[:, None] + np.arange(k)].T
+def _tail_shuffle(columns, marks, size):
+    """numpy's tail shuffle in place, a column of calls at a time: cell i of
+    each call, its mark, swaps with its draw, for i = pop - 1 down to pop - k,
+    and the draw becomes the cell that lands at i, which no later swap moves."""
+    perm = np.arange(size)
+    for v, i in zip(columns, marks):
+        perm[v], perm[i] = perm[i], perm[v]
+        v[:] = perm[i]
 
 
 def build_loo_split(bundle, seed, policy="random", n_negatives=99):
@@ -777,16 +833,16 @@ def degrade_target_rows(mat, fraction_kept, seed):
     rng = named_rng(seed, f"degrade-{fraction_kept}")
     lengths = np.diff(mat.indptr)
     keep = np.ceil(fraction_kept * lengths).astype(np.int64)
-    indptr = _indptr(keep)
-    # choice(len(row), k) draws the stream choice(row, k) draws and picks the
-    # same positions; a row that keeps nothing draws nothing
-    users = np.flatnonzero(keep)
-    picks = [start + rng.choice(n, size=k, replace=False) for start, n, k in zip(
-        mat.indptr[users].tolist(), lengths[users].tolist(), keep[users].tolist())]
+    # each row's positions are those of rng.choice(len(row), k, replace=False),
+    # which draws the stream rng.choice(row, k) draws and picks the same
+    # positions; a row that keeps nothing draws nothing
+    _, at = _choose(rng, lengths, keep)
     # rows rise strictly and sit in ascending ranges of mat.indices, so one
     # sort of the kept entry positions sorts every row
-    at = np.sort(np.concatenate(picks)) if picks else np.empty(0, dtype=np.int64)
-    return DomainMatrix(mat.domain, mat.user_index, mat.item_index, indptr, mat.indices[at])
+    at += np.repeat(mat.indptr[:-1], keep)
+    at.sort()
+    return DomainMatrix(mat.domain, mat.user_index, mat.item_index, _indptr(keep),
+                        mat.indices[at])
 
 
 def load_aux_vectors(path, expected_dim=256, fingerprint=None):

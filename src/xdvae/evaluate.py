@@ -156,9 +156,10 @@ def evaluate_cold_start(model, cold, bundle, ks=DEFAULT_KS, seed=None, n_negativ
     scores = model.predict_scores(r_s, None)
     indptr, at = gather_rows(bundle.target.indptr, test_users)
     items = bundle.target.indices[at]
-    # each interaction draws its own negatives from its user's pool: the arrays
-    # and stream of one rng.choice call per interaction, replayed a chunk of
-    # calls at a time
+    # each interaction draws its own negatives from its user's pool: the items
+    # one rng.choice call per interaction picks, in the order choice gives with
+    # shuffle=False, and the stream those calls leave; rank_first counts the
+    # candidates ahead of the held-out item, so it does not read their order
     negatives = sample_negatives(indptr, items, n_t, n_negatives, rng, draws=np.diff(indptr))
     ids = np.column_stack((items, negatives))
     ranks = rank_first(scores[row_ids(indptr)[:, None], ids], ids)

@@ -871,16 +871,33 @@ class TestLooSplit:
             data.build_loo_split(bundle, seed=0, policy="latest", n_negatives=2)
 
 
+def replayed_choice(rng, pool, k):
+    """(the row the replay gives, what rng.choice(pool, k, replace=False)
+    returns), the latter drawn from rng. The row is choice(pool, k,
+    replace=False, shuffle=False) drawn from a copy of rng's state: Floyd's
+    picks before the final shuffle. Past numpy's tail cut, where shuffle=False
+    keeps Floyd's path up to k = pool // 20, it is choice's own tail order."""
+    scratch = np.random.Generator(type(rng.bit_generator)())
+    scratch.bit_generator.state = rng.bit_generator.state
+    picks = rng.choice(pool, size=k, replace=False)
+    if len(pool) > data.TAIL_POOL and k > len(pool) // data.TAIL_SHARE:
+        return picks, picks
+    return scratch.choice(pool, size=k, replace=False, shuffle=False), picks
+
+
 def sequential_negatives(rows, n_items, k, rng, draws, lead):
-    """(picks, negatives) of one call at a time: for each row, rng.integers(len(row))
-    when lead, then draws[u] calls rng.choice(pool, k, replace=False)."""
+    """(picks, rows, choices) of one call at a time: for each row,
+    rng.integers(len(row)) when lead, then draws[u] calls rng.choice(pool, k,
+    replace=False), each as the replay orders it and as choice returns it."""
     picks, out = [], []
     for row, n in zip(rows, draws):
         if lead:
             picks.append(int(rng.integers(len(row))))
         pool = np.setdiff1d(np.arange(n_items), row)
-        out += [rng.choice(pool, size=k, replace=False) for _ in range(n)]
-    return np.array(picks, dtype=np.int64), np.array(out, dtype=np.int64).reshape(len(out), k)
+        out += [replayed_choice(rng, pool, k) for _ in range(n)]
+    ordered, choices = (np.array([pair[i] for pair in out], dtype=np.int64).reshape(len(out), k)
+                        for i in (0, 1))
+    return np.array(picks, dtype=np.int64), ordered, choices
 
 
 @st.composite
@@ -909,6 +926,16 @@ def sampler_cases(draw):
 
 def csr(rows):
     return np.cumsum([0, *map(len, rows)]), np.array([j for r in rows for j in r], dtype=np.int64)
+
+
+class Recorder:
+    """A generator that records each bounds array it draws."""
+    def __init__(self, rng):
+        self.rng, self.highs = rng, []
+
+    def integers(self, low, high, **kwargs):
+        self.highs.append(np.array(high))
+        return self.rng.integers(low, high, **kwargs)
 
 
 class TestSampleNegatives:
@@ -944,10 +971,11 @@ class TestSampleNegatives:
         # reference: one call per draw, each rebuilding its pool with setdiff1d
         ref_rng = named_rng(seed, "x")
         pool = np.setdiff1d(np.arange(n), positives)
-        sequential = [ref_rng.choice(pool, size=k, replace=False) if k else []
+        sequential = [replayed_choice(ref_rng, pool, k) if k else ([], [])
                       for _ in range(size)]
         assert stacked.shape == (size, k) and stacked.dtype == np.int64
-        assert stacked.tolist() == [list(draw) for draw in sequential]
+        assert stacked.tolist() == [list(row) for row, _ in sequential]
+        assert [sorted(row) for row in stacked.tolist()] == [sorted(c) for _, c in sequential]
         assert rng.random() == ref_rng.random()  # both consumed the same draws
 
     @given(case=sampler_cases(), seed=st.integers(0, 2**32 - 1))
@@ -958,31 +986,37 @@ class TestSampleNegatives:
         rng, ref_rng = named_rng(seed, "x"), named_rng(seed, "x")
         with patch.object(data, "SAMPLE_CELLS", cells):
             got = data.sample_negatives(indptr, indices, n_items, k, rng, draws, lead)
-        picks, want = sequential_negatives(rows, n_items, k, ref_rng, draws, lead)
+        picks, want, choices = sequential_negatives(rows, n_items, k, ref_rng, draws, lead)
         if lead:
             assert got[0].dtype == np.int64 and got[0].tolist() == picks.tolist()
             got = got[1]
         assert got.shape == want.shape and got.dtype == np.int64
         assert got.tolist() == want.tolist()
+        assert np.sort(got, axis=1).tolist() == np.sort(choices, axis=1).tolist()
         assert rng.random() == ref_rng.random()  # both consumed the same draws
 
     def test_draws_a_chunk_of_calls_at_a_time(self):
-        class Recorder:
-            """A generator that records the shape of each bounds array it draws."""
-            def __init__(self, rng):
-                self.rng, self.shapes = rng, []
-
-            def integers(self, low, high, **kwargs):
-                self.shapes.append(np.shape(high))
-                return self.rng.integers(low, high, **kwargs)
-
         indptr, indices = csr([[0], [1, 2], [], [5]] * 5)
         rng = Recorder(named_rng(1, "x"))
         with patch.object(data, "SAMPLE_CELLS", 3 * 10):
             out = data.sample_negatives(indptr, indices, 10, 4, rng, draws=2)
         # 40 calls, 3 a chunk, each with Floyd's 4 draws and the shuffle's 3
         assert out.shape == (40, 4)
-        assert rng.shapes == [(3, 7)] * 13 + [(1, 7)]
+        assert [h.shape for h in rng.highs] == [(3, 7)] * 13 + [(1, 7)]
+        pools = [9, 9, 8, 8, 10, 10, 9, 9] * 5
+        want = [[pool - 4, pool - 3, pool - 2, pool - 1, 3, 2, 1] for pool in pools]
+        assert np.concatenate(rng.highs).tolist() == want
+
+    def test_calls_of_different_k_draw_their_bounds_end_to_end(self):
+        # a row without calls keeps its lead draw, so the chunk's k differ
+        indptr, indices = csr([[0], [1, 2], [3]])
+        rng = Recorder(named_rng(1, "x"))
+        data.sample_negatives(indptr, indices, 10, 3, rng, draws=[1, 0, 2], lead=True)
+        # each unit: a lead slot, len(row) - 1 on a row's first unit and 0,
+        # which draws nothing, after it; then, for a call, Floyd's pool - 3 ..
+        # pool - 1 and the shuffle's 2, 1
+        assert [h.tolist() for h in rng.highs] == [
+            [0, 6, 7, 8, 2, 1, 1, 0, 6, 7, 8, 2, 1, 0, 6, 7, 8, 2, 1]]
 
 
 class TestColdStartSplit:
@@ -1042,21 +1076,71 @@ def per_row_degrade(mat, fraction_kept, seed):
     return indptr, indices
 
 
+@st.composite
+def degrade_cases(draw):
+    """(rows, n_items, fraction, cells): rows of up to 30 items, among them
+    2-item rows that fraction 0.99 keeps whole, in one chunk or spread over
+    several; or rows of 10000 and 10001 positions keeping n // 50 or
+    n // 50 + 1, either side of numpy's cut from Floyd's algorithm to the
+    tail shuffle, beside short rows, whose k then differ in one chunk."""
+    if draw(st.booleans()):
+        n_items = 10004
+        lengths = draw(st.lists(st.sampled_from([10000, 10001]), min_size=1, max_size=2))
+        # ceil(fraction * n) is n // 50 + extra for the first long row
+        extra = draw(st.sampled_from([0, 1]))
+        fraction = (lengths[0] // 50 + extra - 0.5) / lengths[0]
+        rows = [sorted(set(range(n_items)) - draw(
+            st.sets(st.integers(0, n_items - 1), min_size=n_items - n, max_size=n_items - n)))
+            for n in lengths]
+        rows += draw(st.lists(st.lists(st.integers(0, n_items - 1), unique=True).map(sorted),
+                              max_size=3))
+        cells = draw(st.sampled_from([1, 10001, data.SAMPLE_CELLS]))
+    else:
+        n_items = 30
+        fraction = draw(st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75, 0.99]),
+                                  st.floats(0.0, 1.0)))
+        rows = draw(st.lists(st.one_of(
+            st.lists(st.integers(0, n_items - 1), min_size=2, max_size=2, unique=True),
+            st.lists(st.integers(0, n_items - 1), unique=True)).map(sorted), max_size=12))
+        cells = draw(st.sampled_from([1, 2, 7, 30, 100, data.SAMPLE_CELLS]))
+    return rows, n_items, fraction, cells
+
+
 class TestDegradeRows:
     rows = [[0, 2, 5, 7], [1], [3, 4]]
 
     @settings(deadline=None)
-    @given(rows=st.lists(st.lists(st.integers(0, 29), unique=True).map(sorted), max_size=12),
-           fraction=st.one_of(st.sampled_from([0.0, 1.0, 0.25, 0.5, 0.75]),
-                              st.floats(0.0, 1.0)),
-           seed=st.integers(0, 2**32 - 1))
-    def test_equals_per_row_loop(self, rows, fraction, seed):
+    @given(case=degrade_cases(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_per_row_loop(self, case, seed):
+        rows, n_items, fraction, cells = case
         mat = make_matrix("target", [f"u{k}" for k in range(len(rows))],
-                          [f"t{j}" for j in range(30)], rows)
-        out = data.degrade_target_rows(mat, fraction, seed)
+                          [f"t{j}" for j in range(n_items)], rows)
+        with patch.object(data, "SAMPLE_CELLS", cells):
+            out = data.degrade_target_rows(mat, fraction, seed)
         indptr, indices = per_row_degrade(mat, fraction, seed)
         for got, want in ((out.indptr, indptr), (out.indices, indices)):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_rows_draw_choice_bounds_end_to_end(self):
+        # rows of 150, 1 and 0 positions keep k = 4, 1, 0 on Floyd's path; one
+        # of 10001 keeps 201, past numpy's cut to the tail shuffle
+        rows = [list(range(150)), [3], [], list(range(10001))]
+        mat = make_matrix("target", [f"u{k}" for k in range(4)],
+                          [f"t{j}" for j in range(10001)], rows)
+        fraction = 200.5 / 10001
+        recorders = []
+
+        def recorded(seed, name):
+            recorders.append(Recorder(named_rng(seed, name)))
+            return recorders[-1]
+
+        with patch.object(data, "named_rng", recorded):
+            out = data.degrade_target_rows(mat, fraction, seed=2)
+        # Floyd's pool - k .. pool - 1 and the shuffle's k - 1 .. 1, then the
+        # tail shuffle's pool - 1 down to pool - k with no shuffle after it
+        want = [146, 147, 148, 149, 3, 2, 1, 0, *range(10000, 10000 - 201, -1)]
+        assert [h.tolist() for h in recorders[0].highs] == [want]
+        assert np.diff(out.indptr).tolist() == [4, 1, 0, 201]
 
     def test_identity_fraction(self):
         out = data.degrade_target_rows(target_matrix(self.rows), 1.0, seed=0)
