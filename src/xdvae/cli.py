@@ -13,12 +13,10 @@ import functools
 import hashlib
 import json
 import os
-import queue
 import sys
-import threading
 
 from . import __version__, data, evaluate, train as training
-from .model import ABLATION_VARIANTS, VARIANTS, ModelConfig
+from .model import ABLATION_VARIANTS, CONFIG_FIELDS, VARIANTS, ModelConfig
 from .nn import NumericError
 
 SEED_LABELS = ("init", "shuffle", "eps", "loo-split", "cold-split", "cold-negatives")
@@ -35,69 +33,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-class InputHashes:
-    """The sha256 of every input a command reads, from the bytes its loader read.
+class InputHashes(dict):
+    """{path: sha256} of every input a command reads, from the bytes its loader read.
 
-    A loader hands each run of bytes it reads to the callable that
-    `fingerprint(path)` returns, in file order, and one helper thread hashes
-    them beside the work; hashlib releases the interpreter lock for buffers
-    over 2 KiB. No input is opened twice, so a pipe is fingerprinted by the
-    bytes the command parsed. Used as a context manager, which starts the
-    thread and joins it on exit.
+    A loader hands each run of bytes it reads, in file order, to the callable
+    that `fingerprint(path)` returns, which hashes it at once on the calling
+    thread. No input is opened twice, so a pipe is fingerprinted by the bytes
+    the command parsed.
     """
 
-    def __init__(self):
-        self._sha = {}   # path -> sha256 of the first read of that path
-        # callables the helper runs in order; SimpleQueue.get waits in C, so the
-        # helper runs little Python code that would take the interpreter lock
-        # from the parse beside it
-        self._jobs = queue.SimpleQueue()
-        self._error = None
-        self._thread = threading.Thread(target=self._run, name="xdvae-sha256", daemon=True)
-
-    def __enter__(self):
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info):
-        self.close()
-
-    def _run(self):
-        for job in iter(self._jobs.get, None):
-            try:
-                job()
-            except Exception as e:  # raised in the command by digests()
-                self._error = self._error or e
-            del job  # the bytes go as soon as they are hashed
-
     def fingerprint(self, path):
-        """The callable a loader of path hands its bytes to, in file order.
-
-        It is returned once the bytes of every earlier input are hashed and
-        released. A buffer still held while the next input's arrays are
-        allocated would leave a hole in the heap below them, and the process
-        that much larger. A path read twice keeps the fingerprint of its first
-        read.
-        """
-        hashed = threading.Event()
-        self._jobs.put(hashed.set)
-        hashed.wait()
+        """The sha256 update a loader of path hands its bytes to; a path read
+        twice keeps the hash of its first read."""
         sha = hashlib.sha256()
-        self._sha.setdefault(path, sha)
-        return lambda chunk: self._jobs.put(functools.partial(sha.update, chunk))
-
-    def close(self):
-        """Hash what is queued and stop the thread."""
-        if self._thread.is_alive():
-            self._jobs.put(None)
-            self._thread.join()
+        self.setdefault(path, sha)
+        return sha.update
 
     def digests(self):
-        """{path: hex sha256} of every input read, once all its bytes are hashed."""
-        self.close()
-        if self._error is not None:
-            raise self._error
-        return {path: sha.hexdigest() for path, sha in self._sha.items()}
+        """{path: hex sha256} of every input read."""
+        return {path: sha.hexdigest() for path, sha in self.items()}
 
 
 def _write_manifest(path, command, args, inputs, artifacts, config=None):
@@ -133,9 +87,9 @@ def _write_reports(reports, command, args, inputs, config):
 
 
 def _parse_list(text, flag, kind):
-    """The comma-separated values of flag, each read by kind (int or float)."""
+    """The comma-separated values of flag, each read by kind (int, float or str)."""
     try:
-        values = [kind(v) for v in text.split(",") if v.strip()]
+        values = [kind(v.strip()) for v in text.split(",") if v.strip()]
     except ValueError:
         noun = "integer" if kind is int else "float"
         raise CliError(f"{flag} expects a comma-separated {noun} list") from None
@@ -145,38 +99,56 @@ def _parse_list(text, flag, kind):
 
 
 def _check(flag, value, ok, rule):
-    """Usage error naming flag unless ok (a NaN fails every range test)."""
+    """Usage error naming flag unless ok."""
     if not ok:
         raise CliError(f"{flag} must be {rule}, got {value!r}")
 
 
-def _parse_distinct(text, flag, kind, ok, rule):
-    """_parse_list's values, each passing ok (else a usage error citing rule), none repeated."""
+def _parse_distinct(text, flag, kind):
+    """_parse_list's values, none repeated."""
     values = _parse_list(text, flag, kind)
-    for v in values:
-        _check(flag, v, ok(v), rule)
     # a repeat would report the same cutoff or score the same fraction twice
     _check(flag, text, len(set(values)) == len(values), "distinct values")
     return values
 
 
-def _parse_ks(text):
-    """The --ks cutoffs of eval and ablate, each within a 100-candidate ranking."""
-    return _parse_distinct(text, "--ks", int, lambda k: 1 <= k <= 100, "in 1..100")
+_NON_EMPTY = ("non-empty", lambda v, doc: v != "")
+# The rules of the run flags (see data.check_fields), by argparse dest: a list
+# flag's row holds its parsed values. A NaN fails every range test. The model
+# flags of train and ablate are model.CONFIG_FIELDS'.
+RUN_FLAGS = [
+    ("seed", "int", data.at_least(0)),
+    ("min_rating", "int", ("in 1..5", lambda v, doc: 1 <= v <= 5)),
+    ("min_target_positives", "int", data.at_least(1)),
+    ("aux", "string", _NON_EMPTY),
+    ("aux_dim", "int", data.at_least(1)),
+    ("history", "string", _NON_EMPTY),
+    # each cutoff within a 100-candidate ranking
+    ("ks.*", "int", ("in 1..100", lambda v, doc: 1 <= v <= 100)),
+    ("fractions.*", "number", ("in [0, 1]", lambda v, doc: 0 <= v <= 1)),
+    ("variants.*", "string", (f"one of {ABLATION_VARIANTS}, ignoring case",
+                              lambda v, doc: v.lower() in ABLATION_VARIANTS)),
+]
+# the flag of each field not named after it ("--", then the name with "-" for "_")
+_FLAGS = {"enc_dims_source": "--dims", "enc_dims_target": "--dims"}
 
 
-def _parse_labels(text):
-    return {v.strip() for v in text.split(",") if v.strip()}
+def _check_flags(doc, table, flags=None):
+    """data.check_fields(doc, table), whose failure is a usage error naming the
+    flag of its field, which `flags` may map too."""
+    try:
+        data.check_fields(doc, table)
+    except data.DataError as e:
+        field, _, rule = str(e).partition(" ")  # the message starts with the field name
+        flag = {**_FLAGS, **(flags or {})}.get(field, f"--{field.replace('_', '-')}")
+        raise CliError(f"{flag} {rule}") from None
 
 
-def _summary_lines(bundle):
-    lines = [f"users (shared): {bundle.m}"]
-    for mat in (bundle.source, bundle.target):
-        lines.append(
-            f"{mat.domain}: items {mat.n_items}, interactions {mat.n_interactions}, "
-            f"sparsity {100.0 * mat.sparsity():.2f}%"
-        )
-    return lines
+def _check_run_flags(args, **parsed):
+    """Check the flags of args that RUN_FLAGS has a row for, each parsed list
+    in place of its text; a flag that is None holds no field."""
+    doc = {k: v for k, v in {**vars(args), **parsed}.items() if v is not None}
+    _check_flags(doc, [row for row in RUN_FLAGS if row[0].split(".")[0] in doc])
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +156,9 @@ def _summary_lines(bundle):
 
 
 def cmd_prepare(args, inputs):
-    _check("--min-target-positives", args.min_target_positives,
-           args.min_target_positives >= 1, ">= 1")
-    _check("--seed", args.seed, args.seed >= 0, ">= 0")
-    _check("--min-rating", args.min_rating, 1 <= args.min_rating <= 5, "in 1..5")
-    _check("--aux-dim", args.aux_dim, args.aux_dim >= 1, ">= 1")
-    source_labels = _parse_labels(args.source_labels)
-    target_labels = _parse_labels(args.target_labels)
-    if not source_labels or not target_labels:
-        raise CliError("empty label set")
+    _check_run_flags(args)
+    source_labels = set(_parse_list(args.source_labels, "--source-labels", str))
+    target_labels = set(_parse_list(args.target_labels, "--target-labels", str))
     overlap = source_labels & target_labels
     if overlap:
         raise CliError(f"source/target label sets overlap: {sorted(overlap)}")
@@ -211,7 +177,7 @@ def cmd_prepare(args, inputs):
         seed=args.seed,
     )
     split = data.build_loo_split(bundle, args.seed, policy=args.policy)
-    if args.aux:
+    if args.aux is not None:
         vectors = data.load_aux_vectors(args.aux, args.aux_dim, inputs.fingerprint(args.aux))
         data.attach_aux(bundle, vectors, expected_dim=args.aux_dim)
     data.save_bundle(bundle, args.out, split=split)
@@ -220,8 +186,10 @@ def cmd_prepare(args, inputs):
         inputs=inputs.digests(),
         artifacts=[args.out],
     )
-    for line in _summary_lines(bundle):
-        print(line)
+    print(f"users (shared): {bundle.m}")
+    for mat in (bundle.source, bundle.target):
+        print(f"{mat.domain}: items {mat.n_items}, interactions {mat.n_interactions}, "
+              f"sparsity {100.0 * mat.sparsity():.2f}%")
     print(f"bundle: {args.out}")
     print(f"manifest: {manifest}")
     return 0
@@ -234,22 +202,16 @@ def cmd_prepare(args, inputs):
 def _model_config(args, flags=None, **fields):
     """ModelConfig from the model flags train and ablate share, then fields.
 
-    A value that ModelConfig.validate rejects is a usage error naming its
-    flag, which `flags` maps a field to when the flag is not named after it.
+    A value that CONFIG_FIELDS rejects is a usage error naming its flag,
+    which `flags` maps a field to when the flag is not named after it.
     """
     dims = tuple(_parse_list(args.dims, "--dims", int))
-    if min(dims) < 1:
-        raise CliError("--dims widths must be >= 1")
     shared = dict(beta=args.beta, lambda_reg=args.lambda_reg, lr=args.lr,
                   batch_size=args.batch_size, epochs=args.epochs, latent_dim=args.latent_dim,
                   enc_dims_source=dims, enc_dims_target=dims, seed=args.seed)
-    try:
-        return ModelConfig(**{**shared, **fields}).validate()
-    except ValueError as e:
-        # validate's message starts with the field name, the flag's name with "_" for "-"
-        field, _, rule = str(e).partition(" ")
-        flag = (flags or {}).get(field, f"--{field.replace('_', '-')}")
-        raise CliError(f"{flag} {rule}") from None
+    config = ModelConfig(**{**shared, **fields})
+    _check_flags(config.to_dict(), CONFIG_FIELDS, flags)
+    return config
 
 
 def _training_view(bundle, split, config):
@@ -263,6 +225,7 @@ def _training_view(bundle, split, config):
 
 
 def cmd_train(args, inputs):
+    _check_run_flags(args)
     fields = dict(variant=args.variant, aux_attach=args.aux_attach,
                   cold_fraction=args.cold_fraction)
     # the flags are checked before the bundle is read; aux_dim, the one field
@@ -308,12 +271,10 @@ def _loo_view(bundle, split):
 
 
 def cmd_eval(args, inputs):
-    ks = _parse_ks(args.ks)
-    if args.seed is not None:
-        _check("--seed", args.seed, args.seed >= 0, ">= 0")
-    if args.protocol == "degrade":
-        fractions = _parse_distinct(args.fractions, "--fractions", float,
-                                    lambda f: 0.0 <= f <= 1.0, "in [0, 1]")
+    ks = _parse_distinct(args.ks, "--ks", int)
+    fractions = (_parse_distinct(args.fractions, "--fractions", float)
+                 if args.protocol == "degrade" else None)
+    _check_run_flags(args, ks=ks, fractions=fractions)
     model, config = training.load_checkpoint(args.model, inputs.fingerprint(args.model))
     bundle, split = data.load_bundle(args.bundle, inputs.fingerprint(args.bundle))
     aux_width = None if bundle.aux_vectors is None else bundle.aux_vectors.shape[1]
@@ -352,11 +313,14 @@ def cmd_eval(args, inputs):
 
 
 def cmd_ablate(args, inputs):
-    ks = _parse_ks(args.ks)
+    ks = _parse_distinct(args.ks, "--ks", int)
+    sweep = args.beta_sweep is not None
+    variants = None if sweep else _parse_list(args.variants, "--variants", str)
+    _check_run_flags(args, ks=ks, variants=variants)
     base = _model_config(args)
     # one (report label, protocol, extra, config) per run, all checked before
     # the bundle is read
-    if args.beta_sweep:
+    if sweep:
         betas = _parse_list(args.beta_sweep, "--beta-sweep", float)
         runs = [(f"generic-b{beta:g}", "beta-sweep", {"beta": beta},
                  _model_config(args, {"beta": "--beta-sweep"}, beta=beta)) for beta in betas]
@@ -366,12 +330,6 @@ def cmd_ablate(args, inputs):
         _check("--beta-sweep", args.beta_sweep, len(set(betas)) == len(labels) == len(betas),
                "distinct values at 6 significant digits")
     else:
-        variants = [v.strip() for v in args.variants.split(",") if v.strip()]
-        if not variants:
-            raise CliError("--variants is empty")
-        bad = [v for v in variants if v.lower() not in ABLATION_VARIANTS]
-        if bad:
-            raise CliError(f"unknown ablation variants: {bad}")
         _check("--variants", args.variants,
                len({v.lower() for v in variants}) == len(variants),
                "distinct names, ignoring case")
@@ -476,8 +434,7 @@ def main(argv=None):
     except SystemExit as e:
         return e.code
     try:
-        with InputHashes() as inputs:
-            return args.func(args, inputs)
+        return args.func(args, InputHashes())
     except CliError as e:
         print(f"xdvae: error: {e}", file=sys.stderr)
         return 1

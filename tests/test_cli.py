@@ -11,7 +11,6 @@ import json
 import math
 import os
 import random
-import sys
 import threading
 import warnings
 import weakref
@@ -24,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from xdvae import data, evaluate, nn, train as training
-from xdvae.cli import InputHashes, build_parser, main
+from xdvae.cli import RUN_FLAGS, InputHashes, build_parser, main
 from xdvae.model import ModelConfig, architecture
 
 from conftest import cpu_helpers, patch_cpus, poison_last_grad, rewrite_header
@@ -117,7 +116,8 @@ class TestPrepare:
         assert code == 2
         assert "no users survive" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags", [["--aux-dim", "-1"], ["--min-rating", "0"]])
+    # an empty --aux used to write a bundle with no aux vectors
+    @pytest.mark.parametrize("flags", [["--aux-dim", "-1"], ["--min-rating", "0"], ["--aux", ""]])
     def test_flags_checked_before_any_file_is_read(self, tmp_path, capsys, flags):
         code = main([
             "prepare", "--ratings", str(tmp_path / "missing.dat"),
@@ -127,6 +127,15 @@ class TestPrepare:
         ])
         assert code == 1
         assert f"xdvae: error: {flags[0]} must be " in capsys.readouterr().err
+
+    def test_empty_aux_exit_one_without_a_bundle(self, synthetic_corpus, tmp_path, capsys):
+        code = main(["prepare", "--ratings", synthetic_corpus["ratings"],
+                     "--items", synthetic_corpus["movies"], "--source-labels", "Action",
+                     "--target-labels", "Comedy,Drama", "--aux", "",
+                     "--out", str(tmp_path / "x.xdb")])
+        assert code == 1
+        assert capsys.readouterr().err == "xdvae: error: --aux must be non-empty, got ''\n"
+        assert not list(tmp_path.iterdir())
 
     def test_determinism_byte_identical_bundles(self, prepared, synthetic_corpus, tmp_path):
         out = tmp_path / "again.xdb"
@@ -225,6 +234,13 @@ class TestTrain:
         assert len(history["epochs"]) == 3
         manifest = json.loads((trained.parent / f"{trained.name}.manifest.json").read_text())
         assert manifest["config"]["variant"] == "generic"
+
+    def test_empty_history_exit_one_without_a_checkpoint(self, prepared, tmp_path, capsys):
+        code = main(["train", "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1",
+                     "--history", "", "--out", str(tmp_path / "m.xdv")])
+        assert code == 1
+        assert capsys.readouterr().err == "xdvae: error: --history must be non-empty, got ''\n"
+        assert not list(tmp_path.iterdir())
 
     def test_epochs_zero_writes_initialization(self, prepared, tmp_path):
         out = tmp_path / "init.xdv"
@@ -689,12 +705,18 @@ FLAGS_BEFORE_BUNDLE = {
     "train-beta": ("train", ["--beta", "nan"], "--beta must be finite and >= 0"),
     "ablate-beta": ("ablate", ["--beta", "nan"], "--beta must be finite and >= 0"),
     "train-batch-size": ("train", ["--batch-size", "0"], "--batch-size must be >= 1"),
-    "ablate-dims": ("ablate", ["--dims", "0"], "--dims widths must be >= 1"),
+    # --dims fails through model.CONFIG_FIELDS' enc_dims rows
+    "train-dims": ("train", ["--dims", "16,0"], "--dims must be >= 1, got 0 (item 1)"),
+    "ablate-dims": ("ablate", ["--dims", "0"], "--dims must be >= 1, got 0 (item 0)"),
     "ablate-beta-sweep": ("ablate", ["--beta-sweep", "4,nan"],
                           "--beta-sweep must be finite and >= 0, got nan"),
-    "ablate-variants": ("ablate", ["--variants", "generic,bogus"], "unknown ablation variants"),
+    "ablate-variants": ("ablate", ["--variants", "generic,bogus"],
+                        "--variants must be one of ('generic', "),
     # used to write reports with no run in them
     "ablate-variants-empty": ("ablate", ["--variants", " , "], "--variants is empty"),
+    "ablate-beta-sweep-empty": ("ablate", ["--beta-sweep", ""], "--beta-sweep is empty"),
+    # used to write the history to the default <out>.history.json
+    "train-history-empty": ("train", ["--history", ""], "--history must be non-empty, got ''"),
     "ablate-variants-repeated": ("ablate", ["--variants", "single0,Single0"],
                                  "--variants must be distinct"),
     "ablate-beta-sweep-repeated": ("ablate", ["--beta-sweep", "2,2"],
@@ -1136,35 +1158,87 @@ class TestManifestInputs:
 
 
 class TestInputHashes:
-    def test_chunks_hash_in_file_order_under_fast_switching(self):
+    def test_chunks_hash_in_file_order(self):
         rng = random.Random(0)
         sizes = [0, 1, 100, 2047, 2048, 3000, 70000]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            expected = {}
-            with InputHashes() as inputs:
-                for k in range(6):
-                    feed = inputs.fingerprint(f"in{k}")
-                    chunks = [rng.randbytes(rng.choice(sizes)) for _ in range(60)]
-                    for chunk in chunks:
-                        feed(chunk)
-                    expected[f"in{k}"] = hashlib.sha256(b"".join(chunks)).hexdigest()
-                assert inputs.digests() == expected
-        finally:
-            sys.setswitchinterval(interval)
+        expected, inputs = {}, InputHashes()
+        for k in range(6):
+            feed = inputs.fingerprint(f"in{k}")
+            chunks = [rng.randbytes(rng.choice(sizes)) for _ in range(60)]
+            for chunk in chunks:
+                feed(chunk)
+            expected[f"in{k}"] = hashlib.sha256(b"".join(chunks)).hexdigest()
+        assert inputs.digests() == expected
 
-    def test_a_failed_hash_is_raised_by_digests(self):
-        with InputHashes() as inputs:
-            inputs.fingerprint("x")(12)  # not bytes: sha256.update raises TypeError
-            inputs.fingerprint("y")(b"later")  # does not wait forever on the failed job
-            with pytest.raises(TypeError):
-                inputs.digests()
+    def test_a_non_bytes_feed_raises_at_the_call(self):
+        inputs = InputHashes()
+        feed = inputs.fingerprint("x")
+        with pytest.raises(TypeError):
+            feed(12)
+        feed(b"later")
+        assert inputs.digests() == {"x": hashlib.sha256(b"later").hexdigest()}
 
     def test_a_path_read_twice_keeps_its_first_read(self):
-        before = threading.active_count()
-        with InputHashes() as inputs:
-            inputs.fingerprint("x")(b"first")
-            inputs.fingerprint("x")(b"second")
-            assert inputs.digests() == {"x": hashlib.sha256(b"first").hexdigest()}
-        assert threading.active_count() == before
+        inputs = InputHashes()
+        inputs.fingerprint("x")(b"first")
+        inputs.fingerprint("x")(b"second")
+        assert inputs.digests() == {"x": hashlib.sha256(b"first").hexdigest()}
+
+    def test_one_cpu_commands_start_no_thread(self, synthetic_corpus, prepared, trained,
+                                             tmp_path, monkeypatch):
+        # the inputs are hashed on the calling thread, and one usable CPU gives
+        # nn.map_on_cpus no helper
+        started, start = [], threading.Thread.start
+
+        def recorded(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(nn, "usable_cpus", lambda: 1)
+        monkeypatch.setattr(threading.Thread, "start", recorded)
+        for argv in (["prepare", "--ratings", synthetic_corpus["ratings"],
+                      "--items", synthetic_corpus["movies"], "--source-labels", "Action",
+                      "--target-labels", "Comedy,Drama", "--out", str(tmp_path / "p.xdb")],
+                     ["train", "--bundle", str(prepared), *TRAIN_FLAGS, "--epochs", "1",
+                      "--out", str(tmp_path / "m.xdv")],
+                     ["eval", "--model", str(trained), "--bundle", str(prepared),
+                      "--protocol", "standard", "--out", str(tmp_path / "r")]):
+            assert main(argv) == 0, argv
+        assert started == []
+
+
+def _run_flag_cases():
+    """(command, flag, row) for each RUN_FLAGS row and each command taking its flag."""
+    return [(command, flag, row) for row in RUN_FLAGS
+            for command, actions in sorted(_flag_actions().items())
+            for flag, action in actions if action.dest == row[0].split(".")[0]]
+
+
+# values tried in order for each row, the first its rule rejects being the bad
+# one; a list row is given that one value
+BAD_FLAG_VALUES = {"int": [-1, 0, 6, 101], "number": [math.nan, 1.5], "string": ["bogus", ""]}
+# every required input missing, so reading any of them would exit 2
+MISSING_INPUTS = {
+    "prepare": ["--ratings", "missing.dat", "--items", "missing-items.dat",
+                "--source-labels", "Action", "--target-labels", "Comedy"],
+    "train": ["--bundle", "missing.xdb"],
+    "eval": ["--model", "missing.xdv", "--bundle", "missing.xdb", "--protocol", "degrade"],
+    "ablate": ["--bundle", "missing.xdb"],
+}
+
+
+class TestRunFlagTable:
+    def test_every_row_is_a_flag(self):
+        assert {row[0] for _, _, row in _run_flag_cases()} == {row[0] for row in RUN_FLAGS}
+
+    @pytest.mark.parametrize("command, flag, row", _run_flag_cases(),
+                             ids=[f"{c}{f}" for c, f, _ in _run_flag_cases()])
+    def test_bad_value_exit_one_before_any_input_is_opened(self, tmp_path, capsys, monkeypatch,
+                                                           command, flag, row):
+        path, types, (rule, ok) = row
+        bad = next(v for v in BAD_FLAG_VALUES[types] if not ok(v, {}))
+        monkeypatch.chdir(tmp_path)
+        code = main([command, *MISSING_INPUTS[command], flag, str(bad), "--out", "x"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"xdvae: error: {flag} must be {rule}, got ")
+        assert not list(tmp_path.iterdir())

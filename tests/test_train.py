@@ -1,6 +1,7 @@
 """Training loop behaviour, determinism, checkpoint format, ablation variants."""
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from xdvae.train import (
     train,
 )
 
-from conftest import make_matrix, make_toy_bundle, make_toy_config, poison_last_grad
+from conftest import (cpu_helpers, make_matrix, make_toy_bundle, make_toy_config,
+                      patch_cpus, poison_last_grad)
 
 
 @pytest.fixture()
@@ -194,6 +196,18 @@ class TestCheckpoints:
         loaded, _ = load_checkpoint(p1)
         save_checkpoint(loaded, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_hash_runs_on_the_calling_thread(self, trainable_bundle, tmp_path, monkeypatch, cpus):
+        model, _ = train(trainable_bundle, make_toy_config("generic", epochs=1))
+        path = tmp_path / "model.xdv"
+        save_checkpoint(model, path)
+        started, fed = patch_cpus(monkeypatch, cpus), []
+        loaded, _ = load_checkpoint(path, lambda b: fed.append((threading.current_thread(), b)))
+        assert fed == [(threading.main_thread(), path.read_bytes())]
+        # a second CPU casts the body beside the hash
+        assert len(cpu_helpers(started)) == cpus - 1
+        assert np.array_equal(loaded.params().flat, model.params().flat.astype(np.float32))
 
     def test_load_draws_nothing_from_the_init_stream(self, trainable_bundle, tmp_path,
                                                      monkeypatch):
